@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .contours import (
@@ -106,8 +107,16 @@ class CachedMomentTable(MomentTable):
     def flush(self):
         if self._dirty:
             os.makedirs(self.cache_dir, exist_ok=True)
-            with open(self.path, "w") as fh:
-                json.dump(self._store, fh, sort_keys=True)
+            # write a sibling temp file and rename it over the cache, so an
+            # interrupted dump never leaves a truncated moments.json behind
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=".moments.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(self._store, fh, sort_keys=True)
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
             self._dirty = False
 
 
@@ -417,7 +426,7 @@ def main(argv=None) -> int:
         # unreachable tolerance is a configuration problem, not a falsified check
         print(f"quadrature error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

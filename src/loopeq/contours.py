@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .exact import CRational
-from .loopgen import Potential
+from .loopgen import Potential, poly_divmod
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ def sectors(V: Potential) -> list[Sector]:
     if V.kind != "polynomial":
         raise ValueError("sectors are defined for polynomial potentials")
     deg = V.d + 1
-    phi = cmath.phase(V.t[-1].to_complex())
+    phi = cmath.phase(V.complex_coeffs[0][-1])
     centers = sorted(((2 * math.pi * m - phi) / deg) % (2 * math.pi) for m in range(deg))
     return [
         Sector(center_angle=c, half_width=math.pi / (2 * deg), index=i)
@@ -141,7 +140,7 @@ def join_radius(V: Potential) -> float:
     Fujiwara-style root bound on V' coefficients, padded; outside this disc
     |e^{-V}| decays monotonically along admissible bisector rays.
     """
-    t = [c.to_complex() for c in V.t]
+    t = V.complex_coeffs[0]
     top = t[-1]
     deg = len(t) - 1  # degree of V' = d
     bound = 0.0
@@ -200,7 +199,7 @@ def basis_arcs(V: Potential) -> list[Contour]:
         secs = sectors(V)
         return [elbow_arc(V, j, secs) for j in range(1, V.d + 1)]
 
-    quot, poles = V._rational_parts()
+    quot, poles = V.partial_fractions
     arcs: list[Contour] = []
     for p, r in poles:
         if r <= 0:
@@ -219,7 +218,7 @@ def basis_arcs(V: Potential) -> list[Contour]:
         )
     d_inf = len(quot) - 1 if quot else -1
     if d_inf >= 1:
-        Vinf = Potential.polynomial(_integrated_quotient(V))
+        Vinf = Potential.polynomial(poly_divmod(list(V.R), list(V.D))[0])  # polynomial part of V
         secs = sectors(Vinf)
         clearance = 1.0 + 2.0 * max((abs(p) for p, _ in poles), default=0.0)
         arcs.extend(
@@ -231,14 +230,6 @@ def basis_arcs(V: Potential) -> list[Contour]:
             f"unsupported pole configuration: built {len(arcs)} arcs, homology needs {V.d}"
         )
     return arcs
-
-
-def _integrated_quotient(V: Potential):
-    """Coefficients t_k of the polynomial part of V (from the quotient of V')."""
-    from .loopgen import poly_divmod
-
-    quot, _ = poly_divmod(list(V.R), list(V.D))
-    return [quot[k] if k < len(quot) else CRational(0) for k in range(len(quot))]
 
 
 # -- admissibility -----------------------------------------------------------

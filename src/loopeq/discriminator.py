@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import factorial
 
 import numpy as np
@@ -59,16 +60,9 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if V.kind == "polynomial":
-        # x V'(x) - r = sum_k t_k x^k - r
-        coeffs = [complex(-r)] + [c.to_complex() for c in V.t]
-    else:
-        R = [c.to_complex() for c in V.R]
-        D = [c.to_complex() for c in V.D]
-        xR = [0j] + R
-        coeffs = [a - r * b for a, b in
-                  zip(xR + [0j] * max(0, len(D) - len(xR)),
-                      D + [0j] * max(0, len(xR) - len(D)))]
+    # numerator of x V'(x) - r: x R(x) - r D(x)
+    R, D = V.complex_coeffs
+    coeffs = [a - r * b for a, b in zip_longest((0j, *R), D, fillvalue=0j)]
     while coeffs and abs(coeffs[-1]) == 0:
         coeffs.pop()
     if len(coeffs) < 2:
@@ -124,9 +118,9 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
 def _second_derivative(V: Potential, z: complex) -> complex:
     if V.kind == "polynomial":
         out = 0j
-        for k, c in enumerate(V.t, start=1):
+        for k, c in enumerate(V.complex_coeffs[0], start=1):
             if k >= 2:
-                out += c.to_complex() * (k - 1) * z ** (k - 2)
+                out += c * (k - 1) * z ** (k - 2)
         return out
     h = 1e-6 * max(1.0, abs(z))
     return (V.dV(z + h) - V.dV(z - h)) / (2 * h)
@@ -295,26 +289,17 @@ class DiscriminatorEngine:
         return out
 
     def ratio(self, n: tuple[int, ...], m: tuple[int, ...]) -> complex:
-        """E_{gamma^n}(p_{r,m}) * prod Q'(xi)^m * (N!/prod m_j!) / A(m) -> delta_{n,m}."""
+        """The normalized pairing for the single class gamma^n; -> delta_{n,m}."""
         d = len(self.others)
         if len(n) != d or len(m) != d:
             raise ValueError(f"compositions must have length d={d}")
-        N = sum(n)
-        if sum(m) != N:
+        if sum(m) != sum(n):
             raise ValueError("compositions n and m must have equal size")
-        m_hat = self._lift(m)
-        E = self.expectation(tuple(n), m_hat)
-        qfac = 1.0 + 0j
-        for j, mm in enumerate(m_hat):
-            if mm:
-                qfac *= self.S.Q_prime[j] ** mm
-        snorm = factorial(N)
-        for mm in m_hat:
-            snorm //= factorial(mm)
-        return E * qfac * snorm / self.amplitude(m_hat)
+        return self.ratio_for_class({tuple(n): 1}, m)
 
     def ratio_for_class(self, coeffs: dict, m: tuple[int, ...]) -> complex:
-        """Same normalized pairing for Gamma = sum_n coeffs[n] gamma^n."""
+        """E_Gamma(p_{r,m}) * prod Q'(xi)^m * (N!/prod m_j!) / A(m) for
+        Gamma = sum_n coeffs[n] gamma^n."""
         m_hat = self._lift(m)
         E = 0j
         for n, c in coeffs.items():

@@ -2,8 +2,8 @@
 and, symbolically, the two-matrix model.
 
 Conventions.  A polynomial potential is V(x) = sum_{k=1}^{d+1} t_k x^k / k with
-t_{d+1} != 0, so d = deg V'.  A rational potential is given by V' = R/D with D
-monic and R, D coprime; d counts all pole degrees including infinity, which is
+t_{d+1} != 0, so d = deg V'.  Every potential is stored as V' = R/D with D
+monic and R, D coprime; a polynomial one is the case D = 1.  d counts all pole degrees including infinity, which is
 deg R when deg R > deg D (the case with a weight-raising top term) but e.g. 1
 for the Haar weight V' = N/x.  For an index tuple mu = (mu_1, ..., mu_n) with
 mu_1 >= 0 and the remaining parts >= 1,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -88,16 +88,14 @@ def poly_gcd(a: Sequence[CRational], b: Sequence[CRational]) -> list[CRational]:
 
 @dataclass(frozen=True)
 class Potential:
-    """Polynomial or rational-derivative potential.
+    """Potential given by its derivative V' = R/D.
 
-    polynomial: ``t`` holds (t_1, ..., t_{d+1});
-    rational: ``R``, ``D`` hold ascending coefficients of V' = R/D, D monic.
+    ``R``, ``D`` hold ascending coefficients, D monic.  A polynomial potential
+    V = sum_k t_k x^k / k is the case D = 1, stored as R = (t_1, ..., t_{d+1}).
     """
 
-    kind: str
-    t: tuple = ()
-    R: tuple = ()
-    D: tuple = ()
+    R: tuple
+    D: tuple
 
     @staticmethod
     def polynomial(t: Sequence) -> "Potential":
@@ -106,7 +104,7 @@ class Potential:
             raise ValueError("polynomial potential needs degree >= 2 (at least t_1, t_2)")
         if _coeff_is_zero(t[-1]):
             raise ValueError("leading coefficient t_{d+1} must be nonzero")
-        return Potential(kind="polynomial", t=t)
+        return Potential(R=t, D=(CRational(1),))
 
     @staticmethod
     def rational(R: Sequence, D: Sequence) -> "Potential":
@@ -116,11 +114,18 @@ class Potential:
             raise ValueError("R must have a nonzero leading coefficient")
         if not D or D[-1] != CRational(1):
             raise ValueError("D must be monic")
+        if len(D) == 1:
+            return Potential.polynomial(R)
         if all(isinstance(c, CRational) for c in R + D):
             g = poly_gcd(list(R), list(D))
             if len(g) > 1:
                 raise ValueError("R and D must be coprime")
-        return Potential(kind="rational", R=R, D=D)
+        return Potential(R=R, D=D)
+
+    @property
+    def kind(self) -> str:
+        """'polynomial' when D = 1, else 'rational' (also the JSON wire kind)."""
+        return "polynomial" if len(self.D) == 1 else "rational"
 
     @property
     def d(self) -> int:
@@ -130,72 +135,83 @@ class Potential:
         deg D); for deg R > deg D this is just deg R.  (V' = N/x, the Haar
         weight on the circle, has deg R = 0 and d = 1.)
         """
-        if self.kind == "polynomial":
-            return len(self.t) - 1
         deg_r, deg_d = len(self.R) - 1, len(self.D) - 1
         return deg_d + max(0, deg_r - deg_d)
 
     @property
     def reducible(self) -> bool:
-        """Whether the weight-lowering moment reduction applies (polynomial,
-        or rational with deg R > deg D so the top term raises weight by d)."""
-        return self.kind == "polynomial" or len(self.R) > len(self.D)
+        """Whether the weight-lowering moment reduction applies: deg R > deg D,
+        so the top term raises weight by d (always true for polynomial V)."""
+        return len(self.R) > len(self.D)
 
     @property
     def leading(self):
-        """Coefficient of the top term driving the reduction (t_{d+1} or lead R)."""
-        return self.t[-1] if self.kind == "polynomial" else self.R[-1]
+        """Coefficient of the top term driving the reduction (lead R = t_{d+1})."""
+        return self.R[-1]
 
     # -- numeric evaluation (CRational coefficients only) -------------------
 
+    @cached_property
+    def complex_coeffs(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+        """R and D as complex coefficient tuples."""
+        return tuple(c.to_complex() for c in self.R), tuple(c.to_complex() for c in self.D)
+
+    @cached_property
+    def partial_fractions(self) -> tuple[list[complex], tuple[tuple[complex, int], ...]]:
+        """V' = sum_k q_k x^{k-1} + sum_p r_p / (x - p) as (q, ((p, r_p), ...)).
+
+        Only simple poles with integer residues are supported numerically; the
+        non-integer case needs branch cuts and is out of scope.
+        """
+        quot, rem = poly_divmod(list(self.R), list(self.D))
+        dD = poly_deriv(list(self.D))
+        import numpy as np
+
+        poles = []
+        for p in np.roots(self.complex_coeffs[1][::-1]):
+            p = complex(p)
+            if any(abs(p - q) < 1e-9 for q, _ in poles):
+                raise ValueError("repeated poles of V' are not supported numerically")
+            num = _horner([c.to_complex() for c in rem], p)
+            den = _horner([c.to_complex() for c in dD], p)
+            r = num / den
+            r_int = round(r.real)
+            if abs(r - r_int) > 1e-9:
+                raise ValueError(
+                    f"cut placement unsupported: pole {p:.6g} has non-integer residue {r:.6g}"
+                )
+            poles.append((p, int(r_int)))
+        return [c.to_complex() for c in quot], tuple(poles)
+
     def dV(self, z: complex) -> complex:
-        if self.kind == "polynomial":
-            # V'(z) = sum_k t_k z^{k-1}
-            return _horner([c.to_complex() for c in self.t], z)
-        num = _horner([c.to_complex() for c in self.R], z)
-        den = _horner([c.to_complex() for c in self.D], z)
-        return num / den
+        R, D = self.complex_coeffs
+        return _horner(R, z) / _horner(D, z)
 
     def V(self, z: complex) -> complex:
-        if self.kind == "polynomial":
-            out = 0j
-            for k, c in enumerate(self.t, start=1):
-                out += c.to_complex() / k * z ** k
-            return out
-        quot, poles = self._rational_parts()
-        out = 0j
-        for k, c in enumerate(quot, start=1):
-            out += c / k * z ** k
-        for p, r in poles:
+        out = self._quotient_part(z)
+        for p, r in self.partial_fractions[1]:
             out += r * cmath.log(z - p)
         return out
 
     def exp_neg_V(self, z: complex) -> complex:
         """e^{-V(z)}; single-valued for integer pole residues."""
-        if self.kind == "polynomial":
-            return cmath.exp(-self.V(z))
-        quot, poles = self._rational_parts()
-        out = 0j
-        for k, c in enumerate(quot, start=1):
-            out += c / k * z ** k
-        val = cmath.exp(-out)
-        for p, r in poles:
+        val = cmath.exp(-self._quotient_part(z))
+        for p, r in self.partial_fractions[1]:
             val *= (z - p) ** (-r)
         return val
 
-    def _rational_parts(self):
-        """Quotient coefficients (complex) and [(pole, integer residue)] pairs.
-
-        Only simple poles with integer residues are supported numerically; the
-        non-integer case needs branch cuts and is out of scope.
-        """
-        return _rational_parts_cached(self)
+    def _quotient_part(self, z: complex) -> complex:
+        """sum_k q_k z^k / k: the polynomial part of V."""
+        out = 0j
+        for k, c in enumerate(self.partial_fractions[0], start=1):
+            out += c / k * z ** k
+        return out
 
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
         if self.kind == "polynomial":
-            return {"kind": "polynomial", "t": [c.to_pair() for c in self.t]}
+            return {"kind": "polynomial", "t": [c.to_pair() for c in self.R]}
         return {
             "kind": "rational",
             "R": [c.to_pair() for c in self.R],
@@ -225,36 +241,9 @@ class Potential:
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     """sum_i coeffs[i] * z^i by Horner."""
     out = 0j
-    for c in reversed(list(coeffs)):
+    for c in reversed(coeffs):
         out = out * z + c
     return out
-
-
-@lru_cache(maxsize=64)
-def _rational_parts_cached(V: "Potential"):
-    quot, rem = poly_divmod(list(V.R), list(V.D))
-    dD = poly_deriv(list(V.D))
-    import numpy as np
-
-    Dc = [c.to_complex() for c in V.D]
-    roots = np.roots(list(reversed(Dc))) if len(Dc) > 1 else []
-    poles = []
-    seen = []
-    for p in roots:
-        p = complex(p)
-        if any(abs(p - q) < 1e-9 for q in seen):
-            raise ValueError("repeated poles of V' are not supported numerically")
-        seen.append(p)
-        num = _horner([c.to_complex() for c in rem] or [0j], p)
-        den = _horner([c.to_complex() for c in dD], p)
-        r = num / den
-        r_int = round(r.real)
-        if abs(r - r_int) > 1e-9:
-            raise ValueError(
-                f"cut placement unsupported: pole {p:.6g} has non-integer residue {r:.6g}"
-            )
-        poles.append((p, int(r_int)))
-    return [c.to_complex() for c in quot], tuple(poles)
 
 
 def _coerce_coeff(c):
@@ -309,9 +298,9 @@ def q_polynomial(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     mu = _check_mu(mu)
     m0, rest = mu[0], tuple(mu[1:])
     items: list[tuple[tuple[int, ...], object]] = []
-    for j, tk in enumerate(V.t):
+    for j, tk in enumerate(V.R):
         items.append(((m0 + j,) + rest, tk))
-    minus_one = _neg_one_like(V.t[0])
+    minus_one = _neg_one_like(V.R[0])
     for j in range(m0):
         items.append(((j, m0 - 1 - j) + rest, minus_one))
     for i in range(len(rest)):
@@ -328,8 +317,6 @@ def q_rational(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     with p^(P)_k = sum_j P_j p_{k+j}.  With D = 1 this is q_polynomial for
     V' = R term by term.
     """
-    if V.kind != "rational":
-        raise ValueError("q_rational needs a rational potential (use q_polynomial)")
     mu = _check_mu(mu)
     m0, rest = mu[0], tuple(mu[1:])
     items: list[tuple[tuple[int, ...], object]] = []
@@ -369,8 +356,8 @@ def q_twomatrix(mu: Sequence[int], W: TwoPotential, nvars) -> PowerSumPoly:
     """
     mu = _check_mu(mu)
     m0, rest = mu[0], tuple(sorted(mu[1:], reverse=True))
-    t = W.V.t
-    tt = W.Vt.t
+    t = W.V.R
+    tt = W.Vt.R
 
     # work terms: (level l, index k, spectator multiset) -> coefficient
     work: dict[tuple[int, int, tuple[int, ...]], object] = {}

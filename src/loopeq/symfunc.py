@@ -11,7 +11,7 @@ truncation to N variables is literally dropping long partitions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .exact import CRational
@@ -322,23 +322,16 @@ def _mono_to_p(lam: Partition) -> dict[Partition, Fraction]:
         sums = []
         for block in pi:
             size = len(block)
-            coeff *= Fraction((-1) ** (size - 1) * _factorial(size - 1))
+            coeff *= Fraction((-1) ** (size - 1) * factorial(size - 1))
             sums.append(sum(lam[i] for i in block))
         nu = Partition.of(sums)
         acc[nu] = acc.get(nu, Fraction(0)) + coeff
     mult = Fraction(1)
     for v in set(lam):
-        mult *= _factorial(lam.count(v))
+        mult *= factorial(lam.count(v))
     res = {nu: c / mult for nu, c in acc.items() if c}
     _MONO_TO_P_CACHE[lam] = res
     return res
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:

@@ -191,14 +191,10 @@ def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) ->
         nshift = sum(mvec) - e
         mono_exp = (nshift,) + mvec
         factor = MPoly(svars, {mono_exp: rat})
-        contrib = factor * _embed_n(wick, svars)
+        contrib = factor * wick.embed(svars)
         coeffs[e] = coeffs.get(e, MPoly.zero(svars)) + contrib
     coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
     return MapSeries(marked=marked, e_max=e_max, vars=svars, coeffs=coeffs)
-
-
-def _embed_n(p: MPoly, svars: tuple[str, ...]) -> MPoly:
-    return p.embed(svars)
 
 
 def map_potential(tweights: dict[int, object]) -> tuple[Potential, tuple[str, ...], MPoly]:

@@ -68,6 +68,40 @@ def test_expect_and_cache_determinism(pot, tmp_path, capsys):
     assert os.path.exists(os.path.join(cache, "moments.json"))
 
 
+def test_interrupted_cache_write_keeps_previous_cache(pot, tmp_path, monkeypatch, capsys):
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    cache = tmp_path / "cache"
+    args = ["expect", "--potential", path, "--class", cls, "--tol", "1e-10", "--cache", str(cache)]
+    assert main(args + ["--poly", "2", "--out", str(tmp_path / "o1.json")]) == 0
+    before = (cache / "moments.json").read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:20])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    assert main(args + ["--poly", "6,4", "--out", str(tmp_path / "o2.json")]) == 2
+    monkeypatch.undo()
+    assert (cache / "moments.json").read_bytes() == before
+    assert os.listdir(cache) == ["moments.json"]
+    assert main(args + ["--poly", "2", "--out", str(tmp_path / "o3.json")]) == 0
+    assert (tmp_path / "o3.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
+
+
+def test_double_overflow_is_usage_error(pot, capsys):
+    # V' = x + 10^-200 x^3: reducing p_8 divides by the tiny leading coefficient,
+    # and the growth diagnostic overflows a double
+    path = pot("tiny.json", {"kind": "polynomial",
+                             "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1e-200", "0"]]})
+    basis = pot("basis.json", {"N": 1, "d": 3, "values": [
+        {"mu": [], "value": [1.0, 0.0]}, {"mu": [1], "value": [0.0, 0.0]},
+        {"mu": [2], "value": [1.0, 0.0]}]})
+    code = main(["solve", "--potential", path, "--N", "1", "--basis", basis, "--targets", "8"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_iso_pass_and_shape(pot, capsys):
     path = pot("cubic.json", CUBIC)
     code, data = run(["iso", "--potential", path, "--N", "2"], capsys)

@@ -1,0 +1,68 @@
+"""Byte-for-byte CLI goldens: fixed inputs must keep producing identical JSON.
+
+Each case runs ``loopeq.cli.main`` with ``--out`` and compares the written
+bytes with ``tests/golden/<case>.json``.  To re-record after an intended output
+change, run ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from loopeq.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _c(*xs):
+    return [[str(x), "0"] for x in xs]
+
+
+POTENTIALS = {
+    "cubic": {"kind": "polynomial", "t": _c(1, 0, 1)},  # V' = 1 + x^2
+    "quartic": {"kind": "polynomial", "t": _c(0, 1, 0, 1)},  # V' = x + x^3
+    "rational": {"kind": "rational", "R": _c(2, 0, 0, 1), "D": _c(0, 1)},  # V' = x^2 + 2/x
+    "haar": {"kind": "rational", "R": _c(2), "D": _c(0, 1)},  # V' = 2/x
+    "cubic_d1": {"kind": "rational", "R": _c(1, 0, 1), "D": _c(1)},  # cubic written as R/1
+}
+CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1], "c": [1, 0]}, {"n": [2, 0], "c": [0.5, -1]}]}
+
+# case -> (command, potential, extra arguments)
+CASES = {
+    **{f"gen_{name}": ("gen", name, ["--mu", "3,1", "--N", "3"])
+       for name in ("cubic", "rational", "haar", "cubic_d1")},
+    "contours_cubic": ("contours", "cubic", []),
+    "contours_rational": ("contours", "rational", []),
+    "expect_cubic": ("expect", "cubic", ["--class", "{class}", "--poly", "2,1"]),
+    "residuals_quartic": ("residuals", "quartic", ["--gamma", "real", "--N", "2", "--weight-max", "4"]),
+    "discrim_cubic": ("discrim", "cubic", ["--N", "1", "--r", "60"]),
+}
+
+
+def run_case(case: str, workdir: Path) -> bytes:
+    command, name, extra = CASES[case]
+    pot = workdir / f"{name}.json"
+    pot.write_text(json.dumps(POTENTIALS[name]))
+    cls = workdir / "class.json"
+    cls.write_text(json.dumps(CLASS))
+    out = workdir / f"{case}.out"
+    args = [a.replace("{class}", str(cls)) for a in extra]
+    code = main([command, "--potential", str(pot), *args, "--out", str(out)])
+    assert code == 0, f"{case} exited {code}"
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path):
+    assert run_case(case, tmp_path) == (GOLDEN / f"{case}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.json").write_bytes(run_case(case, Path(tmp)))
+            print(f"recorded {case}", file=sys.stderr)

@@ -1,4 +1,6 @@
+import cmath
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,8 +44,6 @@ def test_q_polynomial_trace_recursion_shape(gauss):
 def test_q_polynomial_rejects_rational(haar2):
     with pytest.raises(ValueError):
         q_polynomial((1,), haar2, 2)
-    with pytest.raises(ValueError):
-        q_rational((1,), Potential.polynomial([0, 1]), 2)
 
 
 def test_highest_weight_coefficient_is_leading_t():
@@ -77,12 +77,7 @@ def _pointwise_q_oracle(mu, V, pts):
     for part in rest:
         p_rest = p_rest * psum(part)
 
-    if V.kind == "polynomial":
-        Dc = [CRational(1)]
-        Rc = list(V.t)  # V' coefficients
-    else:
-        Dc = list(V.D)
-        Rc = list(V.R)
+    Rc, Dc = list(V.R), list(V.D)  # V' = R/D
     Dprime = [c * k for k, c in enumerate(Dc)][1:] or [CRational(0)]
 
     total = CRational(0)
@@ -151,6 +146,27 @@ def test_q_rational_with_trivial_denominator_equals_q_polynomial():
         m0 = rng.randint(0, 3)
         rest = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 2))), reverse=True))
         assert q_rational((m0,) + rest, W, N) == q_polynomial((m0,) + rest, V, N)
+
+
+def test_polynomial_is_rational_with_unit_denominator():
+    t = [CRational(1), CRational(0, 2), CRational(Fraction(-3, 2))]
+    V, W = Potential.polynomial(t), Potential.rational(t, [1])
+    assert V == W
+    assert hash(V) == hash(W)
+    assert V.to_json() == W.to_json() == {"kind": "polynomial", "t": [c.to_pair() for c in t]}
+    assert (V.R, V.D, V.kind) == (tuple(t), (CRational(1),), "polynomial")
+
+
+def test_exp_neg_V_is_the_polynomial_sum_bitwise():
+    t = [CRational(Fraction(1, 3), 2), CRational(0), CRational(-1, Fraction(1, 7)), CRational(1)]
+    V = Potential.polynomial(t)
+    for z in (0.3 + 0.7j, -1.25 + 0.1j, 1.5 - 0.9j, 0j):
+        s = 0j
+        for k, tk in enumerate(t, start=1):
+            s += tk.to_complex() / k * z ** k
+        want = cmath.exp(-s)
+        got = V.exp_neg_V(z)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_q_rational_coprimality_precondition():

@@ -35,7 +35,7 @@ def brute_tensor_expectation(V, N, mu, L=9.0, n=120):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes = nodes * L
     weights = weights * L
-    tk = [coef.to_complex().real for coef in V.t]
+    tk = [coef.to_complex().real for coef in V.R]
     vx = sum(tk[k - 1] / k * nodes ** k for k in range(1, len(tk) + 1))
     w1d = weights * np.exp(-vx)
     grids = np.meshgrid(*([nodes] * N), indexing="ij")

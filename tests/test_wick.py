@@ -100,7 +100,7 @@ def test_map_potential_shape():
     V, qvars, N = map_potential({3: 1})
     assert V.d == 2
     # tau_2 = N/t
-    assert V.t[1] == MPoly.gen("N", qvars) * MPoly.gen("t", qvars, power=-1)
+    assert V.R[1] == MPoly.gen("N", qvars) * MPoly.gen("t", qvars, power=-1)
 
 
 @pytest.mark.parametrize("mu", [(1,), (3,), (2, 1), (1, 1, 1)])
