@@ -327,20 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, potential=True):
+    def common(p, potential=True, moments=False):
         if potential:
             p.add_argument("--potential", required=True, help="potential JSON file")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument(
-            "--cache",
-            default=os.environ.get("LOOPEQ_CACHE"),
-            help="moment cache directory (env LOOPEQ_CACHE)",
-        )
-        p.add_argument(
-            "--dump-moments",
-            default=None,
-            help="write the 1-D moment table used to this CSV file",
-        )
+        if moments:
+            p.add_argument(
+                "--cache",
+                default=os.environ.get("LOOPEQ_CACHE"),
+                help="moment cache directory (env LOOPEQ_CACHE)",
+            )
+            p.add_argument(
+                "--dump-moments",
+                default=None,
+                help="write the 1-D moment table used to this CSV file",
+            )
 
     p = sub.add_parser("gen", help="emit the loop-equation polynomial Q_mu")
     common(p)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("residuals", help="loop-equation residuals of a quadrature functional")
-    common(p)
+    common(p, moments=True)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--weight-max", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -371,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contours)
 
     p = sub.add_parser("expect", help="moment functional value on a class")
-    common(p)
+    common(p, moments=True)
     p.add_argument("--class", dest="cls", required=True, help="homology class JSON")
     p.add_argument("--poly", default="", help="partition, e.g. 2,1 (empty = Z)")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("iso", help="moment matrix + singular values (isomorphism witness)")
-    common(p)
+    common(p, moments=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--min-singular", type=float, default=1e-8)

@@ -45,6 +45,10 @@ def sectors(V: Potential) -> list[Sector]:
 
 
 # -- contour segments --------------------------------------------------------
+#
+# Every segment is a parametrization z(t) on ``bounds`` with ``tangent(t)`` =
+# dz/dt; quadrature integrates f(z(t)) z'(t) over the bounds and negates the
+# result of an ``inward`` segment.
 
 
 @dataclass(frozen=True)
@@ -58,36 +62,50 @@ class RaySeg:
     angle: float
     inward: bool = False
 
+    bounds = (0.0, math.inf)
+
     def point(self, s: float) -> complex:
         return self.base + s * cmath.exp(1j * self.angle)
 
+    def tangent(self, s: float) -> complex:
+        return cmath.exp(1j * self.angle)
+
+
+class _OnCircle:
+    """Parametrization by angle about ``center``, counterclockwise."""
+
+    inward = False
+
+    def point(self, theta: float) -> complex:
+        return self.center + self.radius * cmath.exp(1j * theta)
+
+    def tangent(self, theta: float) -> complex:
+        return 1j * self.radius * cmath.exp(1j * theta)
+
 
 @dataclass(frozen=True)
-class LineSeg:
-    z0: complex
-    z1: complex
-
-
-@dataclass(frozen=True)
-class ArcSeg:
+class ArcSeg(_OnCircle):
     center: complex
     radius: float
     a0: float
     a1: float
 
-    def point(self, theta: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * theta)
+    @property
+    def bounds(self) -> tuple[float, float]:
+        return (self.a0, self.a1)
 
 
 @dataclass(frozen=True)
-class CircleSeg:
+class CircleSeg(_OnCircle):
     """Full counterclockwise circle (closed contour)."""
 
     center: complex
     radius: float
 
+    bounds = (0.0, 2 * math.pi)
 
-Segment = Union[RaySeg, LineSeg, ArcSeg, CircleSeg]
+
+Segment = Union[RaySeg, ArcSeg, CircleSeg]
 
 
 @dataclass(frozen=True)
@@ -256,9 +274,6 @@ def admissibility_check(c: Contour, V: Potential, kmax: int) -> AdmissibilityRep
         if isinstance(seg, RaySeg):
             for s in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
                 samples.append(seg.point(s))
-        elif isinstance(seg, LineSeg):
-            for t in [0.0, 0.25, 0.5, 0.75, 1.0]:
-                samples.append(seg.z0 + t * (seg.z1 - seg.z0))
         elif isinstance(seg, ArcSeg):
             for i in range(9):
                 samples.append(seg.point(seg.a0 + (seg.a1 - seg.a0) * i / 8))
@@ -345,8 +360,6 @@ def deform(c: Contour, bump: Deformation, V: Potential | None = None) -> Contour
             if abs(new_center - seg.center) >= new_radius:
                 raise ValueError("deformation would push the circle off its pole")
             segs.append(CircleSeg(center=new_center, radius=new_radius))
-        elif isinstance(seg, LineSeg):
-            segs.append(LineSeg(z0=seg.z0 * rot + bump.shift, z1=seg.z1 * rot + bump.shift))
     if V is not None and V.kind == "polynomial":
         secs = sectors(V)
         for seg in segs:
@@ -406,11 +419,6 @@ def sample_polyline(c: Contour, max_radius: float = 12.0, points_per_seg: int = 
             if seg.inward:
                 zs.reverse()
             pts.extend(zs)
-        elif isinstance(seg, LineSeg):
-            pts.extend(
-                seg.z0 + (seg.z1 - seg.z0) * i / (points_per_seg - 1)
-                for i in range(points_per_seg)
-            )
         elif isinstance(seg, ArcSeg):
             pts.extend(
                 seg.point(seg.a0 + (seg.a1 - seg.a0) * i / (points_per_seg - 1))

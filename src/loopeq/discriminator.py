@@ -25,7 +25,7 @@ from math import factorial
 import numpy as np
 
 from .loopgen import Potential
-from .quadrature import _quad_complex
+from .quadrature import _quad_complex, vandermonde_sum
 
 MAX_BODIES = 2
 MAX_DEGREE = 3
@@ -33,19 +33,13 @@ MAX_DEGREE = 3
 
 @dataclass
 class SaddleSet:
-    """Critical-point data of V_r = V - r log x.
-
-    ``pole_assoc`` follows the all-saddles-at-infinity convention (associated
-    pole written as 0); mixed finite/infinite configurations are out of scope.
-    """
+    """Critical-point data of V_r = V - r log x (all saddles at infinity)."""
 
     r: int
-    potential: Potential
     xi: list  # complex saddle locations, sorted by phase
     Q_prime: list  # prod_{k != j} (xi_j - xi_k)
     Vr_values: list  # V_r(xi_j), principal log
     Vr_second: list  # V_r''(xi_j)
-    pole_assoc: list
     anchor_index: int
 
     @property
@@ -105,12 +99,10 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
     anchor = max(range(len(polished)), key=lambda j: (vr_vals[j].real, -abs(polished[j].imag)))
     return SaddleSet(
         r=r,
-        potential=V,
         xi=polished,
         Q_prime=qprime,
         Vr_values=vr_vals,
         Vr_second=vr_second,
-        pole_assoc=[0j] * len(polished),
         anchor_index=anchor,
     )
 
@@ -245,6 +237,11 @@ class DiscriminatorEngine:
 
     # -- N-body expectations ---------------------------------------------------
 
+    def _body_moment(self, body: tuple[int, int], k: int) -> tuple[complex, float]:
+        """Moment of x^k over body (arc, c) = x^r f_c(x) e^{-V} dx on that arc."""
+        arc, c = body
+        return self._arc_primitive(arc, c, k), 0.0
+
     def expectation(self, n: tuple[int, ...], m_hat: tuple[int, ...]) -> complex:
         """E over the product domain of arcs (composition n) of p_{r, m_hat}."""
         N = sum(n)
@@ -252,18 +249,9 @@ class DiscriminatorEngine:
             raise ValueError(f"N={N} beyond the discriminator cap {MAX_BODIES}")
         word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
         assignments = _level_maps(m_hat, N)
-        if N == 1:
-            total = 0j
-            for s in assignments:
-                total += self._arc_primitive(word[0], s[0], 0)
-            return total / len(assignments)
-        # N == 2: Delta^2 = x1^2 - 2 x1 x2 + x2^2
         total = 0j
         for s in assignments:
-            for (a, b, coeff) in ((2, 0, 1.0), (1, 1, -2.0), (0, 2, 1.0)):
-                total += coeff * self._arc_primitive(word[0], s[0], a) * self._arc_primitive(
-                    word[1], s[1], b
-                )
+            total += vandermonde_sum(self._body_moment, tuple(zip(word, s)))[0]
         return total / len(assignments)
 
     def amplitude(self, m_hat: tuple[int, ...]) -> complex:

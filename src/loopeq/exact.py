@@ -104,9 +104,6 @@ class CRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "CRational":
-        return CRational(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -300,9 +297,3 @@ class MPoly:
     def __repr__(self):
         return f"MPoly({self.vars!r}, {self.terms!r})"
 
-
-def parse_rational_pair(obj) -> CRational:
-    """Parse a [re, im] JSON pair of rational strings (or numbers)."""
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"expected [re, im] pair, got {obj!r}")
-    return CRational.from_pair(obj)

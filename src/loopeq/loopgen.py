@@ -41,13 +41,6 @@ def poly_trim(c: list) -> list:
     return c
 
 
-def poly_eval_exact(coeffs: Sequence[CRational], z: CRational) -> CRational:
-    out = CRational(0)
-    for c in reversed(list(coeffs)):
-        out = out * z + c
-    return out
-
-
 def poly_deriv(coeffs: Sequence) -> list:
     return [c * k for k, c in enumerate(coeffs)][1:]
 
@@ -102,7 +95,7 @@ class Potential:
         t = tuple(_coerce_coeff(c) for c in t)
         if len(t) < 2:
             raise ValueError("polynomial potential needs degree >= 2 (at least t_1, t_2)")
-        if _coeff_is_zero(t[-1]):
+        if not t[-1]:
             raise ValueError("leading coefficient t_{d+1} must be nonzero")
         return Potential(R=t, D=(CRational(1),))
 
@@ -110,7 +103,7 @@ class Potential:
     def rational(R: Sequence, D: Sequence) -> "Potential":
         R = tuple(_coerce_coeff(c) for c in R)
         D = tuple(_coerce_coeff(c) for c in D)
-        if not R or _coeff_is_zero(R[-1]):
+        if not R or not R[-1]:
             raise ValueError("R must have a nonzero leading coefficient")
         if not D or D[-1] != CRational(1):
             raise ValueError("D must be monic")
@@ -252,13 +245,6 @@ def _coerce_coeff(c):
     return c
 
 
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, CRational):
-        return not c
-    z = getattr(c, "is_zero", None)
-    return c.is_zero() if z is not None else c == 0
-
-
 @dataclass(frozen=True)
 class TwoPotential:
     """Pair of polynomial potentials for the two-matrix measure."""
@@ -321,17 +307,17 @@ def q_rational(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     m0, rest = mu[0], tuple(mu[1:])
     items: list[tuple[tuple[int, ...], object]] = []
     for k, Rk in enumerate(V.R):
-        if not _coeff_is_zero(Rk):
+        if Rk:
             items.append(((m0 + k,) + rest, Rk))
     for k, Dk in enumerate(V.D):
-        if _coeff_is_zero(Dk):
+        if not Dk:
             continue
         for j in range(k + m0):
             items.append(((j, k + m0 - 1 - j) + rest, -Dk))
     for i in range(len(rest)):
         spect = rest[:i] + rest[i + 1:]
         for k, Dk in enumerate(V.D):
-            if _coeff_is_zero(Dk):
+            if not Dk:
                 continue
             items.append(((m0 + rest[i] - 1 + k,) + spect, -(Dk * rest[i])))
     return PowerSumPoly.build(items, nvars)
@@ -375,7 +361,7 @@ def q_twomatrix(mu: Sequence[int], W: TwoPotential, nvars) -> PowerSumPoly:
     while work:
         (l, k, spect), coeff = max(work.items(), key=lambda kv: kv[0][0])
         del work[(l, k, spect)]
-        if _coeff_is_zero(coeff):
+        if not coeff:
             continue
         if l == 0:
             items.append(((k,) + spect, coeff))

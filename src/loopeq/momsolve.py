@@ -124,7 +124,7 @@ class LoopReducer:
     def _reduce_poly(self, poly: PowerSumPoly) -> dict[Partition, CRational]:
         form: dict[Partition, CRational] = {}
         for nu, c in poly.terms.items():
-            c = CRational.coerce(c) if not isinstance(c, CRational) else c
+            c = CRational.coerce(c)
             sub = self._reduce(nu)
             for b, w in sub.items():
                 form[b] = form.get(b, CRational(0)) + c * w

@@ -4,13 +4,15 @@ Vandermonde-squared integrals.
 E_Gamma(p) factorizes over product domains once Delta(X)^2 is expanded as a
 double determinant and each power sum is distributed over variables, so the
 only quadrature ever performed is one-dimensional: adaptive Gauss-Kronrod on
-open arcs (rays, lines, elbows) and the periodic trapezoid rule on circles.
-Everything downstream is exact bookkeeping plus worst-case error propagation.
+open arcs (rays, elbows) and the periodic trapezoid rule on circles.  The one
+N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
+functionals and the saddle discriminator alike; everything downstream is
+exact bookkeeping plus worst-case error propagation.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
-from .contours import ArcSeg, CircleSeg, Contour, HomologyClass, LineSeg, RaySeg
+from .contours import CircleSeg, Contour, HomologyClass, RaySeg
 from .loopgen import Potential
 from .momsolve import hn_dimension
 from .symfunc import Partition, PowerSumPoly, compositions, partitions_in_box, reduce_length
@@ -87,19 +89,17 @@ def _ray_truncation(seg: RaySeg, weight, kpow: int) -> float:
     )
 
 
-def _trapezoid_circle(seg: CircleSeg, f, tol: float):
+def _trapezoid_circle(f, a: float, b: float, tol: float):
     """Periodic trapezoid rule with doubling; spectrally accurate on circles."""
     m = 64
     prev = None
     last_delta = math.inf
     while m <= 1 << 16:
-        thetas = np.arange(m) * (2 * math.pi / m)
+        h = (b - a) / m
         total = 0j
-        for th in thetas:
-            z = seg.center + seg.radius * cmath.exp(1j * th)
-            dz = 1j * seg.radius * cmath.exp(1j * th)
-            total += f(z) * dz
-        val = total * (2 * math.pi / m)
+        for t in a + np.arange(m) * h:
+            total += f(t)
+        val = total * h
         if prev is not None:
             last_delta = abs(val - prev)
             if last_delta <= tol * max(1.0, abs(val)):
@@ -114,42 +114,28 @@ def _trapezoid_circle(seg: CircleSeg, f, tol: float):
 
 
 def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
-    """integral over the contour of x^k e^{-V(x)} dx, with an error estimate."""
+    """integral over the contour of x^k e^{-V(x)} dx, with an error estimate.
+
+    Every segment is walked through its parametrization: the integrand is
+    z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with an infinite upper bound
+    cut where the tail falls below TAIL_CUTOFF.
+    """
     total = 0j
     err = 0.0
     for seg in c.segments:
+
+        def f(t, _s=seg):
+            z = _s.point(t)
+            return z ** k * V.exp_neg_V(z) * _s.tangent(t)
+
+        a, b = seg.bounds
         if isinstance(seg, CircleSeg):
-            val, e = _trapezoid_circle(seg, lambda z: z ** k * V.exp_neg_V(z), tol)
-        elif isinstance(seg, RaySeg):
-            smax = _ray_truncation(seg, V.exp_neg_V, k)
-            phase = cmath.exp(1j * seg.angle)
-
-            def f(s, _p=phase):
-                z = seg.point(s)
-                return z ** k * V.exp_neg_V(z) * _p
-
-            val, e = _quad_complex(f, 0.0, smax, tol)
-            if seg.inward:
-                val = -val
-        elif isinstance(seg, LineSeg):
-            dz = seg.z1 - seg.z0
-
-            def f(t, _dz=dz, _z0=seg.z0):
-                z = _z0 + t * _dz
-                return z ** k * V.exp_neg_V(z) * _dz
-
-            val, e = _quad_complex(f, 0.0, 1.0, tol)
-        elif isinstance(seg, ArcSeg):
-
-            def f(theta, _s=seg):
-                z = _s.point(theta)
-                dz = 1j * _s.radius * cmath.exp(1j * theta)
-                return z ** k * V.exp_neg_V(z) * dz
-
-            val, e = _quad_complex(f, seg.a0, seg.a1, tol)
+            val, e = _trapezoid_circle(f, a, b, tol)
         else:
-            raise TypeError(f"unknown segment {seg!r}")
-        total += val
+            if math.isinf(b):
+                b = _ray_truncation(seg, V.exp_neg_V, k)
+            val, e = _quad_complex(f, a, b, tol)
+        total += -val if seg.inward else val
         err += e
     return total, err
 
@@ -157,11 +143,11 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
 class MomentTable:
     """Lazy cache of 1-D arc moments m_j(k) with error estimates."""
 
-    def __init__(self, arcs, V: Potential, tol: float = 1e-12, preset: dict | None = None):
+    def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = list(arcs)
         self.V = V
         self.tol = tol
-        self.data: dict[tuple[int, int], tuple[complex, float]] = dict(preset or {})
+        self.data: dict[tuple[int, int], tuple[complex, float]] = {}
 
     def moment(self, arc_index: int, k: int) -> tuple[complex, float]:
         key = (arc_index, k)
@@ -170,13 +156,48 @@ class MomentTable:
         return self.data[key]
 
 
+@functools.cache
 def _perm_signs(N: int):
-    perms = list(itertools.permutations(range(N)))
+    perms = tuple(itertools.permutations(range(N)))
     signs = []
     for p in perms:
         inv = sum(1 for i in range(N) for j in range(i + 1, N) if p[i] > p[j])
         signs.append(-1.0 if inv % 2 else 1.0)
-    return perms, signs
+    return perms, tuple(signs)
+
+
+def vandermonde_sum(moment, word, mu=()):
+    """integral of p_mu * Delta^2 over the product of the bodies in ``word``.
+
+    ``moment(body, k)`` returns the 1-D moment of x^k over one body with an
+    error bound; body i carries variable x_i.  Delta^2 is expanded as a double
+    determinant over permutation pairs (sigma, tau) and p_mu over the
+    assignments of its parts to variables, so the value is an exact signed sum
+    of products of moments.  Returns (value, first-order error bound); the
+    cost is (N!)^2 N^len(mu) products of N moments.
+    """
+    N = len(word)
+    perms, signs = _perm_signs(N)
+    total = 0j
+    err = 0.0
+    for assign in itertools.product(range(N), repeat=len(mu)):
+        adds = [0] * N
+        for part, var in zip(mu, assign):
+            adds[var] += part
+        for si, sigma in enumerate(perms):
+            for ti, tau in enumerate(perms):
+                sgn = signs[si] * signs[ti]
+                prod = 1.0 + 0j
+                emag = 0.0
+                pmag = 1.0
+                for i in range(N):
+                    v, e = moment(word[i], sigma[i] + tau[i] + adds[i])
+                    prod *= v
+                    emag = emag * (abs(v) + e) + pmag * e
+                    pmag *= abs(v)
+                total += sgn * prod
+                err += emag
+    return total, err
 
 
 def expectation(
@@ -188,9 +209,8 @@ def expectation(
 ):
     """E_Gamma(p) = integral of p * Delta^2 * prod e^{-V}, with error estimate.
 
-    The Vandermonde square is expanded over permutation pairs and each p_mu
-    term over variable assignments, so the result is an exact combination of
-    tabulated 1-D moments.  Complexity (N!)^2 N^len(mu); hard caps N <= 5 and
+    Each (composition, p_mu) cell is one ``vandermonde_sum`` over tabulated
+    1-D moments.  Complexity (N!)^2 N^len(mu); hard caps N <= 5 and
     len(mu) <= 6.
     """
     N = G.N
@@ -205,41 +225,19 @@ def expectation(
         raise ValueError(f"partition length {p.max_length()} exceeds cap {MAX_PARTS}")
     if table is None:
         table = MomentTable(G.arc_basis, V, tol)
-    perms, signs = _perm_signs(N)
     total = 0j
     err_total = 0.0
     for comp, ccoef in G.terms:
         if not ccoef:
             continue
-        word: list[int] = []
-        for arc_idx, cnt in enumerate(comp):
-            word.extend([arc_idx] * cnt)
+        word = [arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt)]
         comp_val = 0j
         comp_err = 0.0
         for mu, coeff in p.terms.items():
-            cval = complex(coeff) if not hasattr(coeff, "to_complex") else coeff.to_complex()
+            cval = complex(coeff)
             if not cval:
                 continue
-            ell = len(mu)
-            term_val = 0j
-            term_err = 0.0
-            for assign in itertools.product(range(N), repeat=ell):
-                adds = [0] * N
-                for part, var in zip(mu, assign):
-                    adds[var] += part
-                for si, sigma in enumerate(perms):
-                    for ti, tau in enumerate(perms):
-                        sgn = signs[si] * signs[ti]
-                        prod = 1.0 + 0j
-                        emag = 0.0
-                        pmag = 1.0
-                        for i in range(N):
-                            v, e = table.moment(word[i], sigma[i] + tau[i] + adds[i])
-                            prod *= v
-                            emag = emag * (abs(v) + e) + pmag * e
-                            pmag *= abs(v)
-                        term_val += sgn * prod
-                        term_err += emag
+            term_val, term_err = vandermonde_sum(table.moment, word, mu)
             comp_val += cval * term_val
             comp_err += abs(cval) * term_err
         total += ccoef * comp_val

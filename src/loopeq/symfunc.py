@@ -110,7 +110,7 @@ class PowerSumPoly:
     __slots__ = ("terms", "nvars")
 
     def __init__(self, terms: Mapping[Partition, object], nvars):
-        self.terms = {mu: c for mu, c in terms.items() if not _is_zero(c)}
+        self.terms = {mu: c for mu, c in terms.items() if c}
         self.nvars = nvars
 
     @classmethod
@@ -214,17 +214,6 @@ class PowerSumPoly:
             c = CRational(Fraction(entry["re"]), Fraction(entry["im"]))
             items.append((tuple(entry["mu"]), c))
         return cls.build(items, nvars)
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, CRational):
-        return not c
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return c.is_zero()
-    return c == 0
 
 
 def eval_powersum(p: PowerSumPoly, points: Sequence[CRational]) -> CRational:

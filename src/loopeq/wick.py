@@ -159,8 +159,7 @@ def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) ->
     marked = tuple(int(k) for k in marked)
     if any(k < 1 for k in marked):
         raise ValueError("marked face sizes must be >= 1")
-    weights = {int(k): CRational.coerce(v) if not isinstance(v, CRational) else v
-               for k, v in tweights.items()}
+    weights = {int(k): CRational.coerce(v) for k, v in tweights.items()}
     if any(k < 3 for k in weights):
         raise ValueError("vertex weights start at degree 3")
     degrees = tuple(sorted(weights))
@@ -200,8 +199,7 @@ def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) ->
 def map_potential(tweights: dict[int, object]) -> tuple[Potential, tuple[str, ...], MPoly]:
     """The map-model potential V(x) = N (x^2/2t - sum_k t_k x^k / k) as a
     symbolic Potential, together with its generator tuple and the symbol N."""
-    weights = {int(k): CRational.coerce(v) if not isinstance(v, CRational) else v
-               for k, v in tweights.items()}
+    weights = {int(k): CRational.coerce(v) for k, v in tweights.items()}
     degrees = tuple(sorted(weights))
     if degrees and degrees[0] < 3:
         raise ValueError("vertex weights start at degree 3")

@@ -45,6 +45,13 @@ def test_gen_bad_potential_is_usage_error(tmp_path, capsys):
     assert "t" in capsys.readouterr().err
 
 
+def test_moment_options_only_on_quadrature_commands(pot, tmp_path, capsys):
+    path = pot("gauss.json", GAUSS)
+    code = main(["gen", "--potential", path, "--mu", "0", "--N", "2", "--cache", str(tmp_path)])
+    assert code == 2
+    assert "--cache" in capsys.readouterr().err
+
+
 def test_gen_missing_file(capsys):
     code = main(["gen", "--potential", "/nonexistent.json", "--mu", "0", "--N", "1"])
     assert code == 2

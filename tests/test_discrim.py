@@ -11,6 +11,8 @@ from loopeq import (
     lagrange_f,
     saddle_points,
 )
+from loopeq.discriminator import _level_maps
+from loopeq.symfunc import compositions
 
 
 def test_saddles_gaussian(gauss):
@@ -126,3 +128,23 @@ def test_ratio_rejects_mismatched_sizes(cubic):
 def test_dynamic_range_guard(gauss):
     with pytest.raises(ValueError):
         DiscriminatorEngine(gauss, 100000)
+
+
+@pytest.mark.parametrize("r", [25, 60, 100])
+def test_two_body_expectation_is_hand_expanded_vandermonde(cubic, r):
+    eng = DiscriminatorEngine(cubic, r, 1e-9)
+    A = eng._arc_primitive
+    for n in compositions(2, 2):
+        word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
+        for m in compositions(2, 2):
+            m_hat = eng._lift(m)
+            maps = _level_maps(m_hat, 2)
+            # Delta^2 = x1^2 - 2 x1 x2 + x2^2
+            want = sum(
+                A(word[0], s[0], 2) * A(word[1], s[1], 0)
+                - 2 * A(word[0], s[0], 1) * A(word[1], s[1], 1)
+                + A(word[0], s[0], 0) * A(word[1], s[1], 2)
+                for s in maps
+            ) / len(maps)
+            got = eng.expectation(n, m_hat)
+            assert abs(got - want) <= 1e-13 * abs(want)

@@ -38,6 +38,10 @@ CASES = {
     "expect_cubic": ("expect", "cubic", ["--class", "{class}", "--poly", "2,1"]),
     "residuals_quartic": ("residuals", "quartic", ["--gamma", "real", "--N", "2", "--weight-max", "4"]),
     "discrim_cubic": ("discrim", "cubic", ["--N", "1", "--r", "60"]),
+    # circles, arc elbows and rays in one moment matrix
+    "iso_rational": ("iso", "rational", ["--N", "2"]),
+    # the N-body assembly at N = 3
+    "iso_cubic_N3": ("iso", "cubic", ["--N", "3"]),
 }
 
 

@@ -22,6 +22,7 @@ from loopeq import (
     real_axis_contour,
     real_power_class,
 )
+from loopeq.quadrature import vandermonde_sum
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -219,3 +220,28 @@ def test_complex_potential_loop_equations():
     assert rep.max_relative < 1e-8
     M = moment_matrix(V, 2, 1e-11, arcs=arcs, table=table)
     assert M.min_scaled_singular > 1e-8
+
+
+@pytest.mark.parametrize("word", [(0, 1), (1, 1), (1, 0)])
+@pytest.mark.parametrize("mu", [(), (1,), (3,), (2, 1), (1, 1, 2)])
+def test_vandermonde_sum_two_bodies_is_hand_expansion(word, mu):
+    rng = random.Random(hash((word, mu)) % 1000)
+    table = {(a, k): (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 1e-9))
+             for a in (0, 1) for k in range(12)}
+    # p_mu(x1, x2) as {(i, j): coefficient of x1^i x2^j}, times x1^2 - 2 x1 x2 + x2^2
+    poly = {(0, 0): 1}
+    for part in mu:
+        nxt = {}
+        for (i, j), c in poly.items():
+            nxt[(i + part, j)] = nxt.get((i + part, j), 0) + c
+            nxt[(i, j + part)] = nxt.get((i, j + part), 0) + c
+        poly = nxt
+    want = 0j
+    for (i, j), c in poly.items():
+        for a, b, dc in ((2, 0, 1), (1, 1, -2), (0, 2, 1)):
+            want += c * dc * table[word[0], i + a][0] * table[word[1], j + b][0]
+    got, err = vandermonde_sum(lambda a, k: table[a, k], word, mu)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    assert 0 < err < 1e-6
+    exact = {key: (v, 0.0) for key, (v, _) in table.items()}
+    assert vandermonde_sum(lambda a, k: exact[a, k], word, mu) == (got, 0.0)
