@@ -172,7 +172,7 @@ class DiscriminatorEngine:
         self.f = lagrange_f(self.S)
         self.anchor = self.S.anchor_index
         self.others = [j for j in range(self.S.count) if j != self.anchor]
-        self._prims: dict[tuple[int, int, int], complex] = {}
+        self._prims: dict[tuple[int, int, int], tuple[complex, float]] = {}
         self._trunc: dict[int, float] = {}
 
     # -- 1-D primitives ------------------------------------------------------
@@ -198,8 +198,9 @@ class DiscriminatorEngine:
         self._trunc[j] = rho
         return rho
 
-    def _primitive(self, j: int, c: int, extra: int) -> complex:
-        """integral over the ray through saddle j of x^{r+extra} f_c(x) e^{-V}."""
+    def _primitive(self, j: int, c: int, extra: int) -> tuple[complex, float]:
+        """integral over the ray through saddle j of x^{r+extra} f_c(x) e^{-V},
+        with the quadrature error estimate."""
         key = (j, c, extra)
         if key in self._prims:
             return self._prims[key]
@@ -220,27 +221,30 @@ class DiscriminatorEngine:
             return cmath.exp(logm + 1j * (rr + 1) * theta) * fc(z)
 
         total = 0j
+        err = 0.0
         cuts = [0.0, max(0.0, peak - 8 * width), peak + 8 * width, smax]
         for a, b in zip(cuts, cuts[1:]):
             if b <= a:
                 continue
-            val, _ = _quad_complex(integrand, a, b, self.tol)
+            val, e = _quad_complex(integrand, a, b, self.tol)
             total += val
-        self._prims[key] = total
-        return total
+            err += e
+        self._prims[key] = total, err
+        return total, err
 
     def _arc_primitive(self, arc: int, c: int, extra: int) -> complex:
         """Same integral over basis arc ``arc`` = ray(other) - ray(anchor)."""
-        return self._primitive(self.others[arc], c, extra) - self._primitive(
-            self.anchor, c, extra
-        )
+        return self._body_moment((arc, c), extra)[0]
 
     # -- N-body expectations ---------------------------------------------------
 
     def _body_moment(self, body: tuple[int, int], k: int) -> tuple[complex, float]:
-        """Moment of x^k over body (arc, c) = x^r f_c(x) e^{-V} dx on that arc."""
+        """Moment of x^k over body (arc, c) = x^r f_c(x) e^{-V} dx on that arc,
+        with the two rays' quadrature errors summed."""
         arc, c = body
-        return self._arc_primitive(arc, c, k), 0.0
+        v_other, e_other = self._primitive(self.others[arc], c, k)
+        v_anchor, e_anchor = self._primitive(self.anchor, c, k)
+        return v_other - v_anchor, e_other + e_anchor
 
     def expectation(self, n: tuple[int, ...], m_hat: tuple[int, ...]) -> complex:
         """E over the product domain of arcs (composition n) of p_{r, m_hat}."""

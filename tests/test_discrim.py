@@ -12,6 +12,7 @@ from loopeq import (
     saddle_points,
 )
 from loopeq.discriminator import _level_maps
+from loopeq.quadrature import vandermonde_sum
 from loopeq.symfunc import compositions
 
 
@@ -148,3 +149,9 @@ def test_two_body_expectation_is_hand_expanded_vandermonde(cubic, r):
             ) / len(maps)
             got = eng.expectation(n, m_hat)
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_two_body_kernel_bound_carries_quadrature_error(cubic):
+    eng = DiscriminatorEngine(cubic, 60, 1e-9)
+    value, err = vandermonde_sum(eng._body_moment, ((0, 0), (1, 1)))
+    assert 0 < err < 1e-6 * abs(value)

@@ -22,7 +22,7 @@ from loopeq import (
     real_axis_contour,
     real_power_class,
 )
-from loopeq.quadrature import vandermonde_sum
+from loopeq.quadrature import _permutation_sum, vandermonde_sum
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -245,3 +245,47 @@ def test_vandermonde_sum_two_bodies_is_hand_expansion(word, mu):
     assert 0 < err < 1e-6
     exact = {key: (v, 0.0) for key, (v, _) in table.items()}
     assert vandermonde_sum(lambda a, k: exact[a, k], word, mu) == (got, 0.0)
+
+
+# N = 3..5, one to three distinct bodies (tuple bodies as in the discriminator),
+# len(mu) 0..4; N = 5 keeps mu short so the (N!)^2 N^len(mu) reference stays cheap
+LAPLACE_CASES = [
+    ((0, 0, 0), ()),
+    ((0, 1, 1), (1,)),
+    ((2, 0, 1), (2, 1)),
+    ((0, 0, 1), (1, 1, 3)),
+    (((1, 0), (0, 2), (1, 0)), (2, 1, 1, 2)),
+    ((0, 0, 0, 0), (1,)),
+    (((1, 0), (1, 0), (0, 2), (0, 2)), (3, 1)),
+    ((0, 1, 2, 2), (1, 2, 1)),
+    ((1, 0, 1, 0), (2, 1, 1, 1)),
+    ((0, 0, 0, 1, 1), ()),
+    ((0, 1, 2, 1, 0), (2,)),
+]
+
+
+@pytest.mark.parametrize("word,mu", LAPLACE_CASES)
+def test_vandermonde_sum_from_three_bodies_is_permutation_sum(word, mu):
+    rng = random.Random(repr((word, mu)))
+    table = {(b, k): (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 1e-9))
+             for b in sorted(set(word)) for k in range(40)}
+    got, err = vandermonde_sum(lambda b, k: table[b, k], word, mu)
+    want, want_err = _permutation_sum(lambda b, k: table[b, k], word, mu)
+    # with errors |v| every term's bound is (2^N - 1) prod |v|: the term majorant
+    _, doubled = _permutation_sum(lambda b, k: (table[b, k][0], abs(table[b, k][0])), word, mu)
+    majorant = doubled / (2 ** len(word) - 1)
+    assert abs(got - want) <= 1e-11 * majorant
+    assert abs(err - want_err) <= 1e-10 * want_err
+    exact = {key: (v, 0.0) for key, (v, _) in table.items()}
+    assert vandermonde_sum(lambda b, k: exact[b, k], word, mu)[1] == 0.0
+
+
+def test_moment_matrix_cubic_N5(cubic):
+    arcs = basis_arcs(cubic)
+    table = MomentTable(arcs, cubic, 1e-12)
+    M = moment_matrix(cubic, 5, 1e-12, arcs=arcs, table=table)
+    assert len(M.rows) == len(M.cols) == 6
+    assert M.min_scaled_singular > 1e-8
+    i, j = M.rows.index((3, 2)), M.cols.index(())
+    want, want_err = _permutation_sum(table.moment, (0, 0, 0, 1, 1), ())
+    assert abs(M.entries[i][j] - want) <= M.errors[i][j] + want_err
