@@ -172,7 +172,10 @@ def _couplings(args) -> dict[int, Fraction]:
     for k in (3, 4, 5, 6):
         v = getattr(args, f"t{k}", None)
         if v is not None:
-            out[k] = Fraction(v)
+            try:
+                out[k] = Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"bad --t{k} weight {v!r}; expected a rational such as 1/2")
     return out
 
 

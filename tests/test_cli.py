@@ -183,6 +183,32 @@ def test_tutte_zero_and_exit_codes(capsys):
     assert data["identically_zero"] is True
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tutte", "--t3", "1/0", "--mu", "2", "--order", "3"],
+        ["tutte", "--t3", "1", "--mu", "-1", "--order", "2"],
+        ["tutte", "--t3", "1", "--mu", "2,0", "--order", "2"],
+        ["tutte", "--t3", "1", "--mu", "2", "--order", "-1"],
+        ["maps", "--t3", "1/0", "--marked", "2", "--order", "3"],
+        ["maps", "--t3", "1", "--marked", "0", "--order", "2"],
+        ["maps", "--t3", "1", "--marked", "2", "--order", "-1"],
+    ],
+)
+def test_map_commands_reject_bad_input(args, capsys):
+    # a usage error, never "verified" (0) or "nonzero residual" (1)
+    code, data = run(args, capsys)
+    assert code == 2
+    assert data is None
+
+
+def test_tutte_mu_zero_is_a_loop_equation(capsys):
+    # mu = (0,) is E[Tr V'(M)] = 0: E[p_1] / t = t3 E[p_2], a genuine identity
+    code, data = run(["tutte", "--t3", "1", "--mu", "0", "--order", "4"], capsys)
+    assert code == 0
+    assert data["identically_zero"] is True
+
+
 def test_discrim_cli(pot, capsys):
     path = pot("cubic.json", CUBIC)
     code, data = run(

@@ -29,7 +29,7 @@ POTENTIALS = {
 }
 CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1], "c": [1, 0]}, {"n": [2, 0], "c": [0.5, -1]}]}
 
-# case -> (command, potential, extra arguments)
+# case -> (command, potential or None, extra arguments)
 CASES = {
     **{f"gen_{name}": ("gen", name, ["--mu", "3,1", "--N", "3"])
        for name in ("cubic", "rational", "haar", "cubic_d1")},
@@ -42,18 +42,23 @@ CASES = {
     "iso_rational": ("iso", "rational", ["--N", "2"]),
     # the N-body assembly at N = 3
     "iso_cubic_N3": ("iso", "cubic", ["--N", "3"]),
+    # the Wick sums behind the map series (no potential file)
+    "maps_mixed": ("maps", None, ["--t3", "1", "--t4", "1", "--marked", "2", "--order", "6"]),
+    "maps_quartic": ("maps", None, ["--t4", "1", "--marked", "4", "--order", "6"]),
 }
 
 
 def run_case(case: str, workdir: Path) -> bytes:
     command, name, extra = CASES[case]
-    pot = workdir / f"{name}.json"
-    pot.write_text(json.dumps(POTENTIALS[name]))
     cls = workdir / "class.json"
     cls.write_text(json.dumps(CLASS))
     out = workdir / f"{case}.out"
     args = [a.replace("{class}", str(cls)) for a in extra]
-    code = main([command, "--potential", str(pot), *args, "--out", str(out)])
+    if name is not None:
+        pot = workdir / f"{name}.json"
+        pot.write_text(json.dumps(POTENTIALS[name]))
+        args = ["--potential", str(pot), *args]
+    code = main([command, *args, "--out", str(out)])
     assert code == 0, f"{case} exited {code}"
     return out.read_bytes()
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,16 +30,6 @@ def test_gtm_odd_vanishes():
     assert gaussian_trace_moment((2, 1)).is_zero()
 
 
-def test_gtm_scalar_specialization():
-    # at N=1 a single trace of power 2m is the scalar moment (2m-1)!!
-    for m in range(1, 7):
-        val = gaussian_trace_moment((2 * m,)).eval({"N": 1})
-        dfact = 1
-        for k in range(2 * m - 1, 0, -2):
-            dfact *= k
-        assert val == CRational(dfact)
-
-
 def test_gtm_permutation_invariance():
     rng = random.Random(2)
     for _ in range(10):
@@ -48,6 +39,78 @@ def test_gtm_permutation_invariance():
         base = gaussian_trace_moment(tuple(powers))
         rng.shuffle(powers)
         assert gaussian_trace_moment(tuple(powers)) == base
+
+
+def _multisets(total, largest=None):
+    """Multisets of positive powers with the given sum, as descending tuples."""
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+        return
+    for k in range(min(total, largest), 0, -1):
+        for rest in _multisets(total - k, k):
+            yield (k,) + rest
+
+
+def _brute_face_counts(powers):
+    """{faces: matchings} by listing every perfect matching and walking gamma.pi."""
+    h = sum(powers)
+    gamma, pos = [], 0
+    for k in powers:
+        gamma += [pos + (i + 1) % k for i in range(k)]
+        pos += k
+
+    def matchings(free):
+        if not free:
+            yield {}
+            return
+        a = free[0]
+        for i in range(1, len(free)):
+            for pi in matchings(free[1:i] + free[i + 1:]):
+                yield {**pi, a: free[i], free[i]: a}
+
+    counts = Counter()
+    for pi in matchings(list(range(h))):
+        seen, faces = set(), 0
+        for x in range(h):
+            faces += x not in seen
+            while x not in seen:
+                seen.add(x)
+                x = gamma[pi[x]]
+        counts[faces] += 1
+    return counts
+
+
+def test_gtm_matches_brute_force_matchings():
+    for h in range(2, 11, 2):
+        for powers in _multisets(h):
+            counts = _brute_face_counts(powers)
+            expect = MPoly(("N",), {(c,): CRational(n) for c, n in counts.items()})
+            assert gaussian_trace_moment(powers) == expect, powers
+
+
+def test_gtm_single_trace_is_harer_zagier():
+    # (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2), e_0(0) = 1,
+    # and <Tr M^{2n}> = sum_g e_g(n) N^{n+1-2g} (Harer-Zagier 1986)
+    eps = {(0, 0): 1}
+    for n in range(1, 9):
+        for g in range(n // 2 + 1):
+            rec = 2 * (2 * n - 1) * eps.get((g, n - 1), 0)
+            rec += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps.get((g - 1, n - 2), 0)
+            assert rec % (n + 1) == 0
+            eps[(g, n)] = rec // (n + 1)
+        genera = range(n // 2 + 1)
+        expect = MPoly(("N",), {(n + 1 - 2 * g,): CRational(eps[(g, n)]) for g in genera})
+        assert gaussian_trace_moment((2 * n,)) == expect, n
+
+
+def test_gtm_scalar_specialization():
+    # at N = 1 every matching weighs 1: (h-1)!! for every multiset up to the cap
+    dfact = 1
+    for h in range(2, 17, 2):
+        dfact *= h - 1
+        for powers in _multisets(h):
+            assert gaussian_trace_moment(powers).eval({"N": 1}) == CRational(dfact), powers
 
 
 def test_gtm_cap():
