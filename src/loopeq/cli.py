@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -200,12 +201,19 @@ def cmd_solve(args) -> int:
             basis_data = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise ConfigError(f"bad basis file {args.basis}: {e}")
-    d = int(basis_data.get("d", V.d))
-    values = {}
-    for entry in basis_data["values"]:
-        mu = Partition(tuple(entry["mu"]))
-        re, im = entry["value"]
-        values[mu] = complex(float(re), float(im))
+    if not isinstance(basis_data, dict):
+        raise ConfigError(f"bad basis file {args.basis}: expected a JSON object")
+    try:
+        d = int(basis_data.get("d", V.d))
+        values = {}
+        for entry in basis_data["values"]:
+            mu = Partition(tuple(entry["mu"]))
+            re, im = (float(x) for x in entry["value"])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"non-finite value for mu={list(mu)}")
+            values[mu] = complex(re, im)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad basis file {args.basis}: {e}")
     F = MomentFunctional(N=args.N, d=d, basis_values=values)
     targets = [_parse_mu(t) for t in args.targets.split(";") if t.strip()]
     out, red = solve_moments(F, V, targets)

@@ -21,8 +21,9 @@ class CRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # every ring operation passes Fractions; wrapping them again is pure cost
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def coerce(x: Scalarish) -> "CRational":

@@ -4,13 +4,17 @@ partitions fitting in a (d-1) x N box, and loop-equation residual reports.
 Any functional annihilating every Q_mu is determined by its values on
 {p_nu : nu in the box}; the reduction solves E(Q_{(mu_1 - d, rest)}) = 0 for
 the top term (dividing by the nonzero leading potential coefficient) and
-recurses, each step strictly lowering total weight.
+recurses, each step strictly lowering total weight; partitions longer than N
+first go through ``reduce_length``.  Linear forms are kept as Gaussian-integer
+numerators over one denominator, so combining them is integer arithmetic;
+``Fraction`` appears only in the coefficients read in and handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .exact import CRational
@@ -55,12 +59,53 @@ class MomentFunctional:
         self.basis_values = {Partition(tuple(mu)): v for mu, v in self.basis_values.items()}
 
 
+# (den, {b: (re, im)}) stands for sum_b (re + i im) / den * p_b, with den > 0
+Form = tuple[int, dict[Partition, tuple[int, int]]]
+
+
+def _gaussian(c: CRational) -> tuple[int, int, int]:
+    """c as (re, im, den): integer numerators over one positive denominator."""
+    re, im = c.re, c.im
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def _combine(terms: Sequence[tuple[tuple[int, int, int], Form]]) -> Form:
+    """sum_j c_j * form_j, with c_j given by ``_gaussian``.
+
+    Every term is put over the lcm of the term denominators, the numerators
+    are accumulated as ints and the result is divided by one gcd.  Basis
+    elements keep their order of first appearance; zero entries are dropped.
+    """
+    dens = [cden * fden for (_, _, cden), (fden, _) in terms]
+    den = lcm(*dens)
+    acc_re: dict[Partition, int] = {}
+    acc_im: dict[Partition, int] = {}
+    for ((cre, cim, _), (_, coeffs)), term_den in zip(terms, dens):
+        scale = den // term_den
+        cre, cim = cre * scale, cim * scale
+        for b, (x, y) in coeffs.items():
+            acc_re[b] = acc_re.get(b, 0) + cre * x - cim * y
+            acc_im[b] = acc_im.get(b, 0) + cre * y + cim * x
+    coeffs = {b: (re, acc_im[b]) for b, re in acc_re.items() if re or acc_im[b]}
+    g = gcd(den, *(v for pair in coeffs.values() for v in pair))
+    if g > 1:
+        den //= g
+        coeffs = {b: (re // g, im // g) for b, (re, im) in coeffs.items()}
+    return den, coeffs
+
+
 class LoopReducer:
     """Rewrites E(p_mu) as an exact linear form over the box basis.
 
     ``strategy`` picks which over-sized part to eliminate: 'largest' (the
     paper-style choice, ties leftmost) or 'smallest' (used to check that the
     answer is order-independent).
+
+    Memoized forms are ``Form``s in lowest terms, built by ``_combine`` in
+    both the length and the substitution step; ``reduce`` hands out
+    ``CRational`` coefficients.  ``max_abs_coeff`` is the largest modulus of
+    any memoized coefficient, a growth diagnostic for conditioning reports.
     """
 
     def __init__(self, V: Potential, N: int, strategy: str = "largest"):
@@ -75,26 +120,29 @@ class LoopReducer:
         self.N = N
         self.d = V.d
         self.strategy = strategy
-        self._memo: dict[Partition, dict[Partition, CRational]] = {}
-        self.max_abs_coeff = 0.0  # growth diagnostic for conditioning reports
+        self._memo: dict[Partition, Form] = {}
+        self.max_abs_coeff = 0.0
 
     def reduce(self, mu: Sequence[int]) -> dict[Partition, CRational]:
-        return dict(self._reduce(Partition.of(mu)))
+        den, coeffs = self._reduce(Partition.of(mu))
+        return {b: CRational(Fraction(re, den), Fraction(im, den)) for b, (re, im) in coeffs.items()}
 
-    def _track(self, form: Mapping[Partition, CRational]):
-        for c in form.values():
-            m = abs(c.to_complex())
+    def _track(self, form: Form):
+        den, coeffs = form
+        for re, im in coeffs.values():
+            m = abs(complex(re / den, im / den))
             if m > self.max_abs_coeff:
                 self.max_abs_coeff = m
 
-    def _reduce(self, mu: Partition) -> dict[Partition, CRational]:
-        if mu in self._memo:
-            return self._memo[mu]
+    def _reduce(self, mu: Partition) -> Form:
+        form = self._memo.get(mu)
+        if form is not None:
+            return form
         if len(mu) > self.N:
             poly = reduce_length(PowerSumPoly.monomial(mu, self.N), self.N)
-            form = self._reduce_poly(poly)
+            form = _combine([(_gaussian(c), self._reduce(nu)) for nu, c in poly.terms.items()])
         elif all(p <= self.d - 1 for p in mu):
-            form = {mu: CRational(1)}
+            form = (1, {mu: (1, 0)})
         else:
             over = [i for i, p in enumerate(mu) if p >= self.d]
             idx = over[0] if self.strategy == "largest" else over[-1]
@@ -108,27 +156,11 @@ class LoopReducer:
             lead = Q.terms.get(top)
             if lead is None or not lead:
                 raise RuntimeError(f"expected top term p_{tuple(top)} in Q_{qmu}")
-            form: dict[Partition, CRational] = {}
-            for nu, c in Q.terms.items():
-                if nu == top:
-                    continue
-                sub = self._reduce(nu)
-                scale = -c / lead
-                for b, w in sub.items():
-                    form[b] = form.get(b, CRational(0)) + scale * w
-            form = {b: w for b, w in form.items() if w}
+            form = _combine([(_gaussian(-c / lead), self._reduce(nu))
+                             for nu, c in Q.terms.items() if nu != top])
         self._memo[mu] = form
         self._track(form)
         return form
-
-    def _reduce_poly(self, poly: PowerSumPoly) -> dict[Partition, CRational]:
-        form: dict[Partition, CRational] = {}
-        for nu, c in poly.terms.items():
-            c = CRational.coerce(c)
-            sub = self._reduce(nu)
-            for b, w in sub.items():
-                form[b] = form.get(b, CRational(0)) + c * w
-        return {b: w for b, w in form.items() if w}
 
 
 def solve_moments(

@@ -11,6 +11,7 @@ truncation to N variables is literally dropping long partitions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -247,18 +248,16 @@ def eval_powersum(p: PowerSumPoly, points: Sequence[CRational]) -> CRational:
 # ---------------------------------------------------------------------------
 
 
-def _mono_times_pk(mono: Mapping[Partition, Fraction], k: int) -> dict[Partition, Fraction]:
-    """Multiply a monomial-basis combination by p_k.
+def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partition, int]:
+    """Multiply a monomial-basis combination by p_k, keeping monomials of <= N parts.
 
     m_lam * p_k = sum over results: adding k to one distinct part value, or
     appending k as a new part; the multiplier is the multiplicity of the new
-    part value in the resulting partition.
+    part value in the resulting partition.  No result is shorter than lam, so
+    dropping the m_lam with more than N parts (zero in N variables) here is
+    the same as dropping them at the end.
     """
-    out: dict[Partition, Fraction] = {}
-
-    def add(lam: Partition, c: Fraction):
-        out[lam] = out.get(lam, Fraction(0)) + c
-
+    out: dict[Partition, int] = {}
     for lam, c in mono.items():
         seen = set()
         for i, v in enumerate(lam):
@@ -266,17 +265,23 @@ def _mono_times_pk(mono: Mapping[Partition, Fraction], k: int) -> dict[Partition
                 continue
             seen.add(v)
             new = Partition.of(lam[:i] + lam[i + 1:] + (v + k,))
-            add(new, c * new.count(v + k))
-        new = Partition.of(lam + (k,))
-        add(new, c * new.count(k))
-    return {lam: c for lam, c in out.items() if c}
+            out[new] = out.get(new, 0) + c * new.count(v + k)
+        if len(lam) < N:
+            new = Partition.of(lam + (k,))
+            out[new] = out.get(new, 0) + c * new.count(k)
+    return out
 
 
-def _p_to_mono(mu: Partition) -> dict[Partition, Fraction]:
-    mono: dict[Partition, Fraction] = {EMPTY: Fraction(1)}
-    for k in mu:
-        mono = _mono_times_pk(mono, k)
-    return mono
+@cache
+def _p_to_mono(mu: tuple[int, ...], N: int) -> dict[Partition, int]:
+    """p_mu in the monomial basis of N variables (integer coefficients).
+
+    Memoized by prefix: p_mu = p_(mu without its last part) * p_(last part).
+    The returned dict is shared; callers must not modify it.
+    """
+    if not mu:
+        return {EMPTY: 1}
+    return _mono_times_pk(_p_to_mono(mu[:-1], N), mu[-1], N)
 
 
 def _set_partitions(n: int):
@@ -291,36 +296,31 @@ def _set_partitions(n: int):
         yield rest + ((n - 1,),)
 
 
-_MONO_TO_P_CACHE: dict[Partition, dict[Partition, Fraction]] = {}
-
-
-def _mono_to_p(lam: Partition) -> dict[Partition, Fraction]:
+@cache
+def _mono_to_p(lam: Partition) -> tuple[int, dict[Partition, int]]:
     """Expand m_lam in power sums via Moebius inversion over set partitions.
 
     The augmented monomial M_lam = (prod of multiplicities!) * m_lam satisfies
     M_lam = sum over set partitions pi of the positions, with Moebius weight
-    prod_blocks (-1)^(|B|-1) (|B|-1)!, of p indexed by the block sums.  Every
-    partition appearing has at most ell(lam) parts.
+    prod_blocks (-1)^(|B|-1) (|B|-1)!, of p indexed by the block sums.
+    Returns (prod of multiplicities!, integer expansion of M_lam).  Every
+    partition appearing has at most ell(lam) parts.  The returned dict is
+    shared; callers must not modify it.
     """
-    if lam in _MONO_TO_P_CACHE:
-        return _MONO_TO_P_CACHE[lam]
-    ell = len(lam)
-    acc: dict[Partition, Fraction] = {}
-    for pi in _set_partitions(ell):
-        coeff = Fraction(1)
+    acc: dict[Partition, int] = {}
+    for pi in _set_partitions(len(lam)):
+        coeff = 1
         sums = []
         for block in pi:
             size = len(block)
-            coeff *= Fraction((-1) ** (size - 1) * factorial(size - 1))
+            coeff *= (-1) ** (size - 1) * factorial(size - 1)
             sums.append(sum(lam[i] for i in block))
         nu = Partition.of(sums)
-        acc[nu] = acc.get(nu, Fraction(0)) + coeff
-    mult = Fraction(1)
+        acc[nu] = acc.get(nu, 0) + coeff
+    mult = 1
     for v in set(lam):
         mult *= factorial(lam.count(v))
-    res = {nu: c / mult for nu, c in acc.items() if c}
-    _MONO_TO_P_CACHE[lam] = res
-    return res
+    return mult, {nu: c for nu, c in acc.items() if c}
 
 
 def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
@@ -329,8 +329,11 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
     Terms already of length <= N pass through untouched; longer ones are
     expanded in the monomial basis, monomials needing more than N variables are
     dropped (they vanish identically), and the remainder is converted back.
-    The result is the same function of N variables, and homogeneous weight is
-    preserved.
+    Each long term's expansion is summed in integers over the denominator N!
+    (every multiplicity product of a partition with <= N parts divides it)
+    and multiplied by the term's coefficient once; output terms keep their
+    order of first appearance.  The result is the same function of N
+    variables, and homogeneous weight is preserved.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -342,16 +345,19 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
         else:
             out[mu] = c
 
+    den = factorial(N)
     for mu, c in p.terms.items():
         if len(mu) <= N:
             add(mu, c)
             continue
-        mono = _p_to_mono(mu)
-        for lam, q in mono.items():
-            if len(lam) > N:
-                continue
-            for nu, w in _mono_to_p(lam).items():
-                add(nu, c * (q * w))
+        expansion: dict[Partition, int] = {}
+        for lam, q in _p_to_mono(mu, N).items():
+            mult, coeffs = _mono_to_p(lam)
+            q *= den // mult
+            for nu, a in coeffs.items():
+                expansion[nu] = expansion.get(nu, 0) + q * a
+        for nu, a in expansion.items():
+            add(nu, c * Fraction(a, den))
     return PowerSumPoly(out, p.nvars)
 
 

@@ -109,6 +109,26 @@ def test_double_overflow_is_usage_error(pot, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+GOOD_BASIS = {"N": 1, "d": 2, "values": [{"mu": [], "value": [1.0, 0.0]},
+                                         {"mu": [1], "value": [0.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("basis", [
+    {**GOOD_BASIS, "values": [{"mu": [], "value": 3}, {"mu": [1], "value": [0.0, 0.0]}]},
+    [GOOD_BASIS],
+    {**GOOD_BASIS, "values": [{"mu": [], "value": [None, 0]}, {"mu": [1], "value": [0.0, 0.0]}]},
+    {**GOOD_BASIS, "values": [{"mu": [], "value": [1.0, 0.0]}, {"mu": [1, "a"], "value": [0.0, 0.0]}]},
+    {**GOOD_BASIS, "values": [{"mu": [], "value": ["nan", 0.0]}, {"mu": [1], "value": [0.0, 0.0]}]},
+], ids=["value-scalar", "top-level-list", "value-null", "mu-not-integer", "value-nan"])
+def test_solve_malformed_basis_is_usage_error(pot, capsys, basis):
+    path = pot("cubic.json", CUBIC)
+    code = main(["solve", "--potential", path, "--N", "1", "--basis", pot("basis.json", basis),
+                 "--targets", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad basis file") and "Traceback" not in err
+
+
 def test_iso_pass_and_shape(pot, capsys):
     path = pot("cubic.json", CUBIC)
     code, data = run(["iso", "--potential", path, "--N", "2"], capsys)

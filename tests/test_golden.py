@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from loopeq import partitions_in_box, partitions_of_weight
 from loopeq.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -26,7 +27,24 @@ POTENTIALS = {
     "rational": {"kind": "rational", "R": _c(2, 0, 0, 1), "D": _c(0, 1)},  # V' = x^2 + 2/x
     "haar": {"kind": "rational", "R": _c(2), "D": _c(0, 1)},  # V' = 2/x
     "cubic_d1": {"kind": "rational", "R": _c(1, 0, 1), "D": _c(1)},  # cubic written as R/1
+    # V' = ((1 + i/2) x^3 + i x + 2) / x: complex leading coefficient, q_rational path
+    "rational_complex": {"kind": "rational", "R": [["2", "0"], ["0", "1"], ["0", "0"], ["1", "1/2"]],
+                         "D": _c(0, 1)},
 }
+
+
+def _basis(N, d):
+    """Free-basis values for ``solve``: distinct complex numbers on the box partitions."""
+    box = partitions_in_box(N, d - 1)
+    return {"d": d, "values": [{"mu": list(mu), "value": [1.0 + 0.5 * k, 0.25 * k - 0.75]}
+                               for k, mu in enumerate(box)]}
+
+
+def _targets(weight_max):
+    return ";".join(",".join(map(str, mu)) for w in range(1, weight_max + 1)
+                    for mu in partitions_of_weight(w))
+
+
 CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1], "c": [1, 0]}, {"n": [2, 0], "c": [0.5, -1]}]}
 
 # case -> (command, potential or None, extra arguments)
@@ -45,15 +63,25 @@ CASES = {
     # the Wick sums behind the map series (no potential file)
     "maps_mixed": ("maps", None, ["--t3", "1", "--t4", "1", "--marked", "2", "--order", "6"]),
     "maps_quartic": ("maps", None, ["--t4", "1", "--marked", "4", "--order", "6"]),
+    # the exact reducer: forms, float summation order and coefficient_growth
+    "solve_quartic_N3": ("solve", "quartic", ["--N", "3", "--basis", "{basis}", "--targets", _targets(10)]),
+    # imaginary numerators, a complex leading coefficient and q_rational
+    "solve_rational_complex_N2": ("solve", "rational_complex",
+                                  ["--N", "2", "--basis", "{basis}", "--targets", _targets(10)]),
 }
+# case -> free-basis file behind "{basis}"
+BASES = {"solve_quartic_N3": _basis(3, 3), "solve_rational_complex_N2": _basis(2, 3)}
 
 
 def run_case(case: str, workdir: Path) -> bytes:
     command, name, extra = CASES[case]
     cls = workdir / "class.json"
     cls.write_text(json.dumps(CLASS))
+    basis = workdir / "basis.json"
+    if case in BASES:
+        basis.write_text(json.dumps(BASES[case]))
     out = workdir / f"{case}.out"
-    args = [a.replace("{class}", str(cls)) for a in extra]
+    args = [a.replace("{class}", str(cls)).replace("{basis}", str(basis)) for a in extra]
     if name is not None:
         pot = workdir / f"{name}.json"
         pot.write_text(json.dumps(POTENTIALS[name]))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,9 @@ from loopeq import (
     hn_dimension,
     loop_tuples,
     partitions_in_box,
+    partitions_of_weight,
+    q_polynomial,
+    q_rational,
     residuals,
     solve_moments,
 )
@@ -142,3 +146,45 @@ def test_free_basis_dimension_witness(cubic):
         assert len(box) == hn_dimension(N, d)
         for nu in box:
             assert red.reduce(nu) == {nu: CRational(1)}
+
+
+CLOSURE_POTENTIALS = {
+    # V' = (1 + i) + (1/2 - i) x + (2 + i/3) x^2: complex, complex leading coefficient
+    "cubic-complex": Potential.polynomial(
+        [CRational(1, 1), CRational(Fraction(1, 2), -1), CRational(2, Fraction(1, 3))]),
+    "quartic": Potential.polynomial([0, 1, 0, 1]),
+    "rational": Potential.rational([2, 0, 0, 1], [0, 1]),  # V' = x^2 + 2/x
+}
+
+
+@pytest.mark.parametrize("strategy", ["largest", "smallest"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CLOSURE_POTENTIALS))
+def test_loop_equations_close_on_the_box(name, N, strategy):
+    # Algebraic half of the theorem: with the box values left symbolic, every
+    # loop equation E(Q_mu) = 0 up to weight 8 reduces to the zero linear form.
+    # The reducer uses one equation per reduced partition; the others (other
+    # parts eliminated, long tuples going through reduce_length, the strategy
+    # not used) are only consistent if the box is really free.
+    V = CLOSURE_POTENTIALS[name]
+    red = LoopReducer(V, N, strategy=strategy)
+    for mu in loop_tuples(8):
+        Q = q_polynomial(mu, V, N) if V.kind == "polynomial" else q_rational(mu, V, N)
+        total: dict = {}
+        for nu, c in Q.terms.items():
+            for b, w in red.reduce(nu).items():
+                total[b] = total.get(b, CRational(0)) + c * w
+        assert not any(total.values()), (mu, total)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_gaussian_reduction_is_wick(gauss, N):
+    # V' = x: d = 1, the box is {()}, and the reduced form must be the Wick
+    # count, which shares no code with the loop-equation generator
+    from loopeq import gaussian_trace_moment
+
+    red = LoopReducer(gauss, N)
+    for w in range(13):
+        for mu in partitions_of_weight(w):
+            value = gaussian_trace_moment(tuple(mu)).eval({"N": N})
+            assert red.reduce(mu) == ({Partition(()): value} if value else {}), mu
