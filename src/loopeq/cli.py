@@ -95,12 +95,16 @@ class CachedMomentTable(MomentTable):
         ]
 
     def moment(self, arc_index, k):
-        key = f"{self._arc_keys[arc_index]}:{k}"
-        if key in self._store and (arc_index, k) not in self.data:
-            re, im, err = self._store[key]
-            self.data[(arc_index, k)] = (complex(re, im), err)
+        # only a key not yet in memory is looked up on disk (or stored after)
+        key = None
+        if (arc_index, k) not in self.data:
+            key = f"{self._arc_keys[arc_index]}:{k}"
+            if key in self._store:
+                re, im, err = self._store[key]
+                self.data[(arc_index, k)] = (complex(re, im), err)
+                key = None
         val, err = super().moment(arc_index, k)
-        if key not in self._store:
+        if key is not None:
             self._store[key] = [val.real, val.imag, err]
             self._dirty = True
         return val, err
@@ -184,6 +188,8 @@ def _couplings(args) -> dict[int, Fraction]:
 
 
 def cmd_gen(args) -> int:
+    if args.N < 1:
+        raise ConfigError(f"--N must be >= 1, got {args.N}")
     V = _load_potential(args.potential)
     mu = _parse_mu(args.mu)
     if V.kind == "polynomial":
@@ -230,6 +236,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_residuals(args) -> int:
+    if args.weight_max < 0:
+        raise ConfigError(f"--weight-max must be >= 0, got {args.weight_max}")
     V = _load_potential(args.potential)
     G = _class_from_flag(args, V)
     needed = set()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .loopgen import Potential, poly_divmod
@@ -64,11 +65,16 @@ class RaySeg:
 
     bounds = (0.0, math.inf)
 
+    @cached_property
+    def direction(self) -> complex:
+        """e^{i angle}; cached outside the fields, so eq, hash and repr keep them."""
+        return cmath.exp(1j * self.angle)
+
     def point(self, s: float) -> complex:
-        return self.base + s * cmath.exp(1j * self.angle)
+        return self.base + s * self.direction
 
     def tangent(self, s: float) -> complex:
-        return cmath.exp(1j * self.angle)
+        return self.direction
 
 
 class _OnCircle:

@@ -176,6 +176,11 @@ class Potential:
             poles.append((p, int(r_int)))
         return [c.to_complex() for c in quot], tuple(poles)
 
+    @cached_property
+    def _quotient_terms(self) -> tuple[tuple[complex, int], ...]:
+        """(q_k / k, k) for the nonzero quotient coefficients q_k."""
+        return tuple((c / k, k) for k, c in enumerate(self.partial_fractions[0], start=1) if c)
+
     def dV(self, z: complex) -> complex:
         R, D = self.complex_coeffs
         return _horner(R, z) / _horner(D, z)
@@ -194,10 +199,14 @@ class Potential:
         return val
 
     def _quotient_part(self, z: complex) -> complex:
-        """sum_k q_k z^k / k: the polynomial part of V."""
+        """sum_k q_k z^k / k: the polynomial part of V.
+
+        Zero coefficients are skipped: their terms are +-0, and a sum that
+        starts at 0j never holds -0.0, so adding them changes no bit.
+        """
         out = 0j
-        for k, c in enumerate(self.partial_fractions[0], start=1):
-            out += c / k * z ** k
+        for c, k in self._quotient_terms:
+            out += c * z ** k
         return out
 
     # -- JSON ----------------------------------------------------------------

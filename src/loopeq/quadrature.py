@@ -10,6 +10,13 @@ functionals and the saddle discriminator alike: a permutation-pair sum up to
 N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
 *Log-gases and Random Matrices*, ch. 1) from N = 3 on.  Everything downstream
 is exact bookkeeping plus worst-case error propagation.
+
+Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
+Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, so a change in
+the last bit of a moment or a product moves their reported residuals, and the
+benchmark compares those scales at 1e-9 relative.  A new quadrature rule
+(ROADMAP item 4) moves moments at about 1e-14, so it waits until such
+equations are bounded by their own error budget (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -123,20 +130,28 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
     z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with an infinite upper bound
     cut where the tail falls below TAIL_CUTOFF.
     """
+    weight = V.exp_neg_V
     total = 0j
     err = 0.0
     for seg in c.segments:
+        if isinstance(seg, RaySeg):
 
-        def f(t, _s=seg):
-            z = _s.point(t)
-            return z ** k * V.exp_neg_V(z) * _s.tangent(t)
+            def f(t, base=seg.base, step=seg.direction):
+                z = base + t * step
+                return z ** k * weight(z) * step
+
+        else:
+
+            def f(t, _s=seg):
+                z = _s.point(t)
+                return z ** k * weight(z) * _s.tangent(t)
 
         a, b = seg.bounds
         if isinstance(seg, CircleSeg):
             val, e = _trapezoid_circle(f, a, b, tol)
         else:
             if math.isinf(b):
-                b = _ray_truncation(seg, V.exp_neg_V, k)
+                b = _ray_truncation(seg, weight, k)
             val, e = _quad_complex(f, a, b, tol)
         total += -val if seg.inward else val
         err += e
@@ -160,13 +175,27 @@ class MomentTable:
 
 
 @functools.cache
-def _perm_signs(N: int):
+def _perm_pairs(N: int):
+    """The permutation-pair sum's index plan for N bodies.
+
+    Slot i (2N - 1) + s holds moment s + adds[i] of body i.  ``pairs``:
+    (sign_sigma * sign_tau, slots of sigma_i + tau_i for i < N) over the
+    permutation pairs in lexicographic order.  ``fetch``: (i, s, slot) in the
+    order the pairs first use the slots, so moments are first requested in
+    that order.
+    """
     perms = tuple(itertools.permutations(range(N)))
-    signs = []
-    for p in perms:
-        inv = sum(1 for i in range(N) for j in range(i + 1, N) if p[i] > p[j])
-        signs.append(-1.0 if inv % 2 else 1.0)
-    return perms, tuple(signs)
+    signs = [-1.0 if sum(p[i] > p[j] for i in range(N) for j in range(i + 1, N)) % 2 else 1.0
+             for p in perms]
+    width = 2 * N - 1
+    pairs = tuple(
+        (signs[si] * signs[ti], tuple(i * width + sigma[i] + tau[i] for i in range(N)))
+        for si, sigma in enumerate(perms)
+        for ti, tau in enumerate(perms)
+    )
+    first_use = dict.fromkeys(j for _, slots in pairs for j in slots)
+    fetch = tuple((j // width, j % width, j) for j in first_use)
+    return pairs, fetch
 
 
 @functools.cache
@@ -184,9 +213,13 @@ def vandermonde_sum(moment, word, mu=()):
     error bound; body i carries variable x_i, and bodies are any hashables.
     Returns (value, first-order error bound), where the bound is
     sum over products of N moments of prod(|v| + e) - prod |v|.  Up to N = 2
-    the permutation-pair sum is cheapest; from N = 3 on the determinant
-    recursion is (measured per call, len(mu) <= 4: 2-4x slower at N = 2,
-    0.7-6x faster at N = 3 and 5-100x at N = 4).
+    the permutation-pair sum is cheapest, from N = 3 on the determinant
+    recursion runs.  Measured per call on random tables of distinct bodies,
+    len(mu) <= 4: the recursion is 3-7x slower at N = 2; at N = 3 it is
+    1.3-5x slower up to len(mu) = 2 (5x at mu = ()) and 1.2-1.5x faster from
+    3 on; at N = 4 the two tie at mu = () and the recursion is 3-8x faster at
+    len(mu) = 1, 2.  The split stays at N = 2 so that N >= 3 results keep
+    their summation order.
     """
     if len(word) <= 2:
         return _permutation_sum(moment, word, mu)
@@ -196,28 +229,33 @@ def vandermonde_sum(moment, word, mu=()):
 def _permutation_sum(moment, word, mu):
     """Delta^2 as a double determinant over permutation pairs (sigma, tau),
     p_mu over the assignments of its parts to variables: (N!)^2 N^len(mu)
-    products of N moments."""
+    products of N moments.  Each assignment fetches its N (2N - 1) moments
+    once; the products and sums run in the order of the plain loop over
+    ``moment(word[i], sigma[i] + tau[i] + adds[i])``, so the result is the
+    same to the last bit."""
     N = len(word)
-    perms, signs = _perm_signs(N)
+    pairs, fetch = _perm_pairs(N)
     total = 0j
     err = 0.0
     for assign in itertools.product(range(N), repeat=len(mu)):
         adds = [0] * N
         for part, var in zip(mu, assign):
             adds[var] += part
-        for si, sigma in enumerate(perms):
-            for ti, tau in enumerate(perms):
-                sgn = signs[si] * signs[ti]
-                prod = 1.0 + 0j
-                emag = 0.0
-                pmag = 1.0
-                for i in range(N):
-                    v, e = moment(word[i], sigma[i] + tau[i] + adds[i])
-                    prod *= v
-                    emag = emag * (abs(v) + e) + pmag * e
-                    pmag *= abs(v)
-                total += sgn * prod
-                err += emag
+        m = [None] * (N * (2 * N - 1))  # slot i (2N - 1) + s
+        for i, s, j in fetch:
+            v, e = moment(word[i], s + adds[i])
+            m[j] = (v, e, abs(v))
+        for sgn, slots in pairs:
+            prod = 1.0 + 0j
+            emag = 0.0
+            pmag = 1.0
+            for j in slots:
+                v, e, a = m[j]
+                prod *= v
+                emag = emag * (a + e) + pmag * e
+                pmag *= a
+            total += sgn * prod
+            err += emag
     return total, err
 
 

@@ -37,6 +37,12 @@ class Partition(tuple):
         """Sort descending; zeros are not allowed here (fold them first)."""
         return cls(sorted(parts, reverse=True))
 
+    @classmethod
+    def _trusted(cls, parts: tuple) -> "Partition":
+        """Wrap a tuple of ints >= 1 that the caller has already sorted
+        non-increasing; internal, nothing is re-checked."""
+        return tuple.__new__(cls, parts)
+
     @property
     def weight(self) -> int:
         return sum(self)
@@ -124,9 +130,12 @@ class PowerSumPoly:
         terms: dict[Partition, object] = {}
         for idx, coeff in items:
             nz = sum(1 for p in idx if p == 0)
-            mu = Partition.of([p for p in idx if p != 0])
-            if any(p < 0 for p in idx):
+            parts = sorted((p for p in idx if p != 0), reverse=True)
+            if parts and parts[-1] < 0:
                 raise ValueError(f"negative power-sum index in {idx}")
+            if not all(isinstance(p, int) for p in parts):
+                raise ValueError(f"power-sum indices must be integers: {idx}")
+            mu = Partition._trusted(tuple(parts))
             c = coeff
             for _ in range(nz):
                 c = c * nvars
@@ -264,10 +273,18 @@ def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partit
             if v in seen:
                 continue
             seen.add(v)
-            new = Partition.of(lam[:i] + lam[i + 1:] + (v + k,))
-            out[new] = out.get(new, 0) + c * new.count(v + k)
+            # v + k moves left past the parts smaller than it; lam[i] is the
+            # first v, so every part left of i is larger than v
+            x, j = v + k, i
+            while j and lam[j - 1] < x:
+                j -= 1
+            new = Partition._trusted(lam[:j] + (x,) + lam[j:i] + lam[i + 1:])
+            out[new] = out.get(new, 0) + c * new.count(x)
         if len(lam) < N:
-            new = Partition.of(lam + (k,))
+            j = len(lam)
+            while j and lam[j - 1] < k:
+                j -= 1
+            new = Partition._trusted(lam[:j] + (k,) + lam[j:])
             out[new] = out.get(new, 0) + c * new.count(k)
     return out
 

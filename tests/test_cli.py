@@ -164,6 +164,38 @@ def test_residuals_circle_haar(pot, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_without_variables_is_usage_error(pot, capsys, n):
+    # Q_mu of zero or a negative number of eigenvalues means nothing
+    path = pot("gauss.json", GAUSS)
+    code = main(["gen", "--potential", path, "--mu", "1", "--N", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--N" in captured.err
+
+
+@pytest.mark.parametrize("weight", ["-1", "-3"])
+def test_residuals_negative_weight_is_usage_error(pot, capsys, weight):
+    # no equation is checked, so no "entries": [] report may pass as verified
+    path = pot("gauss.json", GAUSS)
+    code = main(["residuals", "--potential", path, "--N", "2", "--weight-max", weight, "--gamma", "real"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--weight-max" in captured.err
+
+
+def test_residuals_weight_zero_checks_q0(pot, capsys):
+    # weight 0 is Q_(0), E[Tr V'(M)] = 0: one real equation
+    path = pot("gauss.json", GAUSS)
+    code, data = run(["residuals", "--potential", path, "--N", "2", "--weight-max", "0",
+                      "--gamma", "real"], capsys)
+    assert code == 0
+    assert [e["mu"] for e in data["entries"]] == [[0]]
+    assert data["max_relative"] < 1e-8
+
+
 def test_solve_roundtrip(pot, tmp_path, capsys):
     path = pot("gauss.json", GAUSS)
     basis = pot("basis.json", {"N": 2, "d": 1, "values": [{"mu": [], "value": [1.0, 0.0]}]})

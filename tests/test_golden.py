@@ -25,6 +25,7 @@ POTENTIALS = {
     "cubic": {"kind": "polynomial", "t": _c(1, 0, 1)},  # V' = 1 + x^2
     "quartic": {"kind": "polynomial", "t": _c(0, 1, 0, 1)},  # V' = x + x^3
     "rational": {"kind": "rational", "R": _c(2, 0, 0, 1), "D": _c(0, 1)},  # V' = x^2 + 2/x
+    "deg7": {"kind": "polynomial", "t": _c(0, 1, 0, 0, 0, 0, 0, 1)},  # V' = x + x^7
     "haar": {"kind": "rational", "R": _c(2), "D": _c(0, 1)},  # V' = 2/x
     "cubic_d1": {"kind": "rational", "R": _c(1, 0, 1), "D": _c(1)},  # cubic written as R/1
     # V' = ((1 + i/2) x^3 + i x + 2) / x: complex leading coefficient, q_rational path
@@ -46,6 +47,8 @@ def _targets(weight_max):
 
 
 CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1], "c": [1, 0]}, {"n": [2, 0], "c": [0.5, -1]}]}
+# one circle times one elbow of x^2 + 2/x: its weight-6 residuals include noise equations
+RATIONAL_CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1, 0], "c": [1.0, 0.0]}]}
 
 # case -> (command, potential or None, extra arguments)
 CASES = {
@@ -60,6 +63,11 @@ CASES = {
     "iso_rational": ("iso", "rational", ["--N", "2"]),
     # the N-body assembly at N = 3
     "iso_cubic_N3": ("iso", "cubic", ["--N", "3"]),
+    # the costliest N = 2 moment matrix, on a sparse quotient (2 of 8 terms nonzero)
+    "iso_deg7_N2": ("iso", "deg7", ["--N", "2"]),
+    # equations whose terms cancel to rounding: every last bit of the N = 2 sums shows
+    "residuals_rational_w6": ("residuals", "rational",
+                              ["--class", "{class_rational}", "--weight-max", "6"]),
     # the Wick sums behind the map series (no potential file)
     "maps_mixed": ("maps", None, ["--t3", "1", "--t4", "1", "--marked", "2", "--order", "6"]),
     "maps_quartic": ("maps", None, ["--t4", "1", "--marked", "4", "--order", "6"]),
@@ -77,11 +85,14 @@ def run_case(case: str, workdir: Path) -> bytes:
     command, name, extra = CASES[case]
     cls = workdir / "class.json"
     cls.write_text(json.dumps(CLASS))
+    cls_rational = workdir / "class_rational.json"
+    cls_rational.write_text(json.dumps(RATIONAL_CLASS))
     basis = workdir / "basis.json"
     if case in BASES:
         basis.write_text(json.dumps(BASES[case]))
     out = workdir / f"{case}.out"
-    args = [a.replace("{class}", str(cls)).replace("{basis}", str(basis)) for a in extra]
+    args = [a.replace("{class}", str(cls)).replace("{class_rational}", str(cls_rational))
+            .replace("{basis}", str(basis)) for a in extra]
     if name is not None:
         pot = workdir / f"{name}.json"
         pot.write_text(json.dumps(POTENTIALS[name]))

@@ -24,6 +24,42 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+def test_build_validates_indices():
+    assert PowerSumPoly.build([((1, 0, 3, 2), CRational(1))], 2).terms == {(3, 2, 1): CRational(2)}
+    for idx in ((2, -1), (1.5, 1), (0, 2.0)):
+        with pytest.raises(ValueError):
+            PowerSumPoly.build([(idx, CRational(1))], 2)
+
+
+def _reference_mono_times_pk(mono, k, N):
+    """m_lam * p_k re-sorting every result through Partition.of."""
+    out = {}
+    for lam, c in mono.items():
+        for i, v in enumerate(lam):
+            if v in lam[:i]:
+                continue
+            new = Partition.of(lam[:i] + lam[i + 1:] + (v + k,))
+            out[new] = out.get(new, 0) + c * new.count(v + k)
+        if len(lam) < N:
+            new = Partition.of(lam + (k,))
+            out[new] = out.get(new, 0) + c * new.count(k)
+    return out
+
+
+def test_mono_times_pk_matches_resorting():
+    from loopeq.symfunc import _mono_times_pk
+
+    rng = random.Random(5)
+    for N in (1, 2, 3, 5):
+        for w in range(0, 9):
+            mono = {lam: rng.randint(-4, 4) or 1 for lam in partitions_of_weight(w, max_length=N)}
+            for k in (1, 2, 3, 5):
+                got = _mono_times_pk(mono, k, N)
+                want = _reference_mono_times_pk(mono, k, N)
+                assert list(got.items()) == list(want.items())
+                assert all(type(lam) is Partition for lam in got)
+
+
 def test_partitions_in_box_examples():
     assert partitions_in_box(2, 1) == [(), (1,), (1, 1)]
     assert partitions_in_box(3, 0) == [()]
