@@ -356,6 +356,8 @@ def discriminator_ratio(n, m, r: int, V: Potential, tol: float = 1e-9) -> comple
 def discriminator_report(V: Potential, r: int, N: int, tol: float = 1e-9) -> DiscriminatorReport:
     from .symfunc import compositions
 
+    if N < 1:
+        raise ValueError("N must be positive")
     engine = DiscriminatorEngine(V, r, tol)
     d = len(engine.others)
     comps = [c for c in compositions(N, d)]

@@ -176,14 +176,9 @@ class MomentTable:
 
 @functools.cache
 def _perm_pairs(N: int):
-    """The permutation-pair sum's index plan for N bodies.
-
-    Slot i (2N - 1) + s holds moment s + adds[i] of body i.  ``pairs``:
-    (sign_sigma * sign_tau, slots of sigma_i + tau_i for i < N) over the
-    permutation pairs in lexicographic order.  ``fetch``: (i, s, slot) in the
-    order the pairs first use the slots, so moments are first requested in
-    that order.
-    """
+    """Index plan of the permutation-pair sum: ``pairs`` holds (sign_sigma *
+    sign_tau, slots i (2N - 1) + sigma_i + tau_i) in lexicographic order, and
+    ``fetch`` (i, s, slot) in the order the pairs first use each slot."""
     perms = tuple(itertools.permutations(range(N)))
     signs = [-1.0 if sum(p[i] > p[j] for i in range(N) for j in range(i + 1, N)) % 2 else 1.0
              for p in perms]

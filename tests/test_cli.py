@@ -272,5 +272,14 @@ def test_discrim_cli(pot, capsys):
     assert len(data["ratios"]) == 4
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_discrim_without_variables_is_usage_error(pot, capsys, n):
+    # N = 0 gave one vacuous ratio 1 and exit 0
+    path = pot("cubic.json", CUBIC)
+    code, data = run(["discrim", "--potential", path, "--r", "60", "--N", n], capsys)
+    assert code == 2
+    assert data is None
+
+
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
