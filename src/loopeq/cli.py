@@ -21,7 +21,9 @@ from .contours import (
     admissibility_check,
     basis_arcs,
     circle_contour,
+    circle_power_class,
     real_axis_contour,
+    real_power_class,
     HomologyClass,
     sample_polyline,
     sectors,
@@ -131,11 +133,6 @@ def _make_table(arcs, V, tol, cache_dir):
     return MomentTable(arcs, V, tol)
 
 
-def _flush(table):
-    if isinstance(table, CachedMomentTable):
-        table.flush()
-
-
 def _dump_moments_csv(table: MomentTable, path: str | None):
     if not path:
         return
@@ -145,16 +142,25 @@ def _dump_moments_csv(table: MomentTable, path: str | None):
             fh.write(f"{arc},{k},{val.real!r},{val.imag!r},{err!r}\n")
 
 
+def _json_int(value, what: str, minimum: int) -> int:
+    """A JSON integer >= minimum; floats, strings and booleans are refused."""
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {json.dumps(value)}")
+    return value
+
+
 def _load_class(path: str, V: Potential) -> HomologyClass:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise ConfigError(f"bad class file {path}: {e}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad class file {path}: expected a JSON object")
     for f in ("N", "arcs", "terms"):
         if f not in data:
             raise ConfigError(f"class file {path} missing field '{f}'")
-    N = int(data["N"])
+    N = _json_int(data["N"], f"class file {path}: 'N'", 1)
     kind = data["arcs"]
     if kind == "real":
         arcs = [real_axis_contour()]
@@ -165,10 +171,17 @@ def _load_class(path: str, V: Potential) -> HomologyClass:
     else:
         raise ConfigError(f"class 'arcs' must be real|circle|basis, got {kind!r}")
     terms = {}
-    for entry in data["terms"]:
-        n = tuple(int(x) for x in entry["n"])
-        re, im = entry["c"]
-        terms[n] = complex(float(re), float(im))
+    try:
+        for entry in data["terms"]:
+            n = tuple(_json_int(x, f"class file {path}: 'n' entry", 0) for x in entry["n"])
+            re, im = (float(x) for x in entry["c"])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ConfigError(f"class file {path}: non-finite coefficient for n={list(n)}")
+            if n in terms:
+                raise ConfigError(f"class file {path}: composition n={list(n)} appears twice")
+            terms[n] = complex(re, im)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad class file {path}: {e!r}")
     return HomologyClass.make(N, arcs, terms)
 
 
@@ -248,7 +261,7 @@ def cmd_residuals(args) -> int:
         needed.update(Q.terms)
     table = _make_table(G.arc_basis, V, args.tol, args.cache)
     oracle, errors = oracle_from_quadrature(G, V, sorted(needed), args.tol, table=table)
-    _flush(table)
+    table.flush()
     _dump_moments_csv(table, args.dump_moments)
     report = residuals(oracle, V, G.N, args.weight_max, errors=errors)
     _emit(report.to_json(), args.out)
@@ -258,11 +271,10 @@ def cmd_residuals(args) -> int:
 def _class_from_flag(args, V) -> HomologyClass:
     if args.cls:
         return _load_class(args.cls, V)
-    kind = args.gamma
-    if kind == "real":
-        return HomologyClass.make(args.N, [real_axis_contour()], {(args.N,): 1.0})
-    if kind == "circle":
-        return HomologyClass.make(args.N, [circle_contour()], {(args.N,): 1.0})
+    if args.gamma == "real":
+        return real_power_class(args.N)
+    if args.gamma == "circle":
+        return circle_power_class(args.N)
     raise ConfigError("provide --class FILE or --gamma real|circle")
 
 
@@ -296,7 +308,7 @@ def cmd_expect(args) -> int:
     p = PowerSumPoly.monomial(Partition.of(mu), G.N)
     table = _make_table(G.arc_basis, V, args.tol, args.cache)
     val, err = expectation(G, p, V, args.tol, table=table)
-    _flush(table)
+    table.flush()
     _dump_moments_csv(table, args.dump_moments)
     _emit({"re": val.real, "im": val.imag, "err": err}, args.out)
     return 0
@@ -307,7 +319,7 @@ def cmd_iso(args) -> int:
     arcs = basis_arcs(V)
     table = _make_table(arcs, V, args.tol, args.cache)
     M = moment_matrix(V, args.N, args.tol, arcs=arcs, table=table)
-    _flush(table)
+    table.flush()
     _dump_moments_csv(table, args.dump_moments)
     _emit(M.to_json(), args.out)
     return 0 if M.min_scaled_singular > args.min_singular else VERIFY_ERROR

@@ -134,7 +134,6 @@ class CRational:
 
 ZERO = CRational(0)
 ONE = CRational(1)
-I = CRational(0, 1)
 
 
 class MPoly:
@@ -276,9 +275,6 @@ class MPoly:
                     term = term * base ** exp
             total = total + term
         return total
-
-    def coefficient(self, exponents: tuple[int, ...]) -> CRational:
-        return self.terms.get(tuple(exponents), ZERO)
 
     def __str__(self):
         if not self.terms:

@@ -5,18 +5,8 @@ Conventions.  A polynomial potential is V(x) = sum_{k=1}^{d+1} t_k x^k / k with
 t_{d+1} != 0, so d = deg V'.  Every potential is stored as V' = R/D with D
 monic and R, D coprime; a polynomial one is the case D = 1.  d counts all pole degrees including infinity, which is
 deg R when deg R > deg D (the case with a weight-raising top term) but e.g. 1
-for the Haar weight V' = N/x.  For an index tuple mu = (mu_1, ..., mu_n) with
-mu_1 >= 0 and the remaining parts >= 1,
-
-    Q_mu = sum_{j=0}^{d} t_{j+1} p_{mu_1+j} p_{mu_2} ... p_{mu_n}
-         - sum_{j=0}^{mu_1-1} p_j p_{mu_1-1-j} p_{mu_2} ... p_{mu_n}
-         - sum_{i>=2} mu_i p_{mu_1+mu_i-1} prod_{k>=2, k!=i} p_{mu_k},
-
-which satisfies Q_mu(X) Delta(X)^2 e^{-sum V} =
--sum_i d/dx_i ( x_i^{mu_1} p_{mu_2}...p_{mu_n} Delta(X)^2 e^{-sum V} ), so that
-every admissible contour moment functional annihilates it.  The rational-case
-Q_mu below is rederived from the same identity with D(x_i) x_i^{mu_1} in the
-derivative slot; the double convolution absorbs the D' diagonal.
+for the Haar weight V' = N/x.  ``_q_items`` states the formula for Q_mu; every
+generator below emits its terms.
 """
 
 from __future__ import annotations
@@ -137,11 +127,6 @@ class Potential:
         so the top term raises weight by d (always true for polynomial V)."""
         return len(self.R) > len(self.D)
 
-    @property
-    def leading(self):
-        """Coefficient of the top term driving the reduction (lead R = t_{d+1})."""
-        return self.R[-1]
-
     # -- numeric evaluation (CRational coefficients only) -------------------
 
     @cached_property
@@ -180,6 +165,12 @@ class Potential:
     def _quotient_terms(self) -> tuple[tuple[complex, int], ...]:
         """(q_k / k, k) for the nonzero quotient coefficients q_k."""
         return tuple((c / k, k) for k, c in enumerate(self.partial_fractions[0], start=1) if c)
+
+    @cached_property
+    def _neg_D_terms(self) -> tuple:
+        """(k, -D_k) for the nonzero D_k, in the coefficient ring of R."""
+        minus_one = _neg_one_like(self.R[0])
+        return tuple((k, minus_one * Dk) for k, Dk in enumerate(self.D) if Dk)
 
     def dV(self, z: complex) -> complex:
         R, D = self.complex_coeffs
@@ -282,6 +273,36 @@ def _check_mu(mu: Sequence[int]):
     return mu
 
 
+def _q_items(m0: int, rest: tuple[int, ...], V: Potential):
+    """(index tuple, coefficient) items of Q_mu, mu = (m0,) + rest, for V' = R/D.
+
+    For mu_1 = m0 >= 0 and spectator parts rest = (mu_2, ..., mu_n), all >= 1,
+
+        Q_mu = sum_k R_k p_{mu_1+k} p_rest
+             - sum_k D_k sum_{j=0}^{k+mu_1-1} p_j p_{k+mu_1-1-j} p_rest
+             - sum_{i>=2} mu_i sum_k D_k p_{mu_1+mu_i-1+k} p_{rest without i},
+
+    which satisfies Q_mu(X) Delta(X)^2 e^{-sum V} =
+    -sum_i d/dx_i ( D(x_i) x_i^{mu_1} p_rest Delta(X)^2 e^{-sum V} ), so that
+    every admissible contour moment functional annihilates it; the double
+    convolution absorbs the D' diagonal.  With D = 1 and R_k = t_{k+1} this is
+    the polynomial Q_mu.  Items come in that order (R, D-convolution,
+    spectator terms) and zero R_k, D_k give none: ``PowerSumPoly.build`` keeps
+    first-insertion order, and callers sum floats in it.
+    """
+    for k, Rk in enumerate(V.R):
+        if Rk:
+            yield (m0 + k,) + rest, Rk
+    neg_D = V._neg_D_terms
+    for k, nDk in neg_D:
+        for j in range(k + m0):
+            yield (j, k + m0 - 1 - j) + rest, nDk
+    for i, part in enumerate(rest):
+        spect = rest[:i] + rest[i + 1:]
+        for k, nDk in neg_D:
+            yield (m0 + part - 1 + k,) + spect, nDk * part
+
+
 def q_polynomial(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     """The loop-equation polynomial for a polynomial potential.
 
@@ -291,45 +312,13 @@ def q_polynomial(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     if V.kind != "polynomial":
         raise ValueError("q_polynomial needs a polynomial potential (use q_rational)")
     mu = _check_mu(mu)
-    m0, rest = mu[0], tuple(mu[1:])
-    items: list[tuple[tuple[int, ...], object]] = []
-    for j, tk in enumerate(V.R):
-        items.append(((m0 + j,) + rest, tk))
-    minus_one = _neg_one_like(V.R[0])
-    for j in range(m0):
-        items.append(((j, m0 - 1 - j) + rest, minus_one))
-    for i in range(len(rest)):
-        spect = rest[:i] + rest[i + 1:]
-        items.append(((m0 + rest[i] - 1,) + spect, minus_one * rest[i]))
-    return PowerSumPoly.build(items, nvars)
+    return PowerSumPoly.build(_q_items(mu[0], mu[1:], V), nvars)
 
 
 def q_rational(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
-    """Loop-equation polynomial for V' = R/D, from d/dx_i (D(x_i) x_i^{mu_1} ...).
-
-    Q_mu = p^(R)_mu - sum_k D_k sum_{j=0}^{k+mu_1-1} p_j p_{k+mu_1-1-j} p_rest
-         - sum_{i>=2} mu_i p^(D)_{mu_1+mu_i-1} p_{rest without i},
-    with p^(P)_k = sum_j P_j p_{k+j}.  With D = 1 this is q_polynomial for
-    V' = R term by term.
-    """
+    """Loop-equation polynomial for V' = R/D (any D, including D = 1)."""
     mu = _check_mu(mu)
-    m0, rest = mu[0], tuple(mu[1:])
-    items: list[tuple[tuple[int, ...], object]] = []
-    for k, Rk in enumerate(V.R):
-        if Rk:
-            items.append(((m0 + k,) + rest, Rk))
-    for k, Dk in enumerate(V.D):
-        if not Dk:
-            continue
-        for j in range(k + m0):
-            items.append(((j, k + m0 - 1 - j) + rest, -Dk))
-    for i in range(len(rest)):
-        spect = rest[:i] + rest[i + 1:]
-        for k, Dk in enumerate(V.D):
-            if not Dk:
-                continue
-            items.append(((m0 + rest[i] - 1 + k,) + spect, -(Dk * rest[i])))
-    return PowerSumPoly.build(items, nvars)
+    return PowerSumPoly.build(_q_items(mu[0], mu[1:], V), nvars)
 
 
 def _neg_one_like(sample):
@@ -375,14 +364,9 @@ def q_twomatrix(mu: Sequence[int], W: TwoPotential, nvars) -> PowerSumPoly:
         if l == 0:
             items.append(((k,) + spect, coeff))
             continue
-        for j, tj in enumerate(t):
-            add((l - 1, k + j, spect), coeff * tj)
-        for j in range(k):
-            new_spect = tuple(sorted(spect + (k - 1 - j,), reverse=True))
-            add((l - 1, j, new_spect), -coeff)
-        for i in range(len(spect)):
-            new_spect = spect[:i] + spect[i + 1:]
-            add((l - 1, k + spect[i] - 1, new_spect), -(coeff * spect[i]))
+        # one level down: Q_(k, spect) of V, scaled by coeff
+        for (first, *others), c in _q_items(k, spect, W.V):
+            add((l - 1, first, tuple(sorted(others, reverse=True))), coeff * c)
 
     items.append(((m0 + 1,) + rest, _neg_one_like(t[0])))
     return PowerSumPoly.build(items, nvars)

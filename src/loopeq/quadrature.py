@@ -173,6 +173,9 @@ class MomentTable:
             self.data[key] = arc_moment(self.arcs[arc_index], self.V, k, self.tol)
         return self.data[key]
 
+    def flush(self):
+        """Persist new moments; an in-memory table has nowhere to write."""
+
 
 @functools.cache
 def _perm_pairs(N: int):

@@ -47,10 +47,6 @@ class Partition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
 
 EMPTY = Partition()
 
@@ -190,10 +186,6 @@ class PowerSumPoly:
 
     def max_length(self) -> int:
         return max((len(mu) for mu in self.terms), default=0)
-
-    def weight(self) -> int:
-        """Top weight over the support."""
-        return max((mu.weight for mu in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:

@@ -186,6 +186,41 @@ def test_residuals_negative_weight_is_usage_error(pot, capsys, weight):
     assert captured.err.startswith("error:") and "--weight-max" in captured.err
 
 
+@pytest.mark.parametrize("command", ["expect", "residuals"])
+@pytest.mark.parametrize("N,n", [(0, [0]), (1.5, [1]), (True, [1]), ("1", [1]), (1, [1.0]), (1, [True])])
+def test_class_file_bad_counts_are_usage_errors(pot, capsys, command, N, n):
+    # N and each composition entry must be JSON integers; int() used to read
+    # 1.5, true and "1" as 1, and N = 0 gave a vacuous expectation of 1
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": N, "arcs": "real", "terms": [{"n": n, "c": [1, 0]}]})
+    code = main([command, "--potential", path, "--class", cls])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("body", [
+    {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": ["nan", 0]}]},
+    {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": [1, "inf"]}]},
+    {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": [1, 0]}, {"n": [1], "c": [1, 0]}]},
+    {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": 5}]},
+    {"N": 1, "arcs": "real", "terms": [{"n": 1, "c": [1, 0]}]},
+    {"N": 1, "arcs": "real", "terms": 5},
+    7,
+])
+def test_class_file_bad_terms_are_usage_errors(pot, capsys, body):
+    # a NaN coefficient printed NaN with exit 0, a repeated composition
+    # silently replaced the earlier one, and wrong shapes raised a TypeError
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", body)
+    code = main(["expect", "--potential", path, "--class", cls])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "class file" in captured.err
+
+
 def test_residuals_weight_zero_checks_q0(pot, capsys):
     # weight 0 is Q_(0), E[Tr V'(M)] = 0: one real equation
     path = pot("gauss.json", GAUSS)
