@@ -9,6 +9,7 @@ quadrature results can be cached across subcommands (--cache or LOOPEQ_CACHE).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from .contours import (
     sectors,
 )
 from .loopgen import Potential, q_polynomial, q_rational
-from .momsolve import MomentFunctional, residuals, solve_moments
+from .momsolve import MomentFunctional, loop_tuples, residuals, solve_moments
 from .quadrature import (
     MomentTable,
     QuadratureError,
@@ -49,18 +50,27 @@ class ConfigError(Exception):
     pass
 
 
-def _load_potential(path: str) -> Potential:
+def _read_json(path: str, what: str, fields=()) -> dict:
+    """The JSON object in the ``what`` file at ``path``, holding every one of ``fields``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"potential file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"potential file {path} is not valid JSON: {e}")
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"bad {what} file {path}: {e}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad {what} file {path}: expected a JSON object")
+    for f in fields:
+        if f not in data:
+            raise ConfigError(f"bad {what} file {path}: missing field '{f}'")
+    return data
+
+
+def _load_potential(path: str) -> Potential:
+    data = _read_json(path, "potential")
     try:
         return Potential.from_json(data)
     except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"bad potential in {path}: {e}")
+        raise ConfigError(f"bad potential file {path}: {e}")
 
 
 def _parse_mu(text: str) -> tuple[int, ...]:
@@ -127,19 +137,22 @@ class CachedMomentTable(MomentTable):
             self._dirty = False
 
 
-def _make_table(arcs, V, tol, cache_dir):
-    if cache_dir:
-        return CachedMomentTable(arcs, V, tol, cache_dir)
-    return MomentTable(arcs, V, tol)
-
-
-def _dump_moments_csv(table: MomentTable, path: str | None):
-    if not path:
-        return
-    with open(path, "w") as fh:
-        fh.write("arc_index,k,re,im,err\n")
-        for (arc, k), (val, err) in sorted(table.data.items()):
-            fh.write(f"{arc},{k},{val.real!r},{val.imag!r},{err!r}\n")
+@contextlib.contextmanager
+def _moment_table(arcs, V, args):
+    """The moment table of one command (on disk under ``--cache``).  Once the
+    command has filled it, new moments are flushed to the cache and the table
+    is written to ``--dump-moments``; a failing command does neither."""
+    if args.cache:
+        table = CachedMomentTable(arcs, V, args.tol, args.cache)
+    else:
+        table = MomentTable(arcs, V, args.tol)
+    yield table
+    table.flush()
+    if args.dump_moments:
+        with open(args.dump_moments, "w") as fh:
+            fh.write("arc_index,k,re,im,err\n")
+            for (arc, k), (val, err) in sorted(table.data.items()):
+                fh.write(f"{arc},{k},{val.real!r},{val.imag!r},{err!r}\n")
 
 
 def _json_int(value, what: str, minimum: int) -> int:
@@ -149,40 +162,42 @@ def _json_int(value, what: str, minimum: int) -> int:
     return value
 
 
-def _load_class(path: str, V: Potential) -> HomologyClass:
+def _json_table(entries, key: str, value: str, minimum: int, where: str) -> dict:
+    """{tuple: complex} from JSON entries {key: [int, ...], value: [re, im]}:
+    every int >= minimum, every value finite, and each key tuple given once."""
+    table = {}
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as e:
-        raise ConfigError(f"bad class file {path}: {e}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"bad class file {path}: expected a JSON object")
-    for f in ("N", "arcs", "terms"):
-        if f not in data:
-            raise ConfigError(f"class file {path} missing field '{f}'")
-    N = _json_int(data["N"], f"class file {path}: 'N'", 1)
+        for entry in entries:
+            k = tuple(_json_int(x, f"{where}: '{key}' entry", minimum) for x in entry[key])
+            re, im = (float(x) for x in entry[value])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ConfigError(f"{where}: non-finite '{value}' for {key}={list(k)}")
+            if k in table:
+                raise ConfigError(f"{where}: {key}={list(k)} appears twice")
+            table[k] = complex(re, im)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e!r}")
+    return table
+
+
+def _load_class(path: str, V: Potential) -> HomologyClass:
+    data = _read_json(path, "class", ("N", "arcs", "terms"))
+    where = f"bad class file {path}"
+    N = _json_int(data["N"], f"{where}: 'N'", 1)
     kind = data["arcs"]
     if kind == "real":
         arcs = [real_axis_contour()]
     elif kind == "circle":
-        arcs = [circle_contour(0j, float(data.get("radius", 1.0)))]
+        radius = data.get("radius", 1.0)
+        if type(radius) not in (int, float) or not 0 < radius < math.inf:
+            raise ConfigError(
+                f"{where}: 'radius' must be a finite number > 0, got {json.dumps(radius)}")
+        arcs = [circle_contour(0j, float(radius))]
     elif kind == "basis":
         arcs = basis_arcs(V)
     else:
-        raise ConfigError(f"class 'arcs' must be real|circle|basis, got {kind!r}")
-    terms = {}
-    try:
-        for entry in data["terms"]:
-            n = tuple(_json_int(x, f"class file {path}: 'n' entry", 0) for x in entry["n"])
-            re, im = (float(x) for x in entry["c"])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ConfigError(f"class file {path}: non-finite coefficient for n={list(n)}")
-            if n in terms:
-                raise ConfigError(f"class file {path}: composition n={list(n)} appears twice")
-            terms[n] = complex(re, im)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad class file {path}: {e!r}")
-    return HomologyClass.make(N, arcs, terms)
+        raise ConfigError(f"{where}: 'arcs' must be real|circle|basis, got {json.dumps(kind)}")
+    return HomologyClass.make(N, arcs, _json_table(data["terms"], "n", "c", 0, where))
 
 
 def _couplings(args) -> dict[int, Fraction]:
@@ -215,24 +230,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     V = _load_potential(args.potential)
-    try:
-        with open(args.basis) as fh:
-            basis_data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as e:
-        raise ConfigError(f"bad basis file {args.basis}: {e}")
-    if not isinstance(basis_data, dict):
-        raise ConfigError(f"bad basis file {args.basis}: expected a JSON object")
-    try:
-        d = int(basis_data.get("d", V.d))
-        values = {}
-        for entry in basis_data["values"]:
-            mu = Partition(tuple(entry["mu"]))
-            re, im = (float(x) for x in entry["value"])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ValueError(f"non-finite value for mu={list(mu)}")
-            values[mu] = complex(re, im)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad basis file {args.basis}: {e}")
+    data = _read_json(args.basis, "basis", ("values",))
+    where = f"bad basis file {args.basis}"
+    d = _json_int(data.get("d", V.d), f"{where}: 'd'", 1)
+    values = _json_table(data["values"], "mu", "value", 1, where)
     F = MomentFunctional(N=args.N, d=d, basis_values=values)
     targets = [_parse_mu(t) for t in args.targets.split(";") if t.strip()]
     out, red = solve_moments(F, V, targets)
@@ -254,15 +255,11 @@ def cmd_residuals(args) -> int:
     V = _load_potential(args.potential)
     G = _class_from_flag(args, V)
     needed = set()
-    from .momsolve import loop_tuples
-
     for mu in loop_tuples(args.weight_max):
         Q = q_polynomial(mu, V, G.N) if V.kind == "polynomial" else q_rational(mu, V, G.N)
         needed.update(Q.terms)
-    table = _make_table(G.arc_basis, V, args.tol, args.cache)
-    oracle, errors = oracle_from_quadrature(G, V, sorted(needed), args.tol, table=table)
-    table.flush()
-    _dump_moments_csv(table, args.dump_moments)
+    with _moment_table(G.arc_basis, V, args) as table:
+        oracle, errors = oracle_from_quadrature(G, V, sorted(needed), args.tol, table=table)
     report = residuals(oracle, V, G.N, args.weight_max, errors=errors)
     _emit(report.to_json(), args.out)
     return 0 if report.max_relative < args.fail_above else VERIFY_ERROR
@@ -306,10 +303,8 @@ def cmd_expect(args) -> int:
     G = _load_class(args.cls, V)
     mu = _parse_mu(args.poly) if args.poly else ()
     p = PowerSumPoly.monomial(Partition.of(mu), G.N)
-    table = _make_table(G.arc_basis, V, args.tol, args.cache)
-    val, err = expectation(G, p, V, args.tol, table=table)
-    table.flush()
-    _dump_moments_csv(table, args.dump_moments)
+    with _moment_table(G.arc_basis, V, args) as table:
+        val, err = expectation(G, p, V, args.tol, table=table)
     _emit({"re": val.real, "im": val.imag, "err": err}, args.out)
     return 0
 
@@ -317,10 +312,8 @@ def cmd_expect(args) -> int:
 def cmd_iso(args) -> int:
     V = _load_potential(args.potential)
     arcs = basis_arcs(V)
-    table = _make_table(arcs, V, args.tol, args.cache)
-    M = moment_matrix(V, args.N, args.tol, arcs=arcs, table=table)
-    table.flush()
-    _dump_moments_csv(table, args.dump_moments)
+    with _moment_table(arcs, V, args) as table:
+        M = moment_matrix(V, args.N, args.tol, arcs=arcs, table=table)
     _emit(M.to_json(), args.out)
     return 0 if M.min_scaled_singular > args.min_singular else VERIFY_ERROR
 
@@ -458,7 +451,7 @@ def main(argv=None) -> int:
         # unreachable tolerance is a configuration problem, not a falsified check
         print(f"quadrature error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, OSError, OverflowError) as e:
+    except (ValueError, KeyError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -139,23 +139,15 @@ def elbow_arc(V: Potential, j: int, secs: list[Sector] | None = None, radius: fl
     th_out = secs[j % len(secs)].center_angle
     if th_out < th_in:
         th_out += 2 * math.pi
+    start, end, label = ("sector", j - 1), ("sector", j % len(secs)), f"gamma{j}"
     if radius == 0.0:
-        segments: tuple[Segment, ...] = (
-            RaySeg(base=0j, angle=th_in, inward=True),
-            RaySeg(base=0j, angle=th_out, inward=False),
-        )
-    else:
-        segments = (
-            RaySeg(base=radius * cmath.exp(1j * th_in), angle=th_in, inward=True),
-            ArcSeg(center=0j, radius=radius, a0=th_in, a1=th_out),
-            RaySeg(base=radius * cmath.exp(1j * th_out), angle=th_out, inward=False),
-        )
-    return Contour(
-        segments=segments,
-        start=("sector", j - 1),
-        end=("sector", j % len(secs)),
-        label=f"gamma{j}",
+        return _two_rays(th_in, th_out, start, end, label)
+    segments = (
+        RaySeg(base=radius * cmath.exp(1j * th_in), angle=th_in, inward=True),
+        ArcSeg(center=0j, radius=radius, a0=th_in, a1=th_out),
+        RaySeg(base=radius * cmath.exp(1j * th_out), angle=th_out, inward=False),
     )
+    return Contour(segments=segments, start=start, end=end, label=label)
 
 
 def join_radius(V: Potential) -> float:
@@ -174,38 +166,36 @@ def join_radius(V: Potential) -> float:
     return 2.0 * bound + 1.0
 
 
-def real_axis_contour() -> Contour:
-    """The real line, oriented from -infinity to +infinity."""
+def _two_rays(th_in: float, th_out: float, start: tuple, end: tuple, label: str) -> Contour:
+    """In from infinity along angle ``th_in`` to the origin, out along ``th_out``."""
     return Contour(
         segments=(
-            RaySeg(base=0j, angle=math.pi, inward=True),
-            RaySeg(base=0j, angle=0.0, inward=False),
+            RaySeg(base=0j, angle=th_in, inward=True),
+            RaySeg(base=0j, angle=th_out, inward=False),
         ),
-        start=("ray", math.pi),
-        end=("ray", 0.0),
-        label="R",
+        start=start,
+        end=end,
+        label=label,
     )
+
+
+def real_axis_contour() -> Contour:
+    """The real line, oriented from -infinity to +infinity."""
+    return _two_rays(math.pi, 0.0, ("ray", math.pi), ("ray", 0.0), "R")
 
 
 def imaginary_axis_contour() -> Contour:
     """The imaginary axis, oriented from -i*infinity to +i*infinity."""
-    return Contour(
-        segments=(
-            RaySeg(base=0j, angle=-math.pi / 2, inward=True),
-            RaySeg(base=0j, angle=math.pi / 2, inward=False),
-        ),
-        start=("ray", -math.pi / 2),
-        end=("ray", math.pi / 2),
-        label="iR",
-    )
+    return _two_rays(-math.pi / 2, math.pi / 2, ("ray", -math.pi / 2), ("ray", math.pi / 2), "iR")
 
 
-def circle_contour(center: complex = 0j, radius: float = 1.0) -> Contour:
+def circle_contour(center: complex = 0j, radius: float = 1.0, label: str = "circle") -> Contour:
+    """The closed counterclockwise circle about ``center``."""
     return Contour(
         segments=(CircleSeg(center=center, radius=radius),),
         start=("closed",),
         end=("closed",),
-        label="circle",
+        label=label,
     )
 
 
@@ -232,14 +222,7 @@ def basis_arcs(V: Potential) -> list[Contour]:
             )
         others = [abs(p - q) for q, _ in poles if q != p]
         rad = 1.0 if not others else min(1.0, 0.4 * min(others))
-        arcs.append(
-            Contour(
-                segments=(CircleSeg(center=p, radius=rad),),
-                start=("closed",),
-                end=("closed",),
-                label=f"circle@{p:.3g}",
-            )
-        )
+        arcs.append(circle_contour(p, rad, f"circle@{p:.3g}"))
     d_inf = len(quot) - 1 if quot else -1
     if d_inf >= 1:
         Vinf = Potential.polynomial(poly_divmod(list(V.R), list(V.D))[0])  # polynomial part of V
@@ -286,7 +269,6 @@ def admissibility_check(c: Contour, V: Potential, kmax: int) -> AdmissibilityRep
         elif isinstance(seg, CircleSeg):
             for i in range(16):
                 samples.append(seg.center + seg.radius * cmath.exp(2j * math.pi * i / 16))
-    bound = 0.0
     for z in samples:
         try:
             w = abs(z) ** kmax * abs(V.exp_neg_V(z)) if z != 0 else abs(V.exp_neg_V(z))
@@ -294,7 +276,6 @@ def admissibility_check(c: Contour, V: Potential, kmax: int) -> AdmissibilityRep
             w = math.inf
         if w > worst:
             worst, worst_loc = w, z
-        bound = max(bound, w)
 
     # decay at unbounded ends: weight at the far sample must sit below the peak
     ok = math.isfinite(worst)

@@ -15,6 +15,20 @@ from typing import Mapping, Union
 Scalarish = Union[int, Fraction, "CRational"]
 
 
+def _ring_operand(op):
+    """``op`` with an int or Fraction operand lifted to CRational.  Any other type
+    gets NotImplemented, so Python asks it (an MPoly, say) or raises TypeError."""
+
+    def lifted(self, other):
+        if isinstance(other, CRational):
+            return op(self, other)
+        if isinstance(other, (int, Fraction)):
+            return op(self, CRational(other))
+        return NotImplemented
+
+    return lifted
+
+
 class CRational:
     """A complex number with exact rational real and imaginary parts."""
 
@@ -35,18 +49,19 @@ class CRational:
 
     # -- ring operations ---------------------------------------------------
 
+    @_ring_operand
     def __add__(self, other):
-        other = CRational.coerce(other)
         return CRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_ring_operand
     def __sub__(self, other):
-        other = CRational.coerce(other)
         return CRational(self.re - other.re, self.im - other.im)
 
+    @_ring_operand
     def __rsub__(self, other):
-        return CRational.coerce(other) - self
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -60,8 +75,8 @@ class CRational:
 
     __rmul__ = __mul__
 
+    @_ring_operand
     def __truediv__(self, other):
-        other = CRational.coerce(other)
         den = other.re * other.re + other.im * other.im
         if den == 0:
             raise ZeroDivisionError("division by zero CRational")
@@ -70,8 +85,9 @@ class CRational:
             (self.im * other.re - self.re * other.im) / den,
         )
 
+    @_ring_operand
     def __rtruediv__(self, other):
-        return CRational.coerce(other) / self
+        return other / self
 
     def __neg__(self):
         return CRational(-self.re, -self.im)

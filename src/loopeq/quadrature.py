@@ -41,10 +41,7 @@ TAIL_CUTOFF = 1e-18
 
 
 class QuadratureError(RuntimeError):
-    def __init__(self, message, value=None, err=None):
-        super().__init__(message)
-        self.value = value
-        self.err = err
+    """A quadrature rule cannot reach its tolerance, or the contour is inadmissible."""
 
 
 def _quad_complex(f, a: float, b: float, tol: float):
@@ -59,11 +56,7 @@ def _quad_complex(f, a: float, b: float, tol: float):
             err_abs = abs(err)
             if err_abs <= max(tol * 1e-2, tol * abs(val)) * 10 + 1e-300:
                 return val, err_abs
-    raise QuadratureError(
-        f"quadrature tolerance {tol} unreachable; achieved error {err_abs:.3e}",
-        value=val,
-        err=err_abs,
-    )
+    raise QuadratureError(f"quadrature tolerance {tol} unreachable; achieved error {err_abs:.3e}")
 
 
 def _ray_truncation(seg: RaySeg, weight, kpow: int) -> float:
@@ -116,11 +109,7 @@ def _trapezoid_circle(f, a: float, b: float, tol: float):
                 return val, last_delta
         prev = val
         m *= 2
-    raise QuadratureError(
-        f"trapezoid rule did not converge to {tol}; last delta {last_delta:.3e}",
-        value=prev,
-        err=last_delta,
-    )
+    raise QuadratureError(f"trapezoid rule did not converge to {tol}; last delta {last_delta:.3e}")
 
 
 def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
@@ -431,14 +420,9 @@ def moment_matrix(V: Potential, N: int, tol: float = 1e-12, arcs=None, table=Non
     errors = []
     for comp in rows:
         G = HomologyClass.make(N, arcs, {comp: 1.0})
-        row_vals = []
-        row_errs = []
-        for nu in cols:
-            val, err = expectation(G, PowerSumPoly.monomial(nu, N), V, tol, table=table)
-            row_vals.append(val)
-            row_errs.append(err)
-        entries.append(row_vals)
-        errors.append(row_errs)
+        row_vals, row_errs = oracle_from_quadrature(G, V, cols, tol, table=table)
+        entries.append(list(row_vals.values()))
+        errors.append(list(row_errs.values()))
     A = np.array(entries, dtype=complex)
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0] = 1.0

@@ -119,8 +119,12 @@ GOOD_BASIS = {"N": 1, "d": 2, "values": [{"mu": [], "value": [1.0, 0.0]},
     {**GOOD_BASIS, "values": [{"mu": [], "value": [None, 0]}, {"mu": [1], "value": [0.0, 0.0]}]},
     {**GOOD_BASIS, "values": [{"mu": [], "value": [1.0, 0.0]}, {"mu": [1, "a"], "value": [0.0, 0.0]}]},
     {**GOOD_BASIS, "values": [{"mu": [], "value": ["nan", 0.0]}, {"mu": [1], "value": [0.0, 0.0]}]},
-], ids=["value-scalar", "top-level-list", "value-null", "mu-not-integer", "value-nan"])
+    {**GOOD_BASIS, "values": GOOD_BASIS["values"] + [{"mu": [], "value": [5.0, 0.0]}]},
+    {**GOOD_BASIS, "d": 2.7},
+], ids=["value-scalar", "top-level-list", "value-null", "mu-not-integer", "value-nan", "mu-twice",
+        "d-float"])
 def test_solve_malformed_basis_is_usage_error(pot, capsys, basis):
+    # a repeated mu silently replaced the earlier value, and "d": 2.7 read as 2
     path = pot("cubic.json", CUBIC)
     code = main(["solve", "--potential", path, "--N", "1", "--basis", pot("basis.json", basis),
                  "--targets", "3"])
@@ -219,6 +223,35 @@ def test_class_file_bad_terms_are_usage_errors(pot, capsys, body):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "class file" in captured.err
+
+
+POLE = {"kind": "rational", "R": [["1", "0"]], "D": [["-1", "0"], ["1", "0"]]}  # V' = 1/(x - 1)
+
+
+@pytest.mark.parametrize("arcs", ["circle", "real"])
+def test_contour_through_a_pole_is_usage_error(pot, capsys, arcs):
+    # e^{-V} = 1/(x - 1) is infinite at x = 1, on the unit circle and on the
+    # real axis: a ZeroDivisionError traceback used to exit 1, "verification failure"
+    path = pot("pole.json", POLE)
+    cls = pot("class.json", {"N": 1, "arcs": arcs, "terms": [{"n": [1], "c": [1, 0]}]})
+    code = main(["expect", "--potential", path, "--class", cls])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("radius", [0, -1.0, True, "2", [1], math.nan, math.inf])
+def test_class_file_radius_must_be_a_positive_number(pot, capsys, radius):
+    # radius 0 integrated over a point, true read as 1 and "2" as 2.0
+    path = pot("pole.json", POLE)
+    cls = pot("class.json", {"N": 1, "arcs": "circle", "radius": radius,
+                             "terms": [{"n": [1], "c": [1, 0]}]})
+    code = main(["expect", "--potential", path, "--class", cls])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad class file") and "'radius'" in captured.err
 
 
 def test_residuals_weight_zero_checks_q0(pot, capsys):

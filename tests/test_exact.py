@@ -1,9 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from loopeq import CRational, MPoly
+from loopeq import CRational, MPoly, Potential, q_rational
 from conftest import rand_crational
 
 
@@ -66,3 +67,21 @@ def test_mpoly_embed_and_zero():
 def test_mpoly_var_mismatch():
     with pytest.raises(ValueError):
         MPoly.gen("N", ("N",)) + MPoly.gen("t", ("t",))
+
+
+def test_crational_defers_to_mpoly():
+    # CRational + MPoly used to raise TypeError in CRational.coerce, so Q_mu
+    # with a symbolic N failed on rational potentials
+    N = MPoly.gen("N", ("N",))
+    assert CRational(1) + N == N + CRational(1)
+    assert CRational(1) - N == -(N - CRational(1))
+    V = Potential.rational([2], [0, 1])
+    Q = q_rational((1,), V, N)
+    for n in (1, 2, 3):
+        at_n = {mu: c.eval({"N": n}) for mu, c in Q.terms.items()}
+        assert {mu: c for mu, c in at_n.items() if c} == {
+            mu: c for mu, c in q_rational((1,), V, n).terms.items() if c}
+    for a, b in ((CRational(1), 1.5), (1.5, CRational(1))):  # floats stay refused
+        for op in (operator.add, operator.sub, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, b)
