@@ -164,18 +164,25 @@ def _json_int(value, what: str, minimum: int) -> int:
 
 def _json_table(entries, key: str, value: str, minimum: int, where: str) -> dict:
     """{tuple: complex} from JSON entries {key: [int, ...], value: [re, im]}:
-    every int >= minimum, every value finite, and each key tuple given once."""
+    every int >= minimum, re and im finite JSON numbers (no string, bool or
+    null), and each key tuple given once."""
     table = {}
     try:
         for entry in entries:
             k = tuple(_json_int(x, f"{where}: '{key}' entry", minimum) for x in entry[key])
-            re, im = (float(x) for x in entry[value])
+            pair = entry[value]
+            if (type(pair) is not list or len(pair) != 2
+                    or any(type(x) not in (int, float) for x in pair)):
+                raise ConfigError(
+                    f"{where}: '{value}' for {key}={list(k)} must be [re, im], two numbers,"
+                    f" got {json.dumps(pair)}")
+            re, im = float(pair[0]), float(pair[1])
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ConfigError(f"{where}: non-finite '{value}' for {key}={list(k)}")
             if k in table:
                 raise ConfigError(f"{where}: {key}={list(k)} appears twice")
             table[k] = complex(re, im)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{where}: {e!r}")
     return table
 

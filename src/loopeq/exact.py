@@ -1,18 +1,38 @@
 """Exact coefficient arithmetic: Gaussian rationals and multivariate Laurent polynomials.
 
 Every symbolic computation in this package runs over Q(i); floating point only
-enters through quadrature.  ``CRational`` wraps a pair of ``fractions.Fraction``
-values, ``MPoly`` is a sparse Laurent polynomial over ``CRational`` in a fixed
-tuple of named generators (used for symbolic potentials, the symbol N, and the
-map-model couplings).
+enters through quadrature.  ``CRational`` is a Gaussian integer over one
+positive integer denominator, so its ring operations are integer arithmetic
+plus one gcd; ``MPoly`` is a sparse Laurent polynomial over ``CRational`` in a
+fixed tuple of named generators (used for symbolic potentials, the symbol N,
+and the map-model couplings).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 Scalarish = Union[int, Fraction, "CRational"]
+
+_new = object.__new__
+
+
+def _gauss(n: int, m: int, d: int) -> "CRational":
+    """(n + i m) / d for d > 0, in lowest terms: the one constructor every
+    CRational comes from."""
+    if d != 1:
+        g = gcd(n, m, d)
+        if g != 1:
+            n //= g
+            m //= g
+            d //= g
+    z = _new(CRational)
+    z.n = n
+    z.m = m
+    z.d = d
+    return z
 
 
 def _ring_operand(op):
@@ -30,14 +50,31 @@ def _ring_operand(op):
 
 
 class CRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as three ints: the value is ``(n + i m) / d`` with ``d > 0`` and
+    ``gcd(n, m, d) == 1``, so equal values have equal fields.  ``re`` and
+    ``im`` give the parts as ``Fraction`` in lowest terms.
+    """
 
-    def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
-        # every ring operation passes Fractions; wrapping them again is pure cost
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    __slots__ = ("n", "m", "d")
+
+    def __new__(cls, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
+        if type(re) is int and type(im) is int:
+            return _gauss(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        a, b = re.denominator, im.denominator
+        return _gauss(re.numerator * b, im.numerator * a, a * b)
+
+    from_ints = staticmethod(_gauss)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.m, self.d)
 
     @staticmethod
     def coerce(x: Scalarish) -> "CRational":
@@ -51,46 +88,46 @@ class CRational:
 
     @_ring_operand
     def __add__(self, other):
-        return CRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _gauss(self.n + other.n, self.m + other.m, d)
+        return _gauss(self.n * e + other.n * d, self.m * e + other.m * d, d * e)
 
     __radd__ = __add__
 
     @_ring_operand
     def __sub__(self, other):
-        return CRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _gauss(self.n - other.n, self.m - other.m, d)
+        return _gauss(self.n * e - other.n * d, self.m * e - other.m * d, d * e)
 
     @_ring_operand
     def __rsub__(self, other):
         return other - self
 
+    @_ring_operand
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CRational(self.re * other, self.im * other)
-        if not isinstance(other, CRational):
-            return NotImplemented
-        return CRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        n, m, p, q = self.n, self.m, other.n, other.m
+        return _gauss(n * p - m * q, n * q + m * p, self.d * other.d)
 
     __rmul__ = __mul__
 
     @_ring_operand
     def __truediv__(self, other):
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        n, m, p, q, e = self.n, self.m, other.n, other.m, other.d
+        den = p * p + q * q
+        if not den:
             raise ZeroDivisionError("division by zero CRational")
-        return CRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        # (n + i m)/d * e/(p + i q) = (n + i m)(p - i q) e / (d (p^2 + q^2))
+        return _gauss((n * p + m * q) * e, (m * p - n * q) * e, self.d * den)
 
     @_ring_operand
     def __rtruediv__(self, other):
         return other / self
 
     def __neg__(self):
-        return CRational(-self.re, -self.im)
+        return _gauss(-self.n, -self.m, self.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -109,31 +146,40 @@ class CRational:
     # -- comparisons and helpers -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
         if isinstance(other, CRational):
-            return self.re == other.re and self.im == other.im
+            return self.n == other.n and self.m == other.m and self.d == other.d
+        if isinstance(other, int):
+            return self.m == 0 and self.d == 1 and self.n == other
+        if isinstance(other, Fraction):
+            return self.m == 0 and self.n == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
+        # a real value hashes like the int or Fraction it equals
+        if self.m == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.n != 0 or self.m != 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, and raises OverflowError, just as
+        # float(Fraction) does; the sum keeps the signed zeros of
+        # complex(re) + 1j * complex(im)
+        return complex(self.n / self.d) + 1j * complex(self.m / self.d)
 
     def __complex__(self):
         return self.to_complex()
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
     def __repr__(self):
         return f"CRational({self.re!r}, {self.im!r})"

@@ -6,14 +6,14 @@ Any functional annihilating every Q_mu is determined by its values on
 the top term (dividing by the nonzero leading potential coefficient) and
 recurses, each step strictly lowering total weight; partitions longer than N
 first go through ``reduce_length``.  Linear forms are kept as Gaussian-integer
-numerators over one denominator, so combining them is integer arithmetic;
-``Fraction`` appears only in the coefficients read in and handed out.
+numerators over one denominator, so combining them is integer arithmetic; the
+``CRational`` coefficients read in and handed out are themselves ``(n, m, d)``
+integer triples, which the forms read and build directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
@@ -63,27 +63,20 @@ class MomentFunctional:
 Form = tuple[int, dict[Partition, tuple[int, int]]]
 
 
-def _gaussian(c: CRational) -> tuple[int, int, int]:
-    """c as (re, im, den): integer numerators over one positive denominator."""
-    re, im = c.re, c.im
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
-
-
-def _combine(terms: Sequence[tuple[tuple[int, int, int], Form]]) -> Form:
-    """sum_j c_j * form_j, with c_j given by ``_gaussian``.
+def _combine(terms: Sequence[tuple[CRational, Form]]) -> Form:
+    """sum_j c_j * form_j.
 
     Every term is put over the lcm of the term denominators, the numerators
     are accumulated as ints and the result is divided by one gcd.  Basis
     elements keep their order of first appearance; zero entries are dropped.
     """
-    dens = [cden * fden for (_, _, cden), (fden, _) in terms]
+    dens = [c.d * fden for c, (fden, _) in terms]
     den = lcm(*dens)
     acc_re: dict[Partition, int] = {}
     acc_im: dict[Partition, int] = {}
-    for ((cre, cim, _), (_, coeffs)), term_den in zip(terms, dens):
+    for (c, (_, coeffs)), term_den in zip(terms, dens):
         scale = den // term_den
-        cre, cim = cre * scale, cim * scale
+        cre, cim = c.n * scale, c.m * scale
         for b, (x, y) in coeffs.items():
             acc_re[b] = acc_re.get(b, 0) + cre * x - cim * y
             acc_im[b] = acc_im.get(b, 0) + cre * y + cim * x
@@ -125,7 +118,7 @@ class LoopReducer:
 
     def reduce(self, mu: Sequence[int]) -> dict[Partition, CRational]:
         den, coeffs = self._reduce(Partition.of(mu))
-        return {b: CRational(Fraction(re, den), Fraction(im, den)) for b, (re, im) in coeffs.items()}
+        return {b: CRational.from_ints(re, im, den) for b, (re, im) in coeffs.items()}
 
     def _track(self, form: Form):
         den, coeffs = form
@@ -140,7 +133,7 @@ class LoopReducer:
             return form
         if len(mu) > self.N:
             poly = reduce_length(PowerSumPoly.monomial(mu, self.N), self.N)
-            form = _combine([(_gaussian(c), self._reduce(nu)) for nu, c in poly.terms.items()])
+            form = _combine([(c, self._reduce(nu)) for nu, c in poly.terms.items()])
         elif all(p <= self.d - 1 for p in mu):
             form = (1, {mu: (1, 0)})
         else:
@@ -156,7 +149,7 @@ class LoopReducer:
             lead = Q.terms.get(top)
             if lead is None or not lead:
                 raise RuntimeError(f"expected top term p_{tuple(top)} in Q_{qmu}")
-            form = _combine([(_gaussian(-c / lead), self._reduce(nu))
+            form = _combine([(-c / lead, self._reduce(nu))
                              for nu, c in Q.terms.items() if nu != top])
         self._memo[mu] = form
         self._track(form)

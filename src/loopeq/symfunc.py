@@ -365,8 +365,12 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
             q *= den // mult
             for nu, a in coeffs.items():
                 expansion[nu] = expansion.get(nu, 0) + q * a
-        for nu, a in expansion.items():
-            add(nu, c * Fraction(a, den))
+        if type(c) is CRational:
+            for nu, a in expansion.items():
+                add(nu, CRational.from_ints(c.n * a, c.m * a, c.d * den))
+        else:
+            for nu, a in expansion.items():
+                add(nu, c * CRational.from_ints(a, 0, den))
     return PowerSumPoly(out, p.nvars)
 
 

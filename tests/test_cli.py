@@ -225,6 +225,47 @@ def test_class_file_bad_terms_are_usage_errors(pot, capsys, body):
     assert captured.err.startswith("error:") and "class file" in captured.err
 
 
+BAD_PAIRS = [["2", True], ["2", 0], [1, True], [None, 0], [1, None], [1], [1, 0, 0], "12",
+             {"re": 1, "im": 0}, [[1], 0], [10 ** 400, 0]]
+BAD_PAIR_IDS = ["str-bool", "str", "bool", "null-re", "null-im", "one-entry", "three-entries",
+                "string-of-two", "object", "nested-list", "int-too-large"]
+
+
+@pytest.mark.parametrize("c", BAD_PAIRS, ids=BAD_PAIR_IDS)
+def test_class_coefficient_must_be_two_numbers(pot, capsys, c):
+    # float() read "2" as 2 and true as 1, so ["2", true] printed 2+1i times Z with exit 0
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": c}]})
+    code = main(["expect", "--potential", path, "--class", cls])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad class file") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", BAD_PAIRS, ids=BAD_PAIR_IDS)
+def test_basis_value_must_be_two_numbers(pot, capsys, value):
+    path = pot("cubic.json", CUBIC)
+    basis = {**GOOD_BASIS, "values": [{"mu": [], "value": value}, {"mu": [1], "value": [0.0, 0.0]}]}
+    code = main(["solve", "--potential", path, "--N", "1", "--basis", pot("basis.json", basis),
+                 "--targets", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad basis file") and "Traceback" not in captured.err
+
+
+def test_integer_and_float_coefficients_read_alike(pot, tmp_path, capsys):
+    path = pot("gauss.json", GAUSS)
+    outs = []
+    for c in ([2, -1], [2.0, -1.0]):
+        cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": c}]})
+        out = tmp_path / f"{type(c[0]).__name__}.json"
+        assert main(["expect", "--potential", path, "--class", cls, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 POLE = {"kind": "rational", "R": [["1", "0"]], "D": [["-1", "0"], ["1", "0"]]}  # V' = 1/(x - 1)
 
 

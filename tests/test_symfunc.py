@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from loopeq import (
     CRational,
+    MPoly,
     Partition,
     PowerSumPoly,
     eval_powersum,
@@ -127,6 +129,17 @@ def test_reduce_length_random_exactness():
         assert red.max_length() <= N
         pts = distinct_rational_points(rng, N)
         assert eval_powersum(red, pts) == eval_powersum(p, pts)
+
+
+def test_reduce_length_scales_any_ring_coefficient():
+    # CRational coefficients are scaled in ints; ints and MPoly go through the ring product
+    c = CRational(Fraction(-3, 4), Fraction(5, 6))
+    t = MPoly.gen("t", ("t",))
+    for mu, N in (((1, 1, 1), 2), ((3, 2, 2, 1), 3), ((2, 1, 1, 1, 1), 2)):
+        unit = reduce_length(PowerSumPoly.monomial(mu, N), N).terms
+        for coeff in (c, 3, t * c):
+            red = reduce_length(PowerSumPoly.monomial(mu, N, coeff=coeff), N)
+            assert red.terms == {nu: coeff * v for nu, v in unit.items()}
 
 
 def test_reduce_length_is_projection_and_preserves_weight():
