@@ -56,7 +56,6 @@ from .discriminator import (
     DiscriminatorEngine,
     DiscriminatorReport,
     SaddleSet,
-    discriminator_ratio,
     discriminator_report,
     lagrange_f,
     saddle_points,

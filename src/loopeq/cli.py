@@ -219,6 +219,25 @@ def _couplings(args) -> dict[int, Fraction]:
     return out
 
 
+def _finite_arg(text: str) -> float:
+    """A finite float flag value; argparse names the flag in the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tol_arg(text: str) -> float:
+    """A quadrature tolerance: finite with 0 < tol < 1."""
+    value = _finite_arg(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 < tol < 1, got {text!r}")
+    return value
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -266,7 +285,7 @@ def cmd_residuals(args) -> int:
         Q = q_polynomial(mu, V, G.N) if V.kind == "polynomial" else q_rational(mu, V, G.N)
         needed.update(Q.terms)
     with _moment_table(G.arc_basis, V, args) as table:
-        oracle, errors = oracle_from_quadrature(G, V, sorted(needed), args.tol, table=table)
+        oracle, errors = oracle_from_quadrature(G, sorted(needed), table)
     report = residuals(oracle, V, G.N, args.weight_max, errors=errors)
     _emit(report.to_json(), args.out)
     return 0 if report.max_relative < args.fail_above else VERIFY_ERROR
@@ -301,7 +320,7 @@ def cmd_contours(args) -> int:
             {"index": s.index, "center_angle": s.center_angle, "half_width": s.half_width}
             for s in sectors(V)
         ]
-    _emit(data, args.emit or args.out)
+    _emit(data, args.out)
     return 0
 
 
@@ -311,16 +330,15 @@ def cmd_expect(args) -> int:
     mu = _parse_mu(args.poly) if args.poly else ()
     p = PowerSumPoly.monomial(Partition.of(mu), G.N)
     with _moment_table(G.arc_basis, V, args) as table:
-        val, err = expectation(G, p, V, args.tol, table=table)
+        val, err = expectation(G, p, table)
     _emit({"re": val.real, "im": val.imag, "err": err}, args.out)
     return 0
 
 
 def cmd_iso(args) -> int:
     V = _load_potential(args.potential)
-    arcs = basis_arcs(V)
-    with _moment_table(arcs, V, args) as table:
-        M = moment_matrix(V, args.N, args.tol, arcs=arcs, table=table)
+    with _moment_table(basis_arcs(V), V, args) as table:
+        M = moment_matrix(table, args.N)
     _emit(M.to_json(), args.out)
     return 0 if M.min_scaled_singular > args.min_singular else VERIFY_ERROR
 
@@ -391,29 +409,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, moments=True)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--weight-max", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--fail-above", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol_arg, default=1e-12)
+    p.add_argument("--fail-above", type=_finite_arg, default=1e-8)
     p.add_argument("--class", dest="cls", default=None, help="homology class JSON")
     p.add_argument("--gamma", choices=["real", "circle"], default=None)
     p.set_defaults(func=cmd_residuals)
 
     p = sub.add_parser("contours", help="emit sampled basis arcs as polylines")
     common(p)
-    p.add_argument("--emit", default=None, help="output path (same as --out)")
     p.set_defaults(func=cmd_contours)
 
     p = sub.add_parser("expect", help="moment functional value on a class")
     common(p, moments=True)
     p.add_argument("--class", dest="cls", required=True, help="homology class JSON")
     p.add_argument("--poly", default="", help="partition, e.g. 2,1 (empty = Z)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol_arg, default=1e-10)
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("iso", help="moment matrix + singular values (isomorphism witness)")
     common(p, moments=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--min-singular", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol_arg, default=1e-12)
+    p.add_argument("--min-singular", type=_finite_arg, default=1e-8)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("maps", help="map generating series by edge count")
@@ -436,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--delta-tol", type=float, default=0.2)
+    p.add_argument("--tol", type=_tol_arg, default=1e-9)
+    p.add_argument("--delta-tol", type=_finite_arg, default=0.2)
     p.set_defaults(func=cmd_discrim)
 
     return ap

@@ -232,10 +232,6 @@ class DiscriminatorEngine:
         self._prims[key] = total, err
         return total, err
 
-    def _arc_primitive(self, arc: int, c: int, extra: int) -> complex:
-        """Same integral over basis arc ``arc`` = ray(other) - ray(anchor)."""
-        return self._body_moment((arc, c), extra)[0]
-
     # -- N-body expectations ---------------------------------------------------
 
     def _body_moment(self, body: tuple[int, int], k: int) -> tuple[complex, float]:
@@ -347,10 +343,6 @@ class DiscriminatorReport:
                 for (n, m), v in sorted(self.ratios.items())
             ],
         }
-
-
-def discriminator_ratio(n, m, r: int, V: Potential, tol: float = 1e-9) -> complex:
-    return DiscriminatorEngine(V, r, tol).ratio(tuple(n), tuple(m))
 
 
 def discriminator_report(V: Potential, r: int, N: int, tol: float = 1e-9) -> DiscriminatorReport:

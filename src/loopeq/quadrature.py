@@ -11,6 +11,11 @@ N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
 *Log-gases and Random Matrices*, ch. 1) from N = 3 on.  Everything downstream
 is exact bookkeeping plus worst-case error propagation.
 
+A ``MomentTable`` is the one owner of the arcs, the potential and the
+tolerance.  The N-body entry points ``expectation``, ``oracle_from_quadrature``
+and ``moment_matrix`` take a table and read all three from it; ``expectation``
+refuses a table whose arcs are not the class's arc basis.
+
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, so a change in
 the last bit of a moment or a product moves their reported residuals, and the
@@ -148,10 +153,12 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
 
 
 class MomentTable:
-    """Lazy cache of 1-D arc moments m_j(k) with error estimates."""
+    """Lazy cache of 1-D arc moments m_j(k) with error estimates: the one
+    owner of the arcs, the potential and the quadrature tolerance that every
+    N-body assembly over it uses."""
 
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
-        self.arcs = list(arcs)
+        self.arcs = tuple(arcs)
         self.V = V
         self.tol = tol
         self.data: dict[tuple[int, int], tuple[complex, float]] = {}
@@ -304,14 +311,9 @@ def _laplace_sum(moment, word, mu):
     return scale * av[-1], scale * ae[-1]
 
 
-def expectation(
-    G: HomologyClass,
-    p: PowerSumPoly,
-    V: Potential,
-    tol: float = 1e-12,
-    table: MomentTable | None = None,
-):
-    """E_Gamma(p) = integral of p * Delta^2 * prod e^{-V}, with error estimate.
+def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
+    """E_Gamma(p) = integral of p * Delta^2 * prod e^{-V}, with error estimate,
+    over the 1-D moments of ``table``, whose arcs must be the class's basis.
 
     Each (composition, p_mu) cell is one ``vandermonde_sum`` over tabulated
     1-D moments: (N!)^2 N^len(mu) products up to N = 2, about
@@ -321,6 +323,8 @@ def expectation(
     N = G.N
     if N > MAX_VARS:
         raise ValueError(f"N={N} exceeds the assembly cap N <= {MAX_VARS}")
+    if G.arc_basis != table.arcs:
+        raise ValueError("moment table arcs differ from the class's arc basis")
     if isinstance(p.nvars, int) and p.nvars != N:
         raise ValueError(f"polynomial is for {p.nvars} variables, class has N={N}")
     if p.max_length() > N:
@@ -328,8 +332,6 @@ def expectation(
         p = reduce_length(p, N)
     if p.max_length() > MAX_PARTS:
         raise ValueError(f"partition length {p.max_length()} exceeds cap {MAX_PARTS}")
-    if table is None:
-        table = MomentTable(G.arc_basis, V, tol)
     total = 0j
     err_total = 0.0
     for comp, ccoef in G.terms:
@@ -350,25 +352,17 @@ def expectation(
     return total, err_total
 
 
-def oracle_from_quadrature(
-    G: HomologyClass,
-    V: Potential,
-    partitions,
-    tol: float = 1e-12,
-    table: MomentTable | None = None,
-):
+def oracle_from_quadrature(G: HomologyClass, partitions, table: MomentTable):
     """Tabulate E(p_nu) with error estimates (the empty partition gives Z).
 
     Returns (values, errors), both keyed by partition.
     """
-    if table is None:
-        table = MomentTable(G.arc_basis, V, tol)
     values: dict[Partition, complex] = {}
     errors: dict[Partition, float] = {}
     for nu in partitions:
         nu = Partition(tuple(nu))
         poly = PowerSumPoly.monomial(nu, G.N)
-        val, err = expectation(G, poly, V, tol, table=table)
+        val, err = expectation(G, poly, table)
         values[nu] = val
         errors[nu] = err
     return values, errors
@@ -403,24 +397,19 @@ class MomentMatrix:
         }
 
 
-def moment_matrix(V: Potential, N: int, tol: float = 1e-12, arcs=None, table=None) -> MomentMatrix:
-    """Fill E_{gamma^n}(p_nu) over the full basis x box grid and report the
-    singular values of the column-scaled matrix."""
-    from .contours import basis_arcs
-
-    arcs = list(arcs) if arcs is not None else basis_arcs(V)
-    d = V.d
+def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
+    """Fill E_{gamma^n}(p_nu) over the full basis x box grid, rows over
+    ``table.arcs``, and report the singular values of the column-scaled matrix."""
+    d = table.V.d
     size = hn_dimension(N, d)
     rows = compositions(N, d)
     cols = partitions_in_box(N, d - 1)
     assert len(rows) == len(cols) == size
-    if table is None:
-        table = MomentTable(arcs, V, tol)
     entries = []
     errors = []
     for comp in rows:
-        G = HomologyClass.make(N, arcs, {comp: 1.0})
-        row_vals, row_errs = oracle_from_quadrature(G, V, cols, tol, table=table)
+        G = HomologyClass.make(N, table.arcs, {comp: 1.0})
+        row_vals, row_errs = oracle_from_quadrature(G, cols, table)
         entries.append(list(row_vals.values()))
         errors.append(list(row_errs.values()))
     A = np.array(entries, dtype=complex)

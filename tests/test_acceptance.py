@@ -60,7 +60,7 @@ def test_criterion_1_isomorphism_witness():
     ]
     for N, V, size in configs:
         t0 = time.time()
-        M = moment_matrix(V, N, 1e-12)
+        M = moment_matrix(MomentTable(basis_arcs(V), V, 1e-12), N)
         dt = time.time() - t0
         ok = (
             len(M.rows) == len(M.cols) == size == hn_dimension(N, V.d)
@@ -82,7 +82,7 @@ def test_criterion_2_quartic_residuals():
     for mu in loop_tuples(6):
         needed.update(q_polynomial(mu, V, 2).terms)
     table = MomentTable(G.arc_basis, V, 1e-12)
-    oracle, errors = oracle_from_quadrature(G, V, sorted(needed), 1e-12, table=table)
+    oracle, errors = oracle_from_quadrature(G, sorted(needed), table)
     rep = residuals(oracle, V, 2, 6, errors=errors)
     dt = time.time() - t0
     ok = rep.max_relative < 1e-8 and dt < 30.0
@@ -94,8 +94,8 @@ def test_criterion_3_gaussian_anchors():
     V = Potential.polynomial([0, 1])
     G = real_power_class(2)
     table = MomentTable(G.arc_basis, V, 1e-12)
-    Z, _ = expectation(G, PowerSumPoly.monomial((), 2), V, 1e-12, table=table)
-    p2, _ = expectation(G, PowerSumPoly.monomial((2,), 2), V, 1e-12, table=table)
+    Z, _ = expectation(G, PowerSumPoly.monomial((), 2), table)
+    p2, _ = expectation(G, PowerSumPoly.monomial((2,), 2), table)
     ok_z = abs(Z - 4 * math.pi) < 1e-10
     ok_ratio = abs(p2 / Z - 4.0) < 1e-10
     N = MPoly.gen("N", ("N",))
@@ -136,7 +136,7 @@ def test_criterion_5_haar_circle():
     for mu in loop_tuples(4):
         needed.update(q_rational(mu, V, 2).terms)
     table = MomentTable(G.arc_basis, V, 1e-13)
-    oracle, errors = oracle_from_quadrature(G, V, sorted(needed), 1e-13, table=table)
+    oracle, errors = oracle_from_quadrature(G, sorted(needed), table)
     rep = residuals(oracle, V, 2, 4, errors=errors)
     Z = oracle[Partition(())]
     ok_dim = hn_dimension(2, V.d) == 1
@@ -159,14 +159,14 @@ def test_criterion_6_reduction_round_trip():
     table = MomentTable(arcs, V, 1e-12)
     basis_values = {}
     for nu in partitions_in_box(2, 1):
-        val, _ = expectation(G, PowerSumPoly.monomial(nu, 2), V, 1e-12, table=table)
+        val, _ = expectation(G, PowerSumPoly.monomial(nu, 2), table)
         basis_values[nu] = val
     F = MomentFunctional(N=2, d=2, basis_values=basis_values)
     targets = [p for w in range(9) for p in partitions_of_weight(w)]
     vals, _ = solve_moments(F, V, targets)
     worst = 0.0
     for mu, v in vals.items():
-        direct, _ = expectation(G, PowerSumPoly.monomial(mu, 2), V, 1e-12, table=table)
+        direct, _ = expectation(G, PowerSumPoly.monomial(mu, 2), table)
         worst = max(worst, abs(v - direct) / max(abs(direct), 1e-30))
     dt = time.time() - t0
     ok = worst < 1e-6
@@ -264,18 +264,18 @@ def test_criterion_9_property_suites():
     rng = random.Random(99)
     for _ in range(50):
         parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
-        v1, _ = expectation(G, PowerSumPoly.monomial(Partition.of(parts), 2), V, 1e-12, table=table)
+        v1, _ = expectation(G, PowerSumPoly.monomial(Partition.of(parts), 2), table)
         rng.shuffle(parts)
         v2, _ = expectation(
-            G, PowerSumPoly.build([(tuple(parts), CRational(1))], 2), V, 1e-12, table=table
+            G, PowerSumPoly.build([(tuple(parts), CRational(1))], 2), table
         )
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         pa = PowerSumPoly.monomial(Partition.of(parts), 2)
         pb = PowerSumPoly.monomial((2,), 2)
         combo = pa.scale(CRational(a)) + pb.scale(CRational(b))
-        v3, _ = expectation(G, combo, V, 1e-12, table=table)
-        v4, _ = expectation(G, pb, V, 1e-12, table=table)
+        v3, _ = expectation(G, combo, table)
+        v4, _ = expectation(G, pb, table)
         assert abs(v3 - (a * v1 + b * v4)) < 1e-9
     dt = time.time() - t0
     report("criterion 9c", True, f"linearity + permutation symmetry on 50 cases, total {dt:.1f}s")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -69,8 +70,8 @@ def test_expect_and_cache_determinism(pot, tmp_path, capsys):
     code = main(["expect", "--potential", path, "--class", cls, "--poly", "2",
                  "--tol", "1e-10", "--cache", cache, "--out", out2])
     assert code == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    data = json.loads(open(out1).read())
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    data = json.loads(Path(out1).read_text())
     assert abs(data["re"] - 16 * math.pi) < 1e-8
     assert os.path.exists(os.path.join(cache, "moments.json"))
 
@@ -145,6 +146,35 @@ def test_iso_fails_when_threshold_unreachable(pot, capsys):
     path = pot("cubic.json", CUBIC)
     code, _ = run(["iso", "--potential", path, "--N", "1", "--min-singular", "10.0"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("iso", "--tol", "inf"),
+    ("iso", "--tol", "nan"),
+    ("iso", "--tol", "0"),
+    ("iso", "--tol", "-1"),
+    ("iso", "--tol", "1"),
+    ("expect", "--tol", "inf"),
+    ("residuals", "--tol", "0"),
+    ("discrim", "--tol", "2"),
+    ("iso", "--min-singular", "nan"),
+    ("iso", "--min-singular", "inf"),
+    ("residuals", "--fail-above", "nan"),
+    ("residuals", "--fail-above", "inf"),
+    ("discrim", "--delta-tol", "nan"),
+])
+def test_bad_tolerance_or_threshold_is_usage_error(pot, capsys, command, flag, value):
+    # --tol inf reported a witness with error bars larger than its entries as
+    # verified, and a NaN threshold failed every check with exit 1
+    path = pot("cubic.json", CUBIC)
+    cls = pot("class.json", {"N": 2, "arcs": "basis", "terms": [{"n": [2, 0], "c": [1, 0]}]})
+    needs = {"iso": ["--N", "2"], "expect": ["--class", cls], "residuals": ["--class", cls],
+             "discrim": ["--r", "60"]}
+    code = main([command, "--potential", path, *needs[command], flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
 
 
 def test_residuals_gamma_real(pot, capsys):
@@ -322,9 +352,9 @@ def test_solve_roundtrip(pot, tmp_path, capsys):
 def test_contours_polylines(pot, tmp_path, capsys):
     path = pot("cubic.json", CUBIC)
     out = str(tmp_path / "arcs.json")
-    code = main(["contours", "--potential", path, "--emit", out])
+    code = main(["contours", "--potential", path, "--out", out])
     assert code == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert len(data["arcs"]) == 2
     assert all(a["admissible"] for a in data["arcs"])
     assert len(data["sectors"]) == 3

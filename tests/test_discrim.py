@@ -7,7 +7,6 @@ import pytest
 from loopeq import (
     DiscriminatorEngine,
     Potential,
-    discriminator_ratio,
     lagrange_f,
     saddle_points,
 )
@@ -75,7 +74,7 @@ def test_lagrange_two_nodes(gauss):
 
 
 def test_gaussian_ratio_converges(gauss):
-    v = discriminator_ratio((1,), (1,), 60, gauss, 1e-9)
+    v = DiscriminatorEngine(gauss, 60, 1e-9).ratio((1,), (1,))
     assert abs(v - 1) < 0.05
 
 
@@ -134,7 +133,10 @@ def test_dynamic_range_guard(gauss):
 @pytest.mark.parametrize("r", [25, 60, 100])
 def test_two_body_expectation_is_hand_expanded_vandermonde(cubic, r):
     eng = DiscriminatorEngine(cubic, r, 1e-9)
-    A = eng._arc_primitive
+
+    def A(arc, c, extra):
+        return eng._body_moment((arc, c), extra)[0]
+
     for n in compositions(2, 2):
         word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
         for m in compositions(2, 2):

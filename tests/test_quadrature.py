@@ -77,9 +77,11 @@ def test_arc_moment_circle_residue(haar2):
 
 def test_expectation_gaussian_anchors(gauss):
     G = real_power_class(2)
-    Z, _ = expectation(G, PowerSumPoly.monomial((), 2), gauss, 1e-12)
+    Z, _ = expectation(G, PowerSumPoly.monomial((), 2), MomentTable(G.arc_basis, gauss, 1e-12))
     assert abs(Z - 4 * math.pi) < 1e-10
-    p2, _ = expectation(G, PowerSumPoly.monomial((2,), 2), gauss, 1e-12)
+    p2, _ = expectation(
+        G, PowerSumPoly.monomial((2,), 2), MomentTable(G.arc_basis, gauss, 1e-12)
+    )
     assert abs(p2 - 16 * math.pi) < 1e-9
     assert abs(p2 / Z - 4.0) < 1e-10
 
@@ -87,7 +89,8 @@ def test_expectation_gaussian_anchors(gauss):
 def test_expectation_single_variable_is_arc_moment(gauss):
     G = real_power_class(1)
     for k in (0, 1, 2, 3, 4):
-        v, _ = expectation(G, PowerSumPoly.monomial((k,) if k else (), 1), gauss, 1e-12)
+        p = PowerSumPoly.monomial((k,) if k else (), 1)
+        v, _ = expectation(G, p, MomentTable(G.arc_basis, gauss, 1e-12))
         m, _ = arc_moment(real_axis_contour(), gauss, k, 1e-12)
         assert abs(v - m) < 1e-10
 
@@ -98,7 +101,7 @@ def test_expectation_vs_brute_tensor(N, quartic):
     table = MomentTable(G.arc_basis, quartic, 1e-12)
     for mu in [(), (2,), (2, 1, 1)]:
         poly = PowerSumPoly.monomial(Partition.of(mu), N)
-        v, _ = expectation(G, poly, quartic, 1e-12, table=table)
+        v, _ = expectation(G, poly, table)
         brute = brute_tensor_expectation(quartic, N, mu)
         assert abs(v - brute) <= 1e-7 * max(1.0, abs(brute))
 
@@ -110,17 +113,17 @@ def test_expectation_permutation_and_linearity(gauss):
     for _ in range(25):
         parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
         mu_sorted = Partition.of(parts)
-        v1, _ = expectation(G, PowerSumPoly.monomial(mu_sorted, 2), gauss, 1e-12, table=table)
+        v1, _ = expectation(G, PowerSumPoly.monomial(mu_sorted, 2), table)
         rng.shuffle(parts)
         p_shuffled = PowerSumPoly.build([(tuple(parts), CRational(1))], 2)
-        v2, _ = expectation(G, p_shuffled, gauss, 1e-12, table=table)
+        v2, _ = expectation(G, p_shuffled, table)
         assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         combo = PowerSumPoly.monomial(mu_sorted, 2).scale(CRational(a)) + PowerSumPoly.monomial(
             (1,), 2
         ).scale(CRational(b))
-        v3, _ = expectation(G, combo, gauss, 1e-12, table=table)
-        v4, _ = expectation(G, PowerSumPoly.monomial((1,), 2), gauss, 1e-12, table=table)
+        v3, _ = expectation(G, combo, table)
+        v4, _ = expectation(G, PowerSumPoly.monomial((1,), 2), table)
         assert abs(v3 - (a * v1 + b * v4)) < 1e-10
 
 
@@ -131,9 +134,9 @@ def test_expectation_class_linearity(cubic):
     vals = {}
     for comp in [(2, 0), (1, 1), (0, 2)]:
         G = HomologyClass.make(2, arcs, {comp: 1.0})
-        vals[comp], _ = expectation(G, p, cubic, 1e-12, table=table)
+        vals[comp], _ = expectation(G, p, table)
     Gmix = HomologyClass.make(2, arcs, {(2, 0): 2.0, (1, 1): -1.5j, (0, 2): 0.25})
-    vmix, _ = expectation(Gmix, p, cubic, 1e-12, table=table)
+    vmix, _ = expectation(Gmix, p, table)
     expect = 2.0 * vals[(2, 0)] - 1.5j * vals[(1, 1)] + 0.25 * vals[(0, 2)]
     assert abs(vmix - expect) < 1e-10 * max(1.0, abs(expect))
 
@@ -145,8 +148,8 @@ def test_expectation_deformation_invariance(gauss):
         G0 = HomologyClass.make(2, [c0], {(2,): 1.0})
         G1 = HomologyClass.make(2, [c1], {(2,): 1.0})
         p = PowerSumPoly.monomial(Partition.of(mu), 2)
-        v0, e0 = expectation(G0, p, gauss, 1e-12)
-        v1, e1 = expectation(G1, p, gauss, 1e-12)
+        v0, e0 = expectation(G0, p, MomentTable(G0.arc_basis, gauss, 1e-12))
+        v1, e1 = expectation(G1, p, MomentTable(G1.arc_basis, gauss, 1e-12))
         assert abs(v0 - v1) <= 10 * (e0 + e1) + 1e-12
 
 
@@ -154,7 +157,7 @@ def test_expectation_auto_length_reduction(gauss):
     # length-7 partition at N=2 goes through the basis rewrite transparently
     G = real_power_class(2)
     p = PowerSumPoly.monomial((1,) * 7, 2)
-    v, _ = expectation(G, p, gauss, 1e-12)
+    v, _ = expectation(G, p, MomentTable(G.arc_basis, gauss, 1e-12))
     brute = brute_tensor_expectation(gauss, 2, (1,) * 7)
     assert abs(v - brute) <= 1e-7 * max(1.0, abs(brute))
 
@@ -162,16 +165,17 @@ def test_expectation_auto_length_reduction(gauss):
 def test_moment_matrix_shapes_and_conditioning(cubic, quartic):
     # gamma_1 runs from the positive to the negative real sector, so the
     # Gaussian arc is -R; only the magnitude is orientation-free
-    M11 = moment_matrix(Potential.polynomial([0, 1]), 1, 1e-12)
+    gauss1 = Potential.polynomial([0, 1])
+    M11 = moment_matrix(MomentTable(basis_arcs(gauss1), gauss1, 1e-12), 1)
     assert len(M11.rows) == 1 and abs(abs(M11.entries[0][0]) - SQRT_2PI) < 1e-10
 
-    M = moment_matrix(cubic, 2, 1e-12)
+    M = moment_matrix(MomentTable(basis_arcs(cubic), cubic, 1e-12), 2)
     assert M.rows == [(2, 0), (1, 1), (0, 2)]
     assert M.cols == [(), (1,), (1, 1)]
     assert M.min_scaled_singular > 1e-8
 
     airy = Potential.polynomial([-1, 0, 1])  # V = x^3/3 - x
-    M2 = moment_matrix(airy, 1, 1e-12)
+    M2 = moment_matrix(MomentTable(basis_arcs(airy), airy, 1e-12), 1)
     assert len(M2.rows) == hn_dimension(1, 2) == 2
     assert M2.min_scaled_singular > 1e-8
 
@@ -186,7 +190,23 @@ def test_moment_table_caching(gauss):
 def test_expectation_cap_errors(gauss):
     G = real_power_class(6)
     with pytest.raises(ValueError):
-        expectation(G, PowerSumPoly.monomial((1,), 6), gauss, 1e-10)
+        expectation(G, PowerSumPoly.monomial((1,), 6), MomentTable(G.arc_basis, gauss, 1e-10))
+
+
+def test_table_over_other_arcs_is_refused(cubic, quartic):
+    # E(p_1) on gamma^(2,0) read -22.65 from the swapped table, without error
+    from loopeq import oracle_from_quadrature
+
+    arcs = basis_arcs(cubic)
+    G = HomologyClass.make(2, arcs, {(2, 0): 1.0})
+    p = PowerSumPoly.monomial((1,), 2)
+    for table in (MomentTable(arcs[::-1], cubic, 1e-12),
+                  MomentTable(basis_arcs(quartic), quartic, 1e-12)):
+        with pytest.raises(ValueError):
+            expectation(G, p, table)
+        with pytest.raises(ValueError):
+            oracle_from_quadrature(G, [(1,)], table)
+        assert table.data == {}
 
 
 def test_complex_potential_loop_equations():
@@ -215,10 +235,10 @@ def test_complex_potential_loop_equations():
     for mu in loop_tuples(5):
         needed.update(q_polynomial(mu, V, 2).terms)
     table = MomentTable(arcs, V, 1e-11)
-    oracle, errors = oracle_from_quadrature(G, V, sorted(needed), 1e-11, table=table)
+    oracle, errors = oracle_from_quadrature(G, sorted(needed), table)
     rep = residuals(oracle, V, 2, 5, errors=errors)
     assert rep.max_relative < 1e-8
-    M = moment_matrix(V, 2, 1e-11, arcs=arcs, table=table)
+    M = moment_matrix(table, 2)
     assert M.min_scaled_singular > 1e-8
 
 
@@ -283,7 +303,7 @@ def test_vandermonde_sum_from_three_bodies_is_permutation_sum(word, mu):
 def test_moment_matrix_cubic_N5(cubic):
     arcs = basis_arcs(cubic)
     table = MomentTable(arcs, cubic, 1e-12)
-    M = moment_matrix(cubic, 5, 1e-12, arcs=arcs, table=table)
+    M = moment_matrix(table, 5)
     assert len(M.rows) == len(M.cols) == 6
     assert M.min_scaled_singular > 1e-8
     i, j = M.rows.index((3, 2)), M.cols.index(())

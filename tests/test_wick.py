@@ -6,6 +6,7 @@ import pytest
 
 from loopeq import (
     CRational,
+    MomentTable,
     MPoly,
     PowerSumPoly,
     expectation,
@@ -121,9 +122,11 @@ def test_gtm_cap():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_gtm_cross_validates_quadrature(N, gauss):
     G = real_power_class(N)
-    Z, _ = expectation(G, PowerSumPoly.monomial((), N), gauss, 1e-12)
+    Z, _ = expectation(G, PowerSumPoly.monomial((), N), MomentTable(G.arc_basis, gauss, 1e-12))
     for powers in [(2,), (4,)]:
-        v, _ = expectation(G, PowerSumPoly.monomial(powers, N), gauss, 1e-12)
+        v, _ = expectation(
+            G, PowerSumPoly.monomial(powers, N), MomentTable(G.arc_basis, gauss, 1e-12)
+        )
         pred = complex(gaussian_trace_moment(powers).eval({"N": N}))
         assert abs(v / Z - pred) < 1e-8 * max(1.0, abs(pred))
 
