@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 mathematical verification failure (residual above
-tolerance, singular value below threshold, nonzero residual series, delta
-deviation too large), 2 usage or configuration error.  All outputs are JSON;
-quadrature results can be cached across subcommands (--cache or LOOPEQ_CACHE).
+tolerance, singular value below threshold or within its error bound, nonzero
+residual series, delta deviation too large), 2 usage or configuration error.
+All outputs are JSON; quadrature results can be cached across subcommands
+(--cache or LOOPEQ_CACHE).
 """
 
 from __future__ import annotations
@@ -89,6 +90,25 @@ def _emit(data, path: str | None):
         print(text)
 
 
+def _read_moment_cache(path: str) -> dict:
+    """The moment cache at ``path``: a JSON object whose every entry is
+    [re, im, err], three finite JSON numbers with err >= 0."""
+    try:
+        with open(path) as fh:
+            store = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"bad moment cache {path}: {e}")
+    if not isinstance(store, dict):
+        raise ConfigError(f"bad moment cache {path}: expected a JSON object")
+    for key, entry in store.items():
+        if (type(entry) is not list or len(entry) != 3
+                or any(type(x) not in (int, float) or not math.isfinite(x) for x in entry)
+                or entry[2] < 0):
+            raise ConfigError(f"bad moment cache {path}: entry {key!r} must be [re, im, err],"
+                              f" three finite numbers with err >= 0, got {json.dumps(entry)}")
+    return store
+
+
 class CachedMomentTable(MomentTable):
     """Moment table backed by a JSON cache keyed by potential/arc/k/tol hashes."""
 
@@ -96,10 +116,7 @@ class CachedMomentTable(MomentTable):
         super().__init__(arcs, V, tol)
         self.cache_dir = cache_dir
         self.path = os.path.join(cache_dir, "moments.json")
-        self._store = {}
-        if os.path.exists(self.path):
-            with open(self.path) as fh:
-                self._store = json.load(fh)
+        self._store = _read_moment_cache(self.path) if os.path.exists(self.path) else {}
         self._dirty = False
         pot = json.dumps(V.to_json(), sort_keys=True)
         self._arc_keys = [
@@ -340,6 +357,11 @@ def cmd_iso(args) -> int:
     with _moment_table(basis_arcs(V), V, args) as table:
         M = moment_matrix(table, args.N)
     _emit(M.to_json(), args.out)
+    if M.scaled_error_bound >= M.min_scaled_singular:
+        # the error bars allow a singular matrix: no witness, whatever the threshold
+        print(f"not verified: min scaled singular value {M.min_scaled_singular:.3e} is within its"
+              f" propagated error bound {M.scaled_error_bound:.3e}", file=sys.stderr)
+        return VERIFY_ERROR
     return 0 if M.min_scaled_singular > args.min_singular else VERIFY_ERROR
 
 

@@ -14,7 +14,10 @@ is exact bookkeeping plus worst-case error propagation.
 A ``MomentTable`` is the one owner of the arcs, the potential and the
 tolerance.  The N-body entry points ``expectation``, ``oracle_from_quadrature``
 and ``moment_matrix`` take a table and read all three from it; ``expectation``
-refuses a table whose arcs are not the class's arc basis.
+refuses a table whose arcs are not the class's arc basis.  The table also
+caches N-body cells: each (arc word, mu) sum is assembled once and kept for
+the table's lifetime, which is one command, so loop equations that share
+moments after length reduction share their assembly too.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, so a change in
@@ -153,21 +156,32 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
 
 
 class MomentTable:
-    """Lazy cache of 1-D arc moments m_j(k) with error estimates: the one
-    owner of the arcs, the potential and the quadrature tolerance that every
-    N-body assembly over it uses."""
+    """Lazy cache of 1-D arc moments m_j(k) and of the N-body cells assembled
+    from them, each with an error estimate: the one owner of the arcs, the
+    potential and the quadrature tolerance that every N-body assembly over it
+    uses."""
 
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = tuple(arcs)
         self.V = V
         self.tol = tol
         self.data: dict[tuple[int, int], tuple[complex, float]] = {}
+        self.cells: dict[tuple, tuple[complex, float]] = {}
 
     def moment(self, arc_index: int, k: int) -> tuple[complex, float]:
         key = (arc_index, k)
         if key not in self.data:
             self.data[key] = arc_moment(self.arcs[arc_index], self.V, k, self.tol)
         return self.data[key]
+
+    def cell(self, word: tuple[int, ...], mu) -> tuple[complex, float]:
+        """``vandermonde_sum`` of p_mu over the arcs in ``word``, assembled on
+        first use.  A cell reads only moments, which never change once
+        tabulated, so the kept value is the one a new assembly would give."""
+        key = (word, mu)
+        if key not in self.cells:
+            self.cells[key] = vandermonde_sum(self.moment, word, mu)
+        return self.cells[key]
 
     def flush(self):
         """Persist new moments; an in-memory table has nowhere to write."""
@@ -318,6 +332,8 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     Each (composition, p_mu) cell is one ``vandermonde_sum`` over tabulated
     1-D moments: (N!)^2 N^len(mu) products up to N = 2, about
     2^N N A 3^len(mu) ring products from N = 3 (A arcs in the composition).
+    The table keeps every cell for its lifetime, so a cell that another call
+    on the same table already needed costs one dict lookup.
     Hard caps N <= 5 and len(mu) <= 6.
     """
     N = G.N
@@ -337,14 +353,14 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     for comp, ccoef in G.terms:
         if not ccoef:
             continue
-        word = [arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt)]
+        word = tuple(arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt))
         comp_val = 0j
         comp_err = 0.0
         for mu, coeff in p.terms.items():
             cval = complex(coeff)
             if not cval:
                 continue
-            term_val, term_err = vandermonde_sum(table.moment, word, mu)
+            term_val, term_err = table.cell(word, mu)
             comp_val += cval * term_val
             comp_err += abs(cval) * term_err
         total += ccoef * comp_val
@@ -379,6 +395,9 @@ class MomentMatrix:
     entries: list  # row-major complex values
     errors: list
     singular_values: list  # of the column-scaled matrix, descending
+    # ||errors / column scale||_F: by Weyl's inequality no singular value of
+    # the scaled matrix is off by more than this (not part of the JSON)
+    scaled_error_bound: float
 
     @property
     def min_scaled_singular(self) -> float:
@@ -416,6 +435,7 @@ def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0] = 1.0
     svals = np.linalg.svd(A / scale, compute_uv=False)
+    bound = np.linalg.norm(np.array(errors) / scale)
     return MomentMatrix(
         N=N,
         d=d,
@@ -424,4 +444,5 @@ def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
         entries=entries,
         errors=errors,
         singular_values=[float(s) for s in svals],
+        scaled_error_bound=float(bound),
     )

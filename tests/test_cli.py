@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,24 @@ def test_interrupted_cache_write_keeps_previous_cache(pot, tmp_path, monkeypatch
     assert (tmp_path / "o3.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
 
 
+@pytest.mark.parametrize("store,detail", [
+    ([1, 2], "expected a JSON object"),
+    ({"k:0": ["a", "b", 0]}, "entry 'k:0' must be [re, im, err]"),
+    ({"k:0": [1.0, 2.0]}, "entry 'k:0' must be [re, im, err]"),
+], ids=["list", "string-entry", "short-entry"])
+def test_malformed_moment_cache_is_usage_error(pot, tmp_path, capsys, store, detail):
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "moments.json").write_text(json.dumps(store))
+    code = main(["expect", "--potential", path, "--class", cls, "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad moment cache {cache / 'moments.json'}: {detail}")
+
+
 def test_double_overflow_is_usage_error(pot, capsys):
     # V' = x + 10^-200 x^3: reducing p_8 divides by the tiny leading coefficient,
     # and the growth diagnostic overflows a double
@@ -146,6 +165,25 @@ def test_iso_fails_when_threshold_unreachable(pot, capsys):
     path = pot("cubic.json", CUBIC)
     code, _ = run(["iso", "--potential", path, "--N", "1", "--min-singular", "10.0"], capsys)
     assert code == 1
+
+
+def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys):
+    # at --tol 0.5 the witness used to pass: min scaled singular value about
+    # 0.145 against a propagated error bound ||E / scale||_F of about 1.04
+    path = pot("cubic.json", CUBIC)
+    code = main(["iso", "--potential", path, "--N", "2", "--tol", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    data = json.loads(captured.out)
+    assert set(data) == {"N", "d", "rows", "cols", "entries", "errors", "singular_values",
+                         "min_scaled_singular"}
+    found = re.fullmatch(r"not verified: min scaled singular value (\S+) is within its"
+                         r" propagated error bound (\S+)\n", captured.err)
+    assert found and found[1] == f"{data['min_scaled_singular']:.3e}"
+    assert float(found[2]) >= data["min_scaled_singular"]
+    # the default tolerance leaves the same witness verified
+    code, _ = run(["iso", "--potential", path, "--N", "2"], capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -309,3 +309,50 @@ def test_moment_matrix_cubic_N5(cubic):
     i, j = M.rows.index((3, 2)), M.cols.index(())
     want, want_err = _permutation_sum(table.moment, (0, 0, 0, 1, 1), ())
     assert abs(M.entries[i][j] - want) <= M.errors[i][j] + want_err
+
+
+@pytest.mark.parametrize("N,terms,mus", [
+    (2, {(2, 0): 1.0, (1, 1): 0.5 - 0.25j}, [(1, 1, 1), (2, 1), (1, 1), (3, 1, 1, 1)]),
+    (3, {(2, 1): 1.0, (1, 2): -0.5j}, [(1, 1, 1, 1), (2, 1, 1), (1, 1, 1), (2, 1)]),
+])
+def test_cells_kept_by_the_table_give_the_same_bits(cubic, N, terms, mus):
+    # reduce_length maps the long partitions onto cells the short ones use too
+    G = HomologyClass.make(N, basis_arcs(cubic), terms)
+    def bits(table):
+        val, err = expectation(G, p, table)
+        return [float.hex(x) for x in (val.real, val.imag, err)]
+
+    warm = MomentTable(G.arc_basis, cubic, 1e-12)
+    fresh_cells = 0
+    for mu in mus:
+        p = PowerSumPoly.monomial(mu, N)
+        fresh = MomentTable(G.arc_basis, cubic, 1e-12)
+        want = bits(fresh)
+        fresh_cells += len(fresh.cells)
+        assert bits(warm) == bits(warm) == want
+    assert len(warm.cells) < fresh_cells
+
+
+def test_each_cell_is_assembled_once_per_table(monkeypatch):
+    # the rational residuals of the benchmark ask for 236 cells, 29 of them distinct
+    from loopeq import loop_tuples, oracle_from_quadrature, q_rational
+    from loopeq import quadrature
+
+    V = Potential.rational([2, 0, 0, 1], [0, 1])  # V' = x^2 + 2/x
+    G = HomologyClass.make(2, basis_arcs(V), {(1, 1, 0): 1.0})
+    needed = set()
+    for mu in loop_tuples(6):
+        needed.update(q_rational(mu, V, 2).terms)
+    calls = []
+    kernel = quadrature.vandermonde_sum
+
+    def counted(moment, word, mu=()):
+        calls.append((tuple(word), tuple(mu)))
+        return kernel(moment, word, mu)
+
+    monkeypatch.setattr(quadrature, "vandermonde_sum", counted)
+    table = MomentTable(G.arc_basis, V, 1e-12)
+    oracle_from_quadrature(G, sorted(needed), table)
+    assert len(calls) == len(set(calls)) == len(table.cells) == 29
+    oracle_from_quadrature(G, sorted(needed), table)
+    assert len(calls) == 29
