@@ -3,8 +3,10 @@ Vandermonde-squared integrals.
 
 E_Gamma(p) factorizes over product domains once Delta(X)^2 is expanded as a
 double determinant and each power sum is distributed over variables, so the
-only quadrature ever performed is one-dimensional: adaptive Gauss-Kronrod on
-open arcs (rays, elbows) and the periodic trapezoid rule on circles.  The one
+only quadrature ever performed is one-dimensional: adaptive Gauss-Kronrod
+(QUADPACK's QAGS, Piessens et al. 1983) on open arcs (rays, elbows) and the
+periodic trapezoid rule on circles.  QAGS is scipy's compiled routine, loaded
+from its file; ``scipy.integrate`` is never imported.  The one
 N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
 functionals and the saddle discriminator alike: a permutation-pair sum up to
 N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
@@ -20,23 +22,25 @@ the table's lifetime, which is one command, so loop equations that share
 moments after length reduction share their assembly too.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
-Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, so a change in
-the last bit of a moment or a product moves their reported residuals, and the
-benchmark compares those scales at 1e-9 relative.  A new quadrature rule
-(ROADMAP item 4) moves moments at about 1e-14, so it waits until such
-equations are bounded by their own error budget (ROADMAP item 1).
+Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, and the benchmark
+compares those scales at 1e-9 relative.  A new quadrature rule (ROADMAP item 4)
+moves moments at about 1e-14, so it waits until such equations are bounded by
+their own error budget (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .contours import CircleSeg, Contour, HomologyClass, RaySeg
 from .loopgen import Potential
@@ -52,19 +56,45 @@ class QuadratureError(RuntimeError):
     """A quadrature rule cannot reach its tolerance, or the contour is inadmissible."""
 
 
-def _quad_complex(f, a: float, b: float, tol: float):
-    import warnings
+def _load_qagse():
+    """QAGS from scipy's compiled ``integrate/_quadpack``, loaded by file path, so
+    ``scipy.integrate``'s package init never runs; ``sys.modules`` is left as it was."""
+    name, scipy = "scipy.integrate._quadpack", importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], "integrate", "_quadpack" + suffix)
+        if os.path.exists(path):
+            loader, had = importlib.machinery.ExtensionFileLoader(name, path), name in sys.modules
+            module = loader.create_module(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            if not had:
+                sys.modules.pop(name, None)
+            return module._qagse
+    from importlib.metadata import version  # raises ImportError when scipy is not installed
+    raise ImportError(f"no compiled QUADPACK (integrate/_quadpack) in scipy {version('scipy')}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for limit in (200, 800):
-            val, err = _scipy_quad(
-                f, a, b, epsabs=tol * 1e-2, epsrel=tol, limit=limit, complex_func=True
-            )
-            err_abs = abs(err)
-            if err_abs <= max(tol * 1e-2, tol * abs(val)) * 10 + 1e-300:
-                return val, err_abs
-    raise QuadratureError(f"quadrature tolerance {tol} unreachable; achieved error {err_abs:.3e}")
+
+_qagse = _load_qagse()
+# why QAGS stopped, indexed by its return code ier
+_IER = ("", "subdivision limit", "roundoff", "bad integrand", "extrapolation roundoff", "divergent", "bad input")
+
+
+def _quad_complex(f, a: float, b: float, tol: float):
+    """integral of the complex f from a to b and its error: QAGS on the real,
+    then the imaginary part over (min(a, b), max(a, b)), limit 200 then 800,
+    negated when b < a.  QAGS answers bad input (ier 6) with 0 +- 0: refused."""
+    if a == b:
+        return 0.0, 0.0
+    lo, hi = min(a, b), max(a, b)
+    for limit in (200, 800):
+        re, re_err, re_ier = _qagse(lambda x: f(x).real, lo, hi, (), 0, tol * 1e-2, tol, limit)
+        im, im_err, im_ier = _qagse(lambda x: f(x).imag, lo, hi, (), 0, tol * 1e-2, tol, limit)
+        val = re + 1j * im
+        err_abs = abs(re_err + 1j * im_err)
+        if err_abs <= max(tol * 1e-2, tol * abs(val)) * 10 + 1e-300 and 6 not in (re_ier, im_ier):
+            return (-val if b < a else val), err_abs
+    why = "".join(f"; {part} part: {_IER[ier]} (QUADPACK ier {ier})"
+                  for part, ier in (("real", re_ier), ("imaginary", im_ier)) if ier)
+    raise QuadratureError(f"quadrature tolerance {tol} unreachable; achieved error {err_abs:.3e}{why}")
 
 
 def _ray_truncation(seg: RaySeg, weight, kpow: int) -> float:

@@ -3,25 +3,44 @@
 ``residuals`` reports equations whose terms cancel to rounding, so the last bit
 of every N <= 2 moment and product shows in its output.  The fast paths of
 ``Potential.exp_neg_V`` and ``_permutation_sum`` must therefore give exactly
-the doubles of the plain per-term formulas kept here as references, and the
-ray direction cached on ``RaySeg`` must leave its identity (and so the moment
-cache keys) as it was.  Every comparison is exact: ``==`` on the raw bytes of
-both parts, which also tells -0.0 from 0.0.
+the doubles of the plain per-term formulas kept here as references, the ray
+direction cached on ``RaySeg`` must leave its identity (and so the moment
+cache keys) as it was, and ``_quad_complex``, which calls QUADPACK's compiled
+QAGS directly, must give what ``scipy.integrate.quad`` gives.  Every comparison
+is exact: ``==`` on the raw bytes (or ``float.hex``) of both parts, which also
+tells -0.0 from 0.0.
 """
 
 import cmath
 import hashlib
 import itertools
+import json
+import os
 import random
 import struct
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loopeq import CRational, Potential, arc_moment, basis_arcs, imaginary_axis_contour, real_axis_contour
+import loopeq
+from loopeq import (
+    CRational,
+    DiscriminatorEngine,
+    Potential,
+    arc_moment,
+    basis_arcs,
+    discriminator,
+    imaginary_axis_contour,
+    quadrature,
+    real_axis_contour,
+)
 from loopeq.cli import CachedMomentTable
-from loopeq.contours import RaySeg
-from loopeq.quadrature import _permutation_sum
+from loopeq.contours import ArcSeg, RaySeg
+from loopeq.quadrature import _permutation_sum, _quad_complex
 
 
 def _bits(z) -> bytes:
@@ -212,3 +231,99 @@ def test_axis_rays_point_along_their_angle():
             for s in (0.0, 0.5, 3.0):
                 assert _bits(seg.point(s)) == _bits(seg.base + s * cmath.exp(1j * seg.angle))
             assert _bits(seg.tangent(1.0)) == _bits(cmath.exp(1j * seg.angle))
+
+
+# -- _quad_complex against scipy.integrate.quad ---------------------------------------
+
+
+def _scipy_quad_complex(f, a, b, tol):
+    """The rule on scipy.integrate.quad: (value, error, limit that passed)."""
+    from scipy.integrate import quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad warns where QAGS returns ier > 0
+        for limit in (200, 800):
+            val, err = quad(f, a, b, epsabs=tol * 1e-2, epsrel=tol, limit=limit, complex_func=True)
+            if abs(err) <= max(tol * 1e-2, tol * abs(val)) * 10 + 1e-300:
+                return val, abs(err), limit
+    raise AssertionError("scipy.integrate.quad did not reach the tolerance")
+
+
+def _recorded(monkeypatch, module, run):
+    """The (f, a, b, tol) that ``run`` passes to ``module._quad_complex``."""
+    calls = []
+
+    def record(f, a, b, tol):
+        calls.append((f, a, b, tol))
+        return _quad_complex(f, a, b, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_quad_complex", record)
+        run()
+    return calls
+
+
+def _quad_calls(case, monkeypatch):
+    cubic = CONTOUR_POTENTIALS["cubic"]
+    if case == "truncated ray":  # the two rays of a cubic elbow, each cut at its tail
+        arc = basis_arcs(cubic)[0]
+        return _recorded(monkeypatch, quadrature, lambda: arc_moment(arc, cubic, 3, 1e-12))
+    if case == "elbow arc":  # the circular join of an elbow around the pole of x^2 + 2/x
+        V = CONTOUR_POTENTIALS["rational"]
+        joins = [seg.bounds for arc in basis_arcs(V) for seg in arc.segments if isinstance(seg, ArcSeg)]
+        calls = []
+        for arc in basis_arcs(V):
+            calls += _recorded(monkeypatch, quadrature, lambda: arc_moment(arc, V, 2, 1e-12))
+        return [c for c in calls if (c[1], c[2]) in joins]
+    if case == "discriminator primitive":
+        engine = DiscriminatorEngine(cubic, 60)
+        return _recorded(monkeypatch, discriminator, lambda: engine._primitive(0, 1, 2))
+    # 477 oscillations on [0, 20]: 200 subintervals fall short, 800 pass
+    return [(lambda x: cmath.exp(150j * x - x), 0.0, 20.0, 1e-10)]
+
+
+@pytest.mark.parametrize("case", ["truncated ray", "elbow arc", "discriminator primitive", "limit-800 retry"])
+def test_quad_complex_is_scipy_quad(case, monkeypatch):
+    calls = _quad_calls(case, monkeypatch)
+    assert calls
+    for f, a, b, tol in calls:
+        assert a < b
+        seen = [[], []]
+        got = _quad_complex(lambda x: seen[0].append(x) or f(x), a, b, tol)
+        want = _scipy_quad_complex(lambda x: seen[1].append(x) or f(x), a, b, tol)
+        assert [z.hex() for z in (got[0].real, got[0].imag, got[1])] == \
+            [z.hex() for z in (want[0].real, want[0].imag, want[1])]
+        assert seen[0] == seen[1]  # the same integrand evaluations, in the same order
+        assert want[2] == (800 if case == "limit-800 retry" else 200)
+
+
+def _python(script):
+    """Run ``script`` in a fresh interpreter that imports loopeq from this checkout."""
+    src = str(Path(loopeq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("LOOPEQ_CACHE", None)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_never_imports_scipy_integrate(tmp_path):
+    potential = tmp_path / "cubic.json"
+    potential.write_text(json.dumps({"kind": "polynomial", "t": [["1", "0"], ["0", "0"], ["1", "0"]]}))
+    argv = ["iso", "--potential", str(potential), "--N", "2", "--out", str(tmp_path / "iso.json")]
+    done = _python(
+        "import sys, loopeq.cli\n"
+        f"assert loopeq.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    # neither scipy.integrate nor the extension loaded from its directory is registered;
+    # QAGS's callback support does import the light ``scipy`` package itself
+    assert done.stdout.strip() == "[]"
+
+
+def test_missing_quadpack_names_the_scipy_version():
+    from importlib.metadata import version
+
+    done = _python("import importlib.machinery as m\nm.EXTENSION_SUFFIXES[:] = ['.missing']\nimport loopeq")
+    assert done.returncode == 1
+    assert done.stderr.rstrip().endswith(
+        f"ImportError: no compiled QUADPACK (integrate/_quadpack) in scipy {version('scipy')}")

@@ -356,3 +356,31 @@ def test_each_cell_is_assembled_once_per_table(monkeypatch):
     assert len(calls) == len(set(calls)) == len(table.cells) == 29
     oracle_from_quadrature(G, sorted(needed), table)
     assert len(calls) == 29
+
+
+def test_reversed_arc_is_the_negated_forward_arc(cubic):
+    # quad(complex_func=True) sorted the bounds and dropped the sign, so both
+    # arcs gave the forward value (+0.0726+0.4448j at k = 0)
+    from loopeq.contours import ArcSeg, Contour
+
+    def arc(a0, a1):
+        return Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=a0, a1=a1),), start=("point",), end=("point",))
+
+    for k in range(3):
+        forward, forward_err = arc_moment(arc(0.0, 1.0), cubic, k)
+        backward, backward_err = arc_moment(arc(1.0, 0.0), cubic, k)
+        assert (backward.real.hex(), backward.imag.hex()) == ((-forward.real).hex(), (-forward.imag).hex())
+        assert backward_err == forward_err
+
+
+@pytest.mark.parametrize("tol, reason", [
+    (1e-14, r"real part: extrapolation roundoff \(QUADPACK ier 4\)$"),
+    # QAGS returns 0 with error 0 for a tolerance it refuses; that is no result
+    (0.0, r"real part: bad input \(QUADPACK ier 6\); imaginary part: bad input \(QUADPACK ier 6\)$"),
+])
+def test_unreachable_tolerance_names_the_quadpack_reason(tol, reason):
+    from loopeq import QuadratureError
+    from loopeq.quadrature import _quad_complex
+
+    with pytest.raises(QuadratureError, match=reason):
+        _quad_complex(lambda x: abs(x - 0.3) ** -0.95 + 0j, 0.0, 1.0, tol)
