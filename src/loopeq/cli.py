@@ -51,27 +51,36 @@ class ConfigError(Exception):
     pass
 
 
-def _read_json(path: str, what: str, fields=()) -> dict:
-    """The JSON object in the ``what`` file at ``path``, holding every one of ``fields``."""
+def _read_json(path: str, where: str, fields=()) -> dict:
+    """The JSON object at ``path`` holding all of ``fields``; errors start with ``where``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"bad {what} file {path}: {e}")
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or not UTF-8
+        raise ConfigError(f"{where}: {e}")
     if not isinstance(data, dict):
-        raise ConfigError(f"bad {what} file {path}: expected a JSON object")
+        raise ConfigError(f"{where}: expected a JSON object")
     for f in fields:
         if f not in data:
-            raise ConfigError(f"bad {what} file {path}: missing field '{f}'")
+            raise ConfigError(f"{where}: missing field '{f}'")
     return data
 
 
+def _json_finite(x) -> bool:
+    """Whether x is a JSON number (no string, boolean or null) that is a finite double."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _load_potential(path: str) -> Potential:
-    data = _read_json(path, "potential")
+    where = f"bad potential file {path}"
+    data = _read_json(path, where)
     try:
         return Potential.from_json(data)
     except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"bad potential file {path}: {e}")
+        raise ConfigError(f"{where}: {e}")
 
 
 def _parse_mu(text: str) -> tuple[int, ...]:
@@ -93,17 +102,10 @@ def _emit(data, path: str | None):
 def _read_moment_cache(path: str) -> dict:
     """The moment cache at ``path``: a JSON object whose every entry is
     [re, im, err], three finite JSON numbers with err >= 0."""
-    try:
-        with open(path) as fh:
-            store = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"bad moment cache {path}: {e}")
-    if not isinstance(store, dict):
-        raise ConfigError(f"bad moment cache {path}: expected a JSON object")
+    store = _read_json(path, f"bad moment cache {path}")
     for key, entry in store.items():
         if (type(entry) is not list or len(entry) != 3
-                or any(type(x) not in (int, float) or not math.isfinite(x) for x in entry)
-                or entry[2] < 0):
+                or not all(map(_json_finite, entry)) or entry[2] < 0):
             raise ConfigError(f"bad moment cache {path}: entry {key!r} must be [re, im, err],"
                               f" three finite numbers with err >= 0, got {json.dumps(entry)}")
     return store
@@ -181,39 +183,35 @@ def _json_int(value, what: str, minimum: int) -> int:
 
 def _json_table(entries, key: str, value: str, minimum: int, where: str) -> dict:
     """{tuple: complex} from JSON entries {key: [int, ...], value: [re, im]}:
-    every int >= minimum, re and im finite JSON numbers (no string, bool or
-    null), and each key tuple given once."""
+    every int >= minimum, re and im finite JSON numbers, and each key tuple
+    given once."""
     table = {}
     try:
         for entry in entries:
             k = tuple(_json_int(x, f"{where}: '{key}' entry", minimum) for x in entry[key])
             pair = entry[value]
-            if (type(pair) is not list or len(pair) != 2
-                    or any(type(x) not in (int, float) for x in pair)):
+            if type(pair) is not list or len(pair) != 2 or not all(map(_json_finite, pair)):
                 raise ConfigError(
-                    f"{where}: '{value}' for {key}={list(k)} must be [re, im], two numbers,"
+                    f"{where}: '{value}' for {key}={list(k)} must be [re, im], two finite numbers,"
                     f" got {json.dumps(pair)}")
-            re, im = float(pair[0]), float(pair[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ConfigError(f"{where}: non-finite '{value}' for {key}={list(k)}")
             if k in table:
                 raise ConfigError(f"{where}: {key}={list(k)} appears twice")
-            table[k] = complex(re, im)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+            table[k] = complex(float(pair[0]), float(pair[1]))
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{where}: {e!r}")
     return table
 
 
 def _load_class(path: str, V: Potential) -> HomologyClass:
-    data = _read_json(path, "class", ("N", "arcs", "terms"))
     where = f"bad class file {path}"
+    data = _read_json(path, where, ("N", "arcs", "terms"))
     N = _json_int(data["N"], f"{where}: 'N'", 1)
     kind = data["arcs"]
     if kind == "real":
         arcs = [real_axis_contour()]
     elif kind == "circle":
         radius = data.get("radius", 1.0)
-        if type(radius) not in (int, float) or not 0 < radius < math.inf:
+        if not _json_finite(radius) or radius <= 0:
             raise ConfigError(
                 f"{where}: 'radius' must be a finite number > 0, got {json.dumps(radius)}")
         arcs = [circle_contour(0j, float(radius))]
@@ -273,8 +271,8 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     V = _load_potential(args.potential)
-    data = _read_json(args.basis, "basis", ("values",))
     where = f"bad basis file {args.basis}"
+    data = _read_json(args.basis, where, ("values",))
     d = _json_int(data.get("d", V.d), f"{where}: 'd'", 1)
     values = _json_table(data["values"], "mu", "value", 1, where)
     F = MomentFunctional(N=args.N, d=d, basis_values=values)
@@ -310,11 +308,14 @@ def cmd_residuals(args) -> int:
 
 def _class_from_flag(args, V) -> HomologyClass:
     if args.cls:
+        if args.N is not None:
+            raise ConfigError("--N is not allowed with --class; the class file gives N")
         return _load_class(args.cls, V)
+    N = 2 if args.N is None else args.N
     if args.gamma == "real":
-        return real_power_class(args.N)
+        return real_power_class(N)
     if args.gamma == "circle":
-        return circle_power_class(args.N)
+        return circle_power_class(N)
     raise ConfigError("provide --class FILE or --gamma real|circle")
 
 
@@ -429,12 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residuals", help="loop-equation residuals of a quadrature functional")
     common(p, moments=True)
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", type=int, default=None, help="with --gamma (default 2)")
     p.add_argument("--weight-max", type=int, default=6)
     p.add_argument("--tol", type=_tol_arg, default=1e-12)
     p.add_argument("--fail-above", type=_finite_arg, default=1e-8)
-    p.add_argument("--class", dest="cls", default=None, help="homology class JSON")
-    p.add_argument("--gamma", choices=["real", "circle"], default=None)
+    gamma = p.add_mutually_exclusive_group()
+    gamma.add_argument("--class", dest="cls", default=None, help="homology class JSON")
+    gamma.add_argument("--gamma", choices=["real", "circle"], default=None)
     p.set_defaults(func=cmd_residuals)
 
     p = sub.add_parser("contours", help="emit sampled basis arcs as polylines")

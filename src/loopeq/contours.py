@@ -126,15 +126,14 @@ class Contour:
         return self.start == ("closed",)
 
 
-def elbow_arc(V: Potential, j: int, secs: list[Sector] | None = None, radius: float = 0.0) -> Contour:
-    """Basis arc gamma_j: in along the bisector of sector j-1, out along sector j.
+def elbow_arc(j: int, secs: list[Sector], radius: float = 0.0) -> Contour:
+    """Basis arc gamma_j: in along the bisector of sector j-1 of ``secs``, out along sector j.
 
     The default joins the two rays at the origin, where |e^{-V}| = 1; a
     positive radius routes through a circular arc instead (needed when a pole
     sits at the origin).  Same homotopy class either way, but the origin join
     keeps the integrand magnitude tame for double-precision quadrature.
     """
-    secs = secs or sectors(V)
     th_in = secs[j - 1].center_angle
     th_out = secs[j % len(secs)].center_angle
     if th_out < th_in:
@@ -211,7 +210,7 @@ def basis_arcs(V: Potential) -> list[Contour]:
     """
     if V.kind == "polynomial":
         secs = sectors(V)
-        return [elbow_arc(V, j, secs) for j in range(1, V.d + 1)]
+        return [elbow_arc(j, secs) for j in range(1, V.d + 1)]
 
     quot, poles = V.partial_fractions
     arcs: list[Contour] = []
@@ -229,7 +228,7 @@ def basis_arcs(V: Potential) -> list[Contour]:
         secs = sectors(Vinf)
         clearance = 1.0 + 2.0 * max((abs(p) for p, _ in poles), default=0.0)
         arcs.extend(
-            elbow_arc(Vinf, j, secs, radius=max(join_radius(Vinf), clearance))
+            elbow_arc(j, secs, radius=max(join_radius(Vinf), clearance))
             for j in range(1, d_inf + 1)
         )
     if len(arcs) != V.d:
@@ -240,6 +239,12 @@ def basis_arcs(V: Potential) -> list[Contour]:
 
 
 # -- admissibility -----------------------------------------------------------
+
+
+def _on_circle(seg: Union[ArcSeg, CircleSeg], steps: int) -> list[complex]:
+    """``seg.point`` at steps + 1 equally spaced angles over ``seg.bounds``, both ends included."""
+    a, b = seg.bounds
+    return [seg.point(a + (b - a) * i / steps) for i in range(steps + 1)]
 
 
 @dataclass
@@ -261,14 +266,11 @@ def admissibility_check(c: Contour, V: Potential, kmax: int) -> AdmissibilityRep
     samples: list[complex] = []
     for seg in c.segments:
         if isinstance(seg, RaySeg):
-            for s in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
-                samples.append(seg.point(s))
+            samples.extend(seg.point(s) for s in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
         elif isinstance(seg, ArcSeg):
-            for i in range(9):
-                samples.append(seg.point(seg.a0 + (seg.a1 - seg.a0) * i / 8))
-        elif isinstance(seg, CircleSeg):
-            for i in range(16):
-                samples.append(seg.center + seg.radius * cmath.exp(2j * math.pi * i / 16))
+            samples.extend(_on_circle(seg, 8))
+        else:  # a closed circle's end point repeats its start
+            samples.extend(_on_circle(seg, 16)[:-1])
     for z in samples:
         try:
             w = abs(z) ** kmax * abs(V.exp_neg_V(z)) if z != 0 else abs(V.exp_neg_V(z))
@@ -396,24 +398,14 @@ def circle_power_class(N: int, radius: float = 1.0) -> HomologyClass:
     return HomologyClass.make(N, [circle_contour(0j, radius)], {(N,): 1.0})
 
 
-def sample_polyline(c: Contour, max_radius: float = 12.0, points_per_seg: int = 64) -> list[list[float]]:
-    """Sampled [re, im] pairs for plotting."""
+def sample_polyline(c: Contour) -> list[list[float]]:
+    """Sampled [re, im] pairs for plotting: 64 per segment (a closed circle gets
+    a 65th, back at its start), with rays sampled out to distance 12."""
     pts: list[complex] = []
     for seg in c.segments:
         if isinstance(seg, RaySeg):
-            ss = [max_radius * (i / (points_per_seg - 1)) ** 2 for i in range(points_per_seg)]
-            zs = [seg.point(s) for s in ss]
-            if seg.inward:
-                zs.reverse()
-            pts.extend(zs)
-        elif isinstance(seg, ArcSeg):
-            pts.extend(
-                seg.point(seg.a0 + (seg.a1 - seg.a0) * i / (points_per_seg - 1))
-                for i in range(points_per_seg)
-            )
-        elif isinstance(seg, CircleSeg):
-            pts.extend(
-                seg.center + seg.radius * cmath.exp(2j * math.pi * i / points_per_seg)
-                for i in range(points_per_seg + 1)
-            )
+            zs = [seg.point(12.0 * (i / 63) ** 2) for i in range(64)]
+            pts.extend(reversed(zs) if seg.inward else zs)
+        else:
+            pts.extend(_on_circle(seg, 63 if isinstance(seg, ArcSeg) else 64))
     return [[z.real, z.imag] for z in pts]

@@ -48,7 +48,6 @@ from .momsolve import hn_dimension
 from .symfunc import Partition, PowerSumPoly, compositions, partitions_in_box, reduce_length
 
 MAX_VARS = 5
-MAX_PARTS = 6
 TAIL_CUTOFF = 1e-18
 
 
@@ -138,8 +137,8 @@ def _trapezoid_circle(f, a: float, b: float, tol: float):
     while m <= 1 << 16:
         h = (b - a) / m
         total = 0j
-        for t in a + np.arange(m) * h:
-            total += f(t)
+        for j in range(m):
+            total += f(a + j * h)
         val = total * h
         if prev is not None:
             last_delta = abs(val - prev)
@@ -364,7 +363,7 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     2^N N A 3^len(mu) ring products from N = 3 (A arcs in the composition).
     The table keeps every cell for its lifetime, so a cell that another call
     on the same table already needed costs one dict lookup.
-    Hard caps N <= 5 and len(mu) <= 6.
+    Hard cap N <= 5; longer partitions are first reduced to length <= N.
     """
     N = G.N
     if N > MAX_VARS:
@@ -376,8 +375,6 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     if p.max_length() > N:
         # same function of N variables, exponentially cheaper to assemble
         p = reduce_length(p, N)
-    if p.max_length() > MAX_PARTS:
-        raise ValueError(f"partition length {p.max_length()} exceeds cap {MAX_PARTS}")
     total = 0j
     err_total = 0.0
     for comp, ccoef in G.terms:

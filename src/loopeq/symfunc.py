@@ -81,8 +81,8 @@ def partitions_in_box(N: int, maxpart: int) -> list[Partition]:
     return out
 
 
-def partitions_of_weight(w: int, max_length: int | None = None, max_part: int | None = None) -> list[Partition]:
-    """All partitions of w, optionally bounded in length and part size."""
+def partitions_of_weight(w: int, max_length: int | None = None) -> list[Partition]:
+    """All partitions of w, optionally bounded in length."""
     res: list[Partition] = []
 
     def rec(rem: int, largest: int, prefix: list[int]):
@@ -96,7 +96,7 @@ def partitions_of_weight(w: int, max_length: int | None = None, max_part: int | 
             rec(rem - p, p, prefix)
             prefix.pop()
 
-    rec(w, w if max_part is None else max_part, [])
+    rec(w, w, [])
     return res
 
 

@@ -5,7 +5,8 @@ of every N <= 2 moment and product shows in its output.  The fast paths of
 ``Potential.exp_neg_V`` and ``_permutation_sum`` must therefore give exactly
 the doubles of the plain per-term formulas kept here as references, the ray
 direction cached on ``RaySeg`` must leave its identity (and so the moment
-cache keys) as it was, and ``_quad_complex``, which calls QUADPACK's compiled
+cache keys) as it was, the circle trapezoid over Python floats must sum what
+it summed over numpy nodes, and ``_quad_complex``, which calls QUADPACK's compiled
 QAGS directly, must give what ``scipy.integrate.quad`` gives.  Every comparison
 is exact: ``==`` on the raw bytes (or ``float.hex``) of both parts, which also
 tells -0.0 from 0.0.
@@ -231,6 +232,40 @@ def test_axis_rays_point_along_their_angle():
             for s in (0.0, 0.5, 3.0):
                 assert _bits(seg.point(s)) == _bits(seg.base + s * cmath.exp(1j * seg.angle))
             assert _bits(seg.tangent(1.0)) == _bits(cmath.exp(1j * seg.angle))
+
+
+# -- periodic trapezoid on circles ---------------------------------------------------
+
+
+def _numpy_node_trapezoid(f, a, b, tol):
+    """``_trapezoid_circle`` as it ran over numpy nodes ``a + np.arange(m) * h``."""
+    import numpy as np
+
+    m, prev = 64, None
+    while True:
+        h = (b - a) / m
+        total = 0j
+        for t in a + np.arange(m) * h:
+            total += f(t)
+        val = total * h
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val, abs(val - prev)
+        prev, m = val, 2 * m
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_circle_trapezoid_over_floats_is_the_numpy_node_loop(k):
+    V = CONTOUR_POTENTIALS["rational"]
+    ((seg,),) = [arc.segments for arc in basis_arcs(V) if arc.closed]
+
+    def f(t):  # arc_moment's integrand on a circle
+        z = seg.point(t)
+        return z ** k * V.exp_neg_V(z) * seg.tangent(t)
+
+    got = quadrature._trapezoid_circle(f, *seg.bounds, 1e-12)
+    want = _numpy_node_trapezoid(f, *seg.bounds, 1e-12)
+    assert [z.hex() for z in (got[0].real, got[0].imag, got[1])] == \
+        [z.hex() for z in (want[0].real, want[0].imag, want[1])]
 
 
 # -- _quad_complex against scipy.integrate.quad ---------------------------------------

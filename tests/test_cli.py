@@ -102,7 +102,8 @@ def test_interrupted_cache_write_keeps_previous_cache(pot, tmp_path, monkeypatch
     ([1, 2], "expected a JSON object"),
     ({"k:0": ["a", "b", 0]}, "entry 'k:0' must be [re, im, err]"),
     ({"k:0": [1.0, 2.0]}, "entry 'k:0' must be [re, im, err]"),
-], ids=["list", "string-entry", "short-entry"])
+    ({"k:0": [10 ** 400, 0.0, 0.0]}, "entry 'k:0' must be [re, im, err]"),
+], ids=["list", "string-entry", "short-entry", "int-too-large"])
 def test_malformed_moment_cache_is_usage_error(pot, tmp_path, capsys, store, detail):
     path = pot("gauss.json", GAUSS)
     cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
@@ -114,6 +115,45 @@ def test_malformed_moment_cache_is_usage_error(pot, tmp_path, capsys, store, det
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: bad moment cache {cache / 'moments.json'}: {detail}")
+
+
+def test_dump_moments_is_the_sorted_table(pot, tmp_path, monkeypatch, capsys):
+    from loopeq import cli
+
+    tables = []
+
+    class Recorded(cli.MomentTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(cli, "MomentTable", Recorded)
+    dump = tmp_path / "moments.csv"
+    path = pot("cubic.json", CUBIC)
+    code = main(["iso", "--potential", path, "--N", "2", "--dump-moments", str(dump)])
+    capsys.readouterr()
+    assert code == 0
+    (table,) = tables
+    header, *rows = dump.read_text().splitlines()
+    assert header == "arc_index,k,re,im,err"
+    # one row per tabulated moment, sorted by (arc, k), though filled in another order
+    assert [tuple(map(int, row.split(",")[:2])) for row in rows] == sorted(table.data)
+    assert list(table.data) != sorted(table.data)
+    for row in rows:
+        arc, k, *values = row.split(",")
+        val, err = table.data[(int(arc), int(k))]
+        assert values == [repr(val.real), repr(val.imag), repr(err)]
+
+
+def test_dump_moments_not_written_when_the_command_fails(pot, tmp_path, capsys):
+    # e^{-V} = 1/(x - 1) is infinite on the unit circle: the command fails mid-table
+    dump = tmp_path / "moments.csv"
+    path = pot("pole.json", POLE)
+    cls = pot("class.json", {"N": 1, "arcs": "circle", "terms": [{"n": [1], "c": [1, 0]}]})
+    code = main(["expect", "--potential", path, "--class", cls, "--dump-moments", str(dump)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not dump.exists()
 
 
 def test_double_overflow_is_usage_error(pot, capsys):
@@ -151,6 +191,27 @@ def test_solve_malformed_basis_is_usage_error(pot, capsys, basis):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad basis file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["potential", "class", "basis"])
+def test_non_utf8_file_is_named_in_the_error(pot, tmp_path, capsys, kind):
+    # the UnicodeDecodeError escaped the reader without the "bad ... file" prefix
+    cls = {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": [1, 0]}]}
+    files = {"potential": pot("gauss.json", GAUSS), "class": pot("class.json", cls),
+             "basis": pot("basis.json", GOOD_BASIS)}
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"note": "caf\xe9"}')
+    files[kind] = str(bad)
+    if kind == "basis":
+        args = ["solve", "--potential", files["potential"], "--N", "1", "--basis", files["basis"],
+                "--targets", "3"]
+    else:
+        args = ["expect", "--potential", files["potential"], "--class", files["class"]]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad {kind} file {bad}: ")
 
 
 def test_iso_pass_and_shape(pot, capsys):
@@ -234,6 +295,34 @@ def test_residuals_circle_haar(pot, capsys):
         capsys,
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("extra,flag", [(["--gamma", "real"], "--gamma"), (["--N", "5"], "--N"),
+                                        (["--N", "2"], "--N")], ids=["gamma", "N5", "N2"])
+def test_residuals_class_excludes_gamma_and_N(pot, tmp_path, capsys, extra, flag):
+    # --class silently dropped both: an N = 2 class file with --N 5 wrote the
+    # report of the N = 2 class and exited 0
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    out = tmp_path / "out.json"
+    code = main(["residuals", "--potential", path, "--class", cls, "--weight-max", "2",
+                 "--out", str(out)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert flag in captured.err
+
+
+def test_residuals_gamma_defaults_to_two_eigenvalues(pot, tmp_path, capsys):
+    path = pot("gauss.json", GAUSS)
+    outs = {}
+    for n in (None, "2", "3"):
+        out = tmp_path / f"N{n}.json"
+        args = ["residuals", "--potential", path, "--gamma", "real", "--weight-max", "3",
+                "--out", str(out)]
+        assert main(args + (["--N", n] if n else [])) == 0
+        outs[n] = out.read_bytes()
+    assert outs[None] == outs["2"] != outs["3"]
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -350,9 +439,11 @@ def test_contour_through_a_pole_is_usage_error(pot, capsys, arcs):
     assert captured.err.startswith("error:")
 
 
-@pytest.mark.parametrize("radius", [0, -1.0, True, "2", [1], math.nan, math.inf])
+@pytest.mark.parametrize("radius", [0, -1.0, True, "2", [1], math.nan, math.inf,
+                                    pytest.param(10 ** 400, id="int-too-large")])
 def test_class_file_radius_must_be_a_positive_number(pot, capsys, radius):
-    # radius 0 integrated over a point, true read as 1 and "2" as 2.0
+    # radius 0 integrated over a point, true read as 1 and "2" as 2.0; a
+    # 400-digit integer lost the file's name to "int too large to convert to float"
     path = pot("pole.json", POLE)
     cls = pot("class.json", {"N": 1, "arcs": "circle", "radius": radius,
                              "terms": [{"n": [1], "c": [1, 0]}]})

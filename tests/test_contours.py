@@ -111,7 +111,7 @@ def test_closing_arc_relation_quartic():
 
     V = Potential.polynomial([0, 0, 0, 1])  # x^4/4, d = 3
     secs = _sectors(V)
-    arcs = basis_arcs(V) + [elbow_arc(V, 4, secs)]
+    arcs = basis_arcs(V) + [elbow_arc(4, secs)]
     table = MomentTable(arcs, V, 1e-12)
     for k in range(6):
         total = sum(table.moment(j, k)[0] for j in range(4))
