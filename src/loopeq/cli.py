@@ -54,7 +54,7 @@ class ConfigError(Exception):
 def _read_json(path: str, where: str, fields=()) -> dict:
     """The JSON object at ``path`` holding all of ``fields``; errors start with ``where``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as e:  # ValueError: bad JSON or not UTF-8
         raise ConfigError(f"{where}: {e}")
@@ -328,7 +328,7 @@ def cmd_contours(args) -> int:
             {
                 "label": arc.label,
                 "polyline": sample_polyline(arc),
-                "admissible": admissibility_check(arc, V, kmax=8).ok,
+                "admissible": admissibility_check(arc, V).ok,
             }
             for arc in arcs
         ],

@@ -1,11 +1,12 @@
 """Admissible integration arcs for e^{-V(x)} dx and their homology classes.
 
-For polynomial V of degree d+1 there are d+1 angular sectors at infinity where
-Re V -> +infinity; a basis of the d-dimensional homology space is given by
-elbow arcs running in along one sector bisector and out along the next.  For
-rational V' the basis also contains closed circles around poles of e^{-V}.
-Contours are stored as parametric segments so quadrature and plotting can walk
-them directly; everything is immutable.
+A polynomial part of V of degree m gives m angular sectors at infinity where
+Re V -> +infinity, for rational V' too (none for V' = 2/x).  A contour is
+admissible when its rays run out strictly inside them and no segment passes
+through a pole of e^{-V}.  A homology basis is given by elbow arcs running in
+along one sector bisector and out along the next, plus, for rational V',
+closed circles around poles of e^{-V}.  Contours are stored as parametric
+segments so quadrature and plotting can walk them directly; all immutable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .loopgen import Potential, poly_divmod
+from .loopgen import Potential
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,23 @@ class Sector:
     half_width: float
     index: int
 
-    def contains(self, angle: float, margin: float = 0.0) -> bool:
+    def contains(self, angle: float) -> bool:
+        """Whether ``angle`` lies strictly inside the sector."""
         delta = (angle - self.center_angle + math.pi) % (2 * math.pi) - math.pi
-        return abs(delta) <= self.half_width - margin
+        return abs(delta) < self.half_width
 
 
 def sectors(V: Potential) -> list[Sector]:
-    """The d+1 admissible sectors, ordered by center angle in [0, 2pi)."""
-    if V.kind != "polynomial":
-        raise ValueError("sectors are defined for polynomial potentials")
-    deg = V.d + 1
-    phi = cmath.phase(V.complex_coeffs[0][-1])
+    """The sectors of V's polynomial part, ordered by center angle in [0, 2pi).
+
+    A polynomial part of degree m gives m sectors of half-width pi / (2m);
+    without one (V' = 2/x, say) the list is empty.
+    """
+    q = V.partial_fractions[0]
+    if not q:
+        return []
+    deg = len(q)
+    phi = cmath.phase(q[-1])
     centers = sorted(((2 * math.pi * m - phi) / deg) % (2 * math.pi) for m in range(deg))
     return [
         Sector(center_angle=c, half_width=math.pi / (2 * deg), index=i)
@@ -152,12 +159,13 @@ def elbow_arc(j: int, secs: list[Sector], radius: float = 0.0) -> Contour:
 def join_radius(V: Potential) -> float:
     """Radius beyond which the leading term of V dominates along rays.
 
-    Fujiwara-style root bound on V' coefficients, padded; outside this disc
-    |e^{-V}| decays monotonically along admissible bisector rays.
+    Fujiwara-style root bound on the coefficients of the polynomial part of
+    V', padded; outside this disc |e^{-V}| decays monotonically along
+    admissible bisector rays.
     """
-    t = V.complex_coeffs[0]
+    t = V.partial_fractions[0]
     top = t[-1]
-    deg = len(t) - 1  # degree of V' = d
+    deg = len(t) - 1  # degree of the polynomial part of V'
     bound = 0.0
     for k, c in enumerate(t[:-1]):
         if c != 0:
@@ -201,18 +209,14 @@ def circle_contour(center: complex = 0j, radius: float = 1.0, label: str = "circ
 def basis_arcs(V: Potential) -> list[Contour]:
     """A homology basis of admissible arcs; d = deg V' arcs in total.
 
-    Polynomial potentials get the d consecutive-sector elbows.  Rational ones
-    get circles around simple poles with positive integer residue (e^{-V} has
-    a pole there) plus, when the quotient part has positive degree, the elbow
-    arcs of the induced sectors at infinity.  Anything needing branch cuts
-    (non-integer residues) or arcs terminating at zeros of e^{-V} is not
-    supported and raises.
+    Circles around the simple poles of V' with positive integer residue
+    (e^{-V} has a pole there), then the consecutive-sector elbows of
+    ``sectors(V)``: joined at the origin for polynomial V, on a circle clear
+    of every pole otherwise.  Anything needing branch cuts (non-integer
+    residues) or arcs terminating at zeros of e^{-V} is not supported and
+    raises.
     """
-    if V.kind == "polynomial":
-        secs = sectors(V)
-        return [elbow_arc(j, secs) for j in range(1, V.d + 1)]
-
-    quot, poles = V.partial_fractions
+    poles = V.partial_fractions[1]
     arcs: list[Contour] = []
     for p, r in poles:
         if r <= 0:
@@ -222,15 +226,10 @@ def basis_arcs(V: Potential) -> list[Contour]:
         others = [abs(p - q) for q, _ in poles if q != p]
         rad = 1.0 if not others else min(1.0, 0.4 * min(others))
         arcs.append(circle_contour(p, rad, f"circle@{p:.3g}"))
-    d_inf = len(quot) - 1 if quot else -1
-    if d_inf >= 1:
-        Vinf = Potential.polynomial(poly_divmod(list(V.R), list(V.D))[0])  # polynomial part of V
-        secs = sectors(Vinf)
-        clearance = 1.0 + 2.0 * max((abs(p) for p, _ in poles), default=0.0)
-        arcs.extend(
-            elbow_arc(j, secs, radius=max(join_radius(Vinf), clearance))
-            for j in range(1, d_inf + 1)
-        )
+    secs = sectors(V)
+    if len(secs) >= 2:
+        radius = max(join_radius(V), 1.0 + 2.0 * max(abs(p) for p, _ in poles)) if poles else 0.0
+        arcs.extend(elbow_arc(j, secs, radius) for j in range(1, len(secs)))
     if len(arcs) != V.d:
         raise ValueError(
             f"unsupported pole configuration: built {len(arcs)} arcs, homology needs {V.d}"
@@ -240,68 +239,51 @@ def basis_arcs(V: Potential) -> list[Contour]:
 
 # -- admissibility -----------------------------------------------------------
 
+# Relative distance within which a pole counts as lying on a segment: it
+# absorbs the rounding of computed roots and of segment angles, nothing more.
+_ON_SEGMENT = 1e-12
 
-def _on_circle(seg: Union[ArcSeg, CircleSeg], steps: int) -> list[complex]:
-    """``seg.point`` at steps + 1 equally spaced angles over ``seg.bounds``, both ends included."""
-    a, b = seg.bounds
-    return [seg.point(a + (b - a) * i / steps) for i in range(steps + 1)]
+
+def _passes_through(seg: Segment, p: complex) -> bool:
+    """Whether ``seg`` meets the point ``p``; an ArcSeg only within its bounds."""
+    if isinstance(seg, RaySeg):
+        w = (p - seg.base) * seg.direction.conjugate()  # p in the ray's frame
+        dist = abs(w.imag) if w.real >= 0 else abs(w)
+    else:
+        w = p - seg.center
+        a, b = seg.bounds
+        if (cmath.phase(w) - a) % (2 * math.pi) > b - a:
+            return False
+        dist = abs(abs(w) - seg.radius)
+    return dist <= _ON_SEGMENT * (1.0 + abs(p))
 
 
 @dataclass
 class AdmissibilityReport:
     ok: bool
-    worst_value: float
     worst_location: complex | None
     detail: str = ""
 
 
-def admissibility_check(c: Contour, V: Potential, kmax: int) -> AdmissibilityReport:
-    """Sample |x|^k |e^{-V(x)}| along the contour and out along its rays.
+def admissibility_check(c: Contour, V: Potential) -> AdmissibilityReport:
+    """Whether ``c`` is admissible for e^{-V}.
 
-    Passes when the weight stays bounded and decays at the unbounded ends for
-    every k <= kmax; on failure reports the offending location.
+    It is when every ray runs out strictly inside one of ``sectors(V)`` and no
+    segment passes through a pole of e^{-V} (a pole of V' with positive
+    residue).  On failure ``worst_location`` is the base of the first ray that
+    leaves the sectors, or the pole hit.
     """
-    worst = 0.0
-    worst_loc = None
-    samples: list[complex] = []
+    secs = sectors(V)
+    poles = [p for p, r in V.partial_fractions[1] if r > 0]
     for seg in c.segments:
-        if isinstance(seg, RaySeg):
-            samples.extend(seg.point(s) for s in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-        elif isinstance(seg, ArcSeg):
-            samples.extend(_on_circle(seg, 8))
-        else:  # a closed circle's end point repeats its start
-            samples.extend(_on_circle(seg, 16)[:-1])
-    for z in samples:
-        try:
-            w = abs(z) ** kmax * abs(V.exp_neg_V(z)) if z != 0 else abs(V.exp_neg_V(z))
-        except (OverflowError, ValueError):
-            w = math.inf
-        if w > worst:
-            worst, worst_loc = w, z
-
-    # decay at unbounded ends: weight at the far sample must sit below the peak
-    ok = math.isfinite(worst)
-    detail = ""
-    for seg in c.segments:
-        if not isinstance(seg, RaySeg):
-            continue
-        near = seg.point(2.0)
-        far = seg.point(64.0)
-        farther = seg.point(128.0)
-        try:
-            wf = abs(far) ** kmax * abs(V.exp_neg_V(far))
-            wff = abs(farther) ** kmax * abs(V.exp_neg_V(farther))
-            wn = abs(near) ** kmax * abs(V.exp_neg_V(near))
-        except (OverflowError, ValueError):
-            wf = wff = math.inf
-            wn = 0.0
-        if not (wff <= max(wf, 1e-290) and wf <= max(wn, 1.0) * 1e10) or not math.isfinite(wf):
-            ok = False
-            detail = f"weight grows along ray angle {seg.angle:.4f}"
-            worst_loc = far
-            worst = wf
-            break
-    return AdmissibilityReport(ok=ok, worst_value=worst, worst_location=worst_loc, detail=detail)
+        if isinstance(seg, RaySeg) and not any(s.contains(seg.angle) for s in secs):
+            return AdmissibilityReport(
+                False, seg.base, f"ray angle {seg.angle:.4f} lies in no sector where Re V -> +inf"
+            )
+        for p in poles:
+            if _passes_through(seg, p):
+                return AdmissibilityReport(False, p, f"contour passes through the pole {p:.6g}")
+    return AdmissibilityReport(True, None)
 
 
 # -- homotopic deformation ----------------------------------------------------
@@ -317,11 +299,10 @@ class Deformation:
 
 
 def deform(c: Contour, bump: Deformation, V: Potential | None = None) -> Contour:
-    """Apply a deformation, refusing ones that leave the admissible sectors.
+    """Apply a deformation, refusing ones that leave the admissible contours.
 
-    Rotation moves ray angles; when a potential is supplied each rotated ray
-    must stay inside some admissible sector, and scaled/shifted circles must
-    keep their pole strictly inside.
+    Scaled/shifted circles must keep their pole strictly inside; when a
+    potential is supplied the result must pass ``admissibility_check``.
     """
     rot = cmath.exp(1j * bump.rotate)
     segs: list[Segment] = []
@@ -349,16 +330,12 @@ def deform(c: Contour, bump: Deformation, V: Potential | None = None) -> Contour
             if abs(new_center - seg.center) >= new_radius:
                 raise ValueError("deformation would push the circle off its pole")
             segs.append(CircleSeg(center=new_center, radius=new_radius))
-    if V is not None and V.kind == "polynomial":
-        secs = sectors(V)
-        for seg in segs:
-            if isinstance(seg, RaySeg):
-                ang = seg.angle % (2 * math.pi)
-                if not any(s.contains(ang, margin=1e-9) for s in secs):
-                    raise ValueError(
-                        f"deformation pushes a ray (angle {ang:.4f}) out of the admissible sectors"
-                    )
-    return Contour(segments=tuple(segs), start=c.start, end=c.end, label=c.label + "~")
+    out = Contour(segments=tuple(segs), start=c.start, end=c.end, label=c.label + "~")
+    if V is not None:
+        report = admissibility_check(out, V)
+        if not report.ok:
+            raise ValueError(f"deformation leaves the admissible contours: {report.detail}")
+    return out
 
 
 # -- N-body classes ------------------------------------------------------------
@@ -407,5 +384,7 @@ def sample_polyline(c: Contour) -> list[list[float]]:
             zs = [seg.point(12.0 * (i / 63) ** 2) for i in range(64)]
             pts.extend(reversed(zs) if seg.inward else zs)
         else:
-            pts.extend(_on_circle(seg, 63 if isinstance(seg, ArcSeg) else 64))
+            a, b = seg.bounds
+            n = 63 if isinstance(seg, ArcSeg) else 64
+            pts.extend(seg.point(a + (b - a) * i / n) for i in range(n + 1))
     return [[z.real, z.imag] for z in pts]

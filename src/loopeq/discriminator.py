@@ -48,10 +48,12 @@ class SaddleSet:
 
 
 def saddle_points(V: Potential, r: int) -> SaddleSet:
-    """All solutions of x V'(x) = r, Newton-polished, with saddle data.
+    """All solutions of x V'(x) = r for polynomial V, Newton-polished, with saddle data.
 
     Raises if roots coincide (r too small for the asymptotic regime).
     """
+    if V.kind != "polynomial":
+        raise ValueError("the discriminator supports polynomial potentials")
     if r < 1:
         raise ValueError("r must be a positive integer")
     # numerator of x V'(x) - r: x R(x) - r D(x)
@@ -108,14 +110,12 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
 
 
 def _second_derivative(V: Potential, z: complex) -> complex:
-    if V.kind == "polynomial":
-        out = 0j
-        for k, c in enumerate(V.complex_coeffs[0], start=1):
-            if k >= 2:
-                out += c * (k - 1) * z ** (k - 2)
-        return out
-    h = 1e-6 * max(1.0, abs(z))
-    return (V.dV(z + h) - V.dV(z - h)) / (2 * h)
+    """V''(z) for polynomial V."""
+    out = 0j
+    for k, c in enumerate(V.complex_coeffs[0], start=1):
+        if k >= 2:
+            out += c * (k - 1) * z ** (k - 2)
+    return out
 
 
 def lagrange_f(S: SaddleSet):
@@ -156,8 +156,6 @@ class DiscriminatorEngine:
     """
 
     def __init__(self, V: Potential, r: int, tol: float = 1e-9):
-        if V.kind != "polynomial":
-            raise ValueError("the discriminator supports polynomial potentials")
         if V.d > MAX_DEGREE:
             raise ValueError(f"d={V.d} beyond the discriminator cap {MAX_DEGREE}")
         self.V = V

@@ -156,12 +156,7 @@ class LoopReducer:
         return form
 
 
-def solve_moments(
-    F: MomentFunctional,
-    V: Potential,
-    targets: Sequence[Sequence[int]],
-    strategy: str = "largest",
-):
+def solve_moments(F: MomentFunctional, V: Potential, targets: Sequence[Sequence[int]]):
     """Evaluate E(p_mu) for each target from the basis values.
 
     Returns (values, reducer); values map each target partition to a number of
@@ -170,7 +165,7 @@ def solve_moments(
     """
     if V.d != F.d:
         raise ValueError(f"potential has d={V.d} but functional expects d={F.d}")
-    red = LoopReducer(V, F.N, strategy=strategy)
+    red = LoopReducer(V, F.N)
     exact = all(isinstance(v, CRational) for v in F.basis_values.values())
     out = {}
     for target in targets:

@@ -2,10 +2,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import loopeq
 from loopeq.cli import main
 
 GAUSS = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]]}
@@ -45,6 +48,23 @@ def test_gen_bad_potential_is_usage_error(tmp_path, capsys):
     code = main(["gen", "--potential", str(bad), "--mu", "0", "--N", "2"])
     assert code == 2
     assert "t" in capsys.readouterr().err
+
+
+def test_input_files_are_read_as_utf8(tmp_path):
+    # JSON is UTF-8 whatever the locale: in the C locale, with locale coercion
+    # and UTF-8 mode off, the locale's own encoding is ASCII
+    path = tmp_path / "gauss.json"
+    text = json.dumps({**GAUSS, "note": "caf\u00e9"}, ensure_ascii=False)
+    path.write_text(text, encoding="utf-8")
+    src = str(Path(loopeq.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, loopeq.cli; sys.exit(loopeq.cli.main(sys.argv[1:]))"
+    argv = ["gen", "--potential", str(path), "--mu", "1", "--N", "2"]
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {"mu": [], "re": "-4", "im": "0"} in json.loads(done.stdout)["Q"]
 
 
 def test_moment_options_only_on_quadrature_commands(pot, tmp_path, capsys):

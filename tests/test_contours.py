@@ -71,24 +71,65 @@ def test_basis_arcs_reject_negative_residue():
 
 
 def test_admissibility_examples(gauss):
-    assert admissibility_check(real_axis_contour(), gauss, 10).ok
+    assert admissibility_check(real_axis_contour(), gauss).ok
     V3 = Potential.polynomial([0, 0, 1])  # x^3/3: real axis blows up at -inf
-    rep = admissibility_check(real_axis_contour(), V3, 4)
+    rep = admissibility_check(real_axis_contour(), V3)
     assert not rep.ok
     assert rep.worst_location is not None
     V4 = Potential.polynomial([0, 0, 0, 1])
-    assert admissibility_check(imaginary_axis_contour(), V4, 8).ok
+    assert admissibility_check(imaginary_axis_contour(), V4).ok
+
+
+def test_admissibility_quartic_sector_edge(quartic):
+    # quartic sectors: half-width pi/8 about 0, pi/2, pi, 3pi/2
+    inside = deform(real_axis_contour(), Deformation(rotate=math.pi / 8 - 0.005))
+    outside = deform(real_axis_contour(), Deformation(rotate=math.pi / 8 + 0.005))
+    assert admissibility_check(inside, quartic).ok
+    rep = admissibility_check(outside, quartic)
+    assert not rep.ok
+    assert "ray angle" in rep.detail
+
+
+def test_sectors_of_rational_potentials(haar2):
+    V = Potential.rational([2, 0, 0, 1], [0, 1])  # V' = x^2 + 2/x
+    assert sectors(V) == sectors(Potential.polynomial([0, 0, 1]))
+    assert sectors(haar2) == []
+
+
+def test_circle_through_a_pole_is_refused(haar2):
+    # e^{-V} = x^-2 for V' = 2/x: the circle of radius 1 about 1 runs through its pole
+    rep = admissibility_check(circle_contour(1.0 + 0j, 1.0), haar2)
+    assert not rep.ok
+    assert rep.worst_location == 0
+    assert admissibility_check(circle_contour(), haar2).ok
+
+
+def test_rays_are_refused_without_a_polynomial_part(haar2):
+    # the line Im x = 1 misses the pole at 0, but 2/x has no sector at infinity
+    line = deform(real_axis_contour(), Deformation(shift=1j))
+    rep = admissibility_check(line, haar2)
+    assert not rep.ok
+    assert rep.worst_location == 1j
+    assert "ray angle" in rep.detail
+
+
+def test_deform_checks_rays_of_rational_potentials():
+    V = Potential.rational([2, 0, 0, 1], [0, 1])  # V' = x^2 + 2/x: sector half-width pi/6
+    elbow = next(arc for arc in basis_arcs(V) if not arc.closed)
+    assert admissibility_check(deform(elbow, Deformation(rotate=0.1), V), V).ok
+    with pytest.raises(ValueError):
+        deform(elbow, Deformation(rotate=0.6), V)
 
 
 def test_basis_arcs_are_admissible(cubic, quartic):
     for V in (cubic, quartic):
         for arc in basis_arcs(V):
-            assert admissibility_check(arc, V, 8).ok
+            assert admissibility_check(arc, V).ok
 
 
 def test_deform_shift_and_scale(gauss, haar2):
     shifted = deform(real_axis_contour(), Deformation(shift=0.3j), gauss)
-    assert admissibility_check(shifted, gauss, 6).ok
+    assert admissibility_check(shifted, gauss).ok
     grown = deform(circle_contour(), Deformation(radius_factor=1.5), haar2)
     assert grown.segments[0].radius == pytest.approx(1.5)
 

@@ -7,6 +7,7 @@ import pytest
 from loopeq import (
     DiscriminatorEngine,
     Potential,
+    discriminator_report,
     lagrange_f,
     saddle_points,
 )
@@ -41,6 +42,15 @@ def test_saddles_quartic_asymptotic_directions():
     angles = sorted(cmath.phase(z) % (2 * math.pi) for z in S.xi)
     expect = [0, math.pi / 2, math.pi, 3 * math.pi / 2]
     assert angles == pytest.approx(expect, abs=1e-8)
+
+
+def test_saddles_need_a_polynomial_potential(haar2):
+    V = Potential.rational([2, 0, 0, 1], [0, 1])  # V' = x^2 + 2/x
+    for W in (V, haar2):
+        with pytest.raises(ValueError, match="polynomial"):
+            saddle_points(W, 60)
+        with pytest.raises(ValueError, match="polynomial"):
+            discriminator_report(W, 60, 1)
 
 
 def test_saddles_coincident_raises(gauss):

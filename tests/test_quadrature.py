@@ -229,7 +229,7 @@ def test_complex_potential_loop_equations():
         CRational(1),
     ])
     arcs = basis_arcs(V)
-    assert all(admissibility_check(a, V, 8).ok for a in arcs)
+    assert all(admissibility_check(a, V).ok for a in arcs)
     G = HomologyClass.make(2, arcs, {(2, 0, 0): 1.0, (1, 1, 0): 0.5j, (0, 0, 2): -0.25})
     needed = set()
     for mu in loop_tuples(5):
