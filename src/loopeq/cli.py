@@ -335,8 +335,8 @@ def cmd_contours(args) -> int:
     }
     if V.kind == "polynomial":
         data["sectors"] = [
-            {"index": s.index, "center_angle": s.center_angle, "half_width": s.half_width}
-            for s in sectors(V)
+            {"index": i, "center_angle": s.center_angle, "half_width": s.half_width}
+            for i, s in enumerate(sectors(V))
         ]
     _emit(data, args.out)
     return 0
@@ -361,7 +361,7 @@ def cmd_iso(args) -> int:
     if M.scaled_error_bound >= M.min_scaled_singular:
         # the error bars allow a singular matrix: no witness, whatever the threshold
         print(f"not verified: min scaled singular value {M.min_scaled_singular:.3e} is within its"
-              f" propagated error bound {M.scaled_error_bound:.3e}", file=sys.stderr)
+              f" error bound ||errors / scale||_F = {M.scaled_error_bound:.3e}", file=sys.stderr)
         return VERIFY_ERROR
     return 0 if M.min_scaled_singular > args.min_singular else VERIFY_ERROR
 

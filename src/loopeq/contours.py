@@ -26,7 +26,6 @@ class Sector:
 
     center_angle: float
     half_width: float
-    index: int
 
     def contains(self, angle: float) -> bool:
         """Whether ``angle`` lies strictly inside the sector."""
@@ -46,10 +45,7 @@ def sectors(V: Potential) -> list[Sector]:
     deg = len(q)
     phi = cmath.phase(q[-1])
     centers = sorted(((2 * math.pi * m - phi) / deg) % (2 * math.pi) for m in range(deg))
-    return [
-        Sector(center_angle=c, half_width=math.pi / (2 * deg), index=i)
-        for i, c in enumerate(centers)
-    ]
+    return [Sector(center_angle=c, half_width=math.pi / (2 * deg)) for c in centers]
 
 
 # -- contour segments --------------------------------------------------------
@@ -370,9 +366,9 @@ def real_power_class(N: int) -> HomologyClass:
     return HomologyClass.make(N, [real_axis_contour()], {(N,): 1.0})
 
 
-def circle_power_class(N: int, radius: float = 1.0) -> HomologyClass:
-    """Gamma = (S^1)^N for measures with a single circle class (e.g. Haar)."""
-    return HomologyClass.make(N, [circle_contour(0j, radius)], {(N,): 1.0})
+def circle_power_class(N: int) -> HomologyClass:
+    """Gamma = (S^1)^N over the unit circle, for measures with a single circle class (e.g. Haar)."""
+    return HomologyClass.make(N, [circle_contour()], {(N,): 1.0})
 
 
 def sample_polyline(c: Contour) -> list[list[float]]:

@@ -19,13 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 from math import factorial
 
 import numpy as np
 
 from .loopgen import Potential
 from .quadrature import _quad_complex, vandermonde_sum
+from .symfunc import compositions
 
 MAX_BODIES = 2
 MAX_DEGREE = 3
@@ -41,10 +42,6 @@ class SaddleSet:
     Vr_values: list  # V_r(xi_j), principal log
     Vr_second: list  # V_r''(xi_j)
     anchor_index: int
-
-    @property
-    def count(self) -> int:
-        return len(self.xi)
 
 
 def saddle_points(V: Potential, r: int) -> SaddleSet:
@@ -65,21 +62,14 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
         raise ValueError("x V'(x) = r is degenerate for this potential")
     roots = np.roots(list(reversed(coeffs)))
 
-    def f(z):
-        return z * V.dV(z) - r
-
-    def fprime(z):
-        h = 1e-6 * max(1.0, abs(z))
-        return (f(z + h) - f(z - h)) / (2 * h)
-
     polished = []
     for z in roots:
         z = complex(z)
         for _ in range(8):
-            fz = f(z)
+            fz = z * V.dV(z) - r
             if abs(fz) < 1e-13 * max(1.0, abs(r)):
                 break
-            z = z - fz / fprime(z)
+            z = z - fz / (V.dV(z) + z * _second_derivative(V, z))
         polished.append(z)
     scale = max(abs(z) for z in polished)
     for i in range(len(polished)):
@@ -169,21 +159,16 @@ class DiscriminatorEngine:
             )
         self.f = lagrange_f(self.S)
         self.anchor = self.S.anchor_index
-        self.others = [j for j in range(self.S.count) if j != self.anchor]
+        self.others = [j for j in range(len(self.S.xi)) if j != self.anchor]
         self._prims: dict[tuple[int, int, int], tuple[complex, float]] = {}
-        self._trunc: dict[int, float] = {}
 
     # -- 1-D primitives ------------------------------------------------------
 
     def _truncation(self, j: int) -> float:
-        if j in self._trunc:
-            return self._trunc[j]
         theta = cmath.phase(self.S.xi[j])
         peak_r = abs(self.S.xi[j])
 
         def logmag(rho: float) -> float:
-            if rho <= 0:
-                return -math.inf
             z = rho * cmath.exp(1j * theta)
             return self.r * math.log(rho) - self.V.V(z).real
 
@@ -193,7 +178,6 @@ class DiscriminatorEngine:
             rho *= 1.12
             if logmag(rho) < top - 60.0:
                 break
-        self._trunc[j] = rho
         return rho
 
     def _primitive(self, j: int, c: int, extra: int) -> tuple[complex, float]:
@@ -256,8 +240,8 @@ class DiscriminatorEngine:
         """The saddle-product normalization A(m) including Q' factors."""
         S = self.S
         out = 1.0 + 0j
-        for i in range(S.count):
-            for j in range(i + 1, S.count):
+        for i in range(len(S.xi)):
+            for j in range(i + 1, len(S.xi)):
                 e = 2 * m_hat[i] * m_hat[j]
                 if e:
                     out *= (S.xi[i] - S.xi[j]) ** e
@@ -301,7 +285,7 @@ class DiscriminatorEngine:
         return E * qfac * snorm / self.amplitude(m_hat)
 
     def _lift(self, m: tuple[int, ...]) -> tuple[int, ...]:
-        m_hat = [0] * self.S.count
+        m_hat = [0] * len(self.S.xi)
         for arc, mm in enumerate(m):
             m_hat[self.others[arc]] = mm
         return tuple(m_hat)
@@ -309,10 +293,8 @@ class DiscriminatorEngine:
 
 def _level_maps(m_hat: tuple[int, ...], N: int):
     """All functions {0..N-1} -> saddle indices with prescribed level sizes."""
-    import itertools
-
     letters = [j for j, mm in enumerate(m_hat) for _ in range(mm)]
-    return sorted(set(itertools.permutations(letters, N)))
+    return sorted(set(permutations(letters, N)))
 
 
 @dataclass
@@ -344,13 +326,11 @@ class DiscriminatorReport:
 
 
 def discriminator_report(V: Potential, r: int, N: int, tol: float = 1e-9) -> DiscriminatorReport:
-    from .symfunc import compositions
-
     if N < 1:
         raise ValueError("N must be positive")
     engine = DiscriminatorEngine(V, r, tol)
     d = len(engine.others)
-    comps = [c for c in compositions(N, d)]
+    comps = compositions(N, d)
     ratios = {}
     for n in comps:
         for m in comps:

@@ -10,8 +10,10 @@ and the map-model couplings).
 
 from __future__ import annotations
 
+import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Mapping, Union
 
 Scalarish = Union[int, Fraction, "CRational"]
@@ -191,7 +193,26 @@ class CRational:
     @staticmethod
     def from_pair(pair) -> "CRational":
         re, im = pair
-        return CRational(Fraction(str(re)), Fraction(str(im)))
+        return CRational(_printable_fraction(str(re)), _printable_fraction(str(im)))
+
+
+def _printable_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refused when ``str`` cannot print its numerator or denominator
+    (``sys.get_int_max_str_digits()`` digits); a decimal exponent that implies
+    this is refused before it is expanded, since 10^(10^8) alone takes minutes."""
+    limit = sys.get_int_max_str_digits() or inf
+    try:
+        _, digits, exp = Decimal(text).as_tuple()  # the exponent stays unexpanded
+    except InvalidOperation:  # "n/d" or malformed: Fraction parses or refuses it
+        digits, exp = (), 0
+    # a nonzero m 10^exp, m of len(digits) digits, has a part of over |exp| - len(digits) digits
+    if type(exp) is int and abs(exp) - len(digits) >= limit:  # finite and beyond the limit
+        if not any(digits):
+            return Fraction(0)  # Fraction(text) would expand 10^exp all the same
+        raise ValueError(f"coefficient {text!r} has more than {limit} digits")
+    f = Fraction(text)
+    str(f)  # a part beyond the limit raises ValueError here, as it would in to_pair
+    return f
 
 
 ZERO = CRational(0)
@@ -281,10 +302,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        c = CRational.coerce(other)
-        return MPoly(self.vars, {e: v / c for e, v in self.terms.items()})
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative MPoly power; multiply by the inverse generator instead")
@@ -303,9 +320,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -5,21 +5,21 @@ E_Gamma(p) factorizes over product domains once Delta(X)^2 is expanded as a
 double determinant and each power sum is distributed over variables, so the
 only quadrature ever performed is one-dimensional: adaptive Gauss-Kronrod
 (QUADPACK's QAGS, Piessens et al. 1983) on open arcs (rays, elbows) and the
-periodic trapezoid rule on circles.  QAGS is scipy's compiled routine, loaded
-from its file; ``scipy.integrate`` is never imported.  The one
-N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
-functionals and the saddle discriminator alike: a permutation-pair sum up to
-N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
-*Log-gases and Random Matrices*, ch. 1) from N = 3 on.  Everything downstream
-is exact bookkeeping plus worst-case error propagation.
+periodic trapezoid rule on circles, whose bar covers rounding too.  QAGS is
+scipy's compiled routine, loaded from its file; ``scipy.integrate`` is never
+imported.  The one N-body kernel, ``vandermonde_sum``, assembles those moments
+for quadrature functionals and the saddle discriminator alike: a
+permutation-pair sum up to N = 2 and a Laplace expansion of the Andreief
+determinant (Forrester, *Log-gases and Random Matrices*, ch. 1) from N = 3 on.
+Everything downstream is exact bookkeeping plus worst-case error propagation.
 
-A ``MomentTable`` is the one owner of the arcs, the potential and the
-tolerance.  The N-body entry points ``expectation``, ``oracle_from_quadrature``
-and ``moment_matrix`` take a table and read all three from it; ``expectation``
-refuses a table whose arcs are not the class's arc basis.  The table also
-caches N-body cells: each (arc word, mu) sum is assembled once and kept for
-the table's lifetime, which is one command, so loop equations that share
-moments after length reduction share their assembly too.
+A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
+potential and the tolerance.  The N-body entry points ``expectation``,
+``oracle_from_quadrature`` and ``moment_matrix`` take a table and read all
+three from it; ``expectation`` refuses a table whose arcs are not the class's
+arc basis.  The table also caches N-body cells: each (arc word, mu) sum is
+assembled once and kept for the table's lifetime, which is one command, so loop
+equations that share moments after length reduction share their assembly too.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, and the benchmark
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import CircleSeg, Contour, HomologyClass, RaySeg
+from .contours import CircleSeg, Contour, HomologyClass, RaySeg, admissibility_check
 from .loopgen import Potential
 from .momsolve import hn_dimension
 from .symfunc import Partition, PowerSumPoly, compositions, partitions_in_box, reduce_length
@@ -52,7 +52,7 @@ TAIL_CUTOFF = 1e-18
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature rule cannot reach its tolerance, or the contour is inadmissible."""
+    """A rule misses its tolerance, or e^{-V} overflows or does not decay along a ray."""
 
 
 def _load_qagse():
@@ -106,8 +106,6 @@ def _ray_truncation(seg: RaySeg, weight, kpow: int) -> float:
             w = weight(z)
         except (OverflowError, ValueError):
             return math.inf
-        if w == 0:
-            return -math.inf
         m = abs(w)
         base = math.log(m) if m > 0 else -math.inf
         return base + (kpow * math.log(abs(z)) if z != 0 and kpow else 0.0)
@@ -117,33 +115,34 @@ def _ray_truncation(seg: RaySeg, weight, kpow: int) -> float:
     for _ in range(240):
         val = logmag(s)
         if math.isinf(val) and val > 0:
-            raise QuadratureError(
-                f"integrand blows up along ray angle {seg.angle:.4f}; inadmissible contour"
-            )
+            raise QuadratureError(f"e^{{-V}} overflows double precision along ray angle"
+                                  f" {seg.angle:.4f} at arc length {s:.4g}")
         peak = max(peak, val)
         if val < peak + logcut:
             return s
         s *= 1.30
-    raise QuadratureError(
-        f"integrand does not decay along ray angle {seg.angle:.4f}; inadmissible contour?"
-    )
+    raise QuadratureError(f"|x|^{kpow} |e^{{-V}}| along ray angle {seg.angle:.4f} does not fall"
+                          f" below the tail cutoff {TAIL_CUTOFF:g} within arc length {s:.4g}")
 
 
 def _trapezoid_circle(f, a: float, b: float, tol: float):
-    """Periodic trapezoid rule with doubling; spectrally accurate on circles."""
+    """Periodic trapezoid rule with doubling, spectrally accurate on circles.  The bar is
+    the last difference, which stalls at rounding, plus m u h sum |f| (u = 2^-53; Higham)."""
     m = 64
     prev = None
     last_delta = math.inf
     while m <= 1 << 16:
         h = (b - a) / m
-        total = 0j
+        total, mag = 0j, 0.0
         for j in range(m):
-            total += f(a + j * h)
+            v = f(a + j * h)
+            total += v
+            mag += abs(v)
         val = total * h
         if prev is not None:
             last_delta = abs(val - prev)
             if last_delta <= tol * max(1.0, abs(val)):
-                return val, last_delta
+                return val, last_delta + m * 2.0 ** -53 * h * mag
         prev = val
         m *= 2
     raise QuadratureError(f"trapezoid rule did not converge to {tol}; last delta {last_delta:.3e}")
@@ -192,6 +191,10 @@ class MomentTable:
 
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = tuple(arcs)
+        for arc in self.arcs:
+            report = admissibility_check(arc, V)
+            if not report.ok:
+                raise ValueError(f"inadmissible contour {arc.label}: {report.detail}")
         self.V = V
         self.tol = tol
         self.data: dict[tuple[int, int], tuple[complex, float]] = {}

@@ -64,19 +64,8 @@ def partitions_in_box(N: int, maxpart: int) -> list[Partition]:
         raise ValueError("N must be positive")
     if maxpart < 0:
         raise ValueError("maxpart must be non-negative")
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], largest: int, slots: int):
-        out.append(Partition(tuple(prefix)))
-        if slots == 0:
-            return
-        for p in range(min(largest, maxpart), 0, -1):
-            prefix.append(p)
-            rec(prefix, p, slots - 1)
-            prefix.pop()
-
-    rec([], maxpart, N)
-    out.sort(key=_grevlex_key)
+    out = [mu for w in range(N * maxpart + 1) for mu in partitions_of_weight(w, N)
+           if not mu or mu[0] <= maxpart]
     assert len(out) == comb(N + maxpart, N)
     return out
 
@@ -177,9 +166,6 @@ class PowerSumPoly:
         if not isinstance(other, PowerSumPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def max_part(self) -> int:
         return max((mu[0] for mu in self.terms if mu), default=0)

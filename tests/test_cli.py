@@ -166,10 +166,10 @@ def test_dump_moments_is_the_sorted_table(pot, tmp_path, monkeypatch, capsys):
 
 
 def test_dump_moments_not_written_when_the_command_fails(pot, tmp_path, capsys):
-    # e^{-V} = 1/(x - 1) is infinite on the unit circle: the command fails mid-table
+    # e^{-V} overflows along the real axis: the command fails mid-table
     dump = tmp_path / "moments.csv"
-    path = pot("pole.json", POLE)
-    cls = pot("class.json", {"N": 1, "arcs": "circle", "terms": [{"n": [1], "c": [1, 0]}]})
+    path = pot("well.json", DEEP_WELL)
+    cls = pot("class.json", {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": [1, 0]}]})
     code = main(["expect", "--potential", path, "--class", cls, "--dump-moments", str(dump)])
     assert code == 2
     assert capsys.readouterr().out == ""
@@ -259,7 +259,7 @@ def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys
     assert set(data) == {"N", "d", "rows", "cols", "entries", "errors", "singular_values",
                          "min_scaled_singular"}
     found = re.fullmatch(r"not verified: min scaled singular value (\S+) is within its"
-                         r" propagated error bound (\S+)\n", captured.err)
+                         r" error bound \|\|errors / scale\|\|_F = (\S+)\n", captured.err)
     assert found and found[1] == f"{data['min_scaled_singular']:.3e}"
     assert float(found[2]) >= data["min_scaled_singular"]
     # the default tolerance leaves the same witness verified
@@ -457,6 +457,60 @@ def test_contour_through_a_pole_is_usage_error(pot, capsys, arcs):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+X_PLUS_POLE = {"kind": "rational", "R": [["2", "0"], ["-1", "0"], ["1", "0"]],
+               "D": [["-1", "0"], ["1", "0"]]}  # V' = x + 2/(x - 1)
+DEEP_WELL = {"kind": "polynomial", "t": [["0", "0"], ["-2000", "0"], ["0", "0"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize("potential,args,message", [
+    # 2/x has no sector where Re V -> +inf, and the real axis runs through its pole
+    (HAAR2, ["expect", "--class", "{real}"],
+     "error: inadmissible contour R: ray angle 3.1416 lies in no sector where Re V -> +inf\n"),
+    (HAAR2, ["residuals", "--gamma", "real", "--N", "1"],
+     "error: inadmissible contour R: ray angle 3.1416 lies in no sector where Re V -> +inf\n"),
+    # the unit circle runs through the pole of x + 2/(x - 1) at 1
+    (X_PLUS_POLE, ["expect", "--class", "{circle}"],
+     "error: inadmissible contour circle: contour passes through the pole 1-0j\n"),
+    # V' = -2000 x + x^3: an admissible real axis, along which e^{-V} = e^{1000 x^2 - x^4 / 4}
+    # leaves the double range from |x| = 1 on (its peak is e^{10^6} at |x| = 44.7)
+    (DEEP_WELL, ["expect", "--class", "{real}"],
+     "quadrature error: e^{-V} overflows double precision along ray angle 3.1416 at arc length 1\n"),
+], ids=["expect-real-2/x", "residuals-real-2/x", "expect-circle-through-pole", "expect-overflow"])
+def test_inadmissible_contours_and_overflow_name_their_cause(pot, capsys, potential, args, message):
+    # each used to fail inside the integrand, with "0.0 to a negative or complex
+    # power" or "integrand blows up ...; inadmissible contour"
+    path = pot("potential.json", potential)
+    classes = {f"{{{arcs}}}": pot(f"{arcs}.json", {"N": 1, "arcs": arcs,
+                                                  "terms": [{"n": [1], "c": [1, 0]}]})
+               for arcs in ("real", "circle")}
+    code = main([args[0], "--potential", path, *(classes.get(a, a) for a in args[1:])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("t0,code", [("1e5000", 2), ("1e100000000", 2), ("-2.5e-100000000", 2),
+                                     ("0e100000000", 0)])
+def test_coefficients_beyond_the_digit_limit_name_the_file(tmp_path, t0, code):
+    # Fraction("1e100000000") expands 10^(10^8), which ran for minutes; "1e5000"
+    # failed only when its Q was printed, with no file named.  A zero prints as
+    # "0", whatever its exponent.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "polynomial", "t": [[t0, "0"], ["1", "0"]]}))
+    src = str(Path(loopeq.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, loopeq.cli; sys.exit(loopeq.cli.main(sys.argv[1:]))"
+    argv = ["gen", "--potential", str(path), "--mu", "1", "--N", "2"]
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: bad potential file {path}: ")
 
 
 @pytest.mark.parametrize("radius", [0, -1.0, True, "2", [1], math.nan, math.inf,

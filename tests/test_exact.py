@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,18 @@ def test_crational_serialization_roundtrip():
     a = CRational(Fraction(22, 7), Fraction(-5, 3))
     assert CRational.from_pair(a.to_pair()) == a
     assert complex(a) == complex(Fraction(22, 7)) - 1j * complex(Fraction(5, 3))
+
+
+def test_from_pair_refuses_parts_that_str_cannot_print():
+    n = sys.get_int_max_str_digits()  # 4300 by default; 0 lifts the limit
+    if not n:
+        pytest.skip("no digit limit")
+    # at the limit: 10^(n-1), 10^-(n-1) and 5 10^-n = 1/(2 10^(n-1)) have n-digit parts
+    for text in (f"1e{n - 1}", f"1e-{n - 1}", f"5e-{n}"):
+        assert CRational.from_pair((text, "0")).to_pair()
+    for text in (f"1e{n}", f"1e-{n}", f"{'9' * n}0"):  # one digit more
+        with pytest.raises(ValueError):
+            CRational.from_pair(("1", text))
 
 
 def test_mpoly_basic():

@@ -1,0 +1,94 @@
+"""1-D arc moments against a 30-digit ``mpmath.quad`` reference.
+
+Every moment's error bar must bound its true error: |value - ref| <= err.
+The reference integrates the same segments (rays out to infinity, circles over
+their full period) with e^{-V} evaluated in 30-digit arithmetic.  How loose
+each bar is, err / |value - ref|, is printed (``pytest -s``) but not gated.
+"""
+
+import functools
+
+import mpmath
+import pytest
+
+from loopeq import Potential, basis_arcs
+from loopeq.contours import CircleSeg, RaySeg
+from loopeq.quadrature import MomentTable
+
+
+def _c(*xs):
+    return [[str(x), "0"] for x in xs]
+
+
+# name -> (V, which basis arcs, moments k)
+CASES = {
+    "x^2 + 2/x circle": ({"kind": "rational", "R": _c(2, 0, 0, 1), "D": _c(0, 1)}, "closed",
+                         range(8)),
+    "2/x circle": ({"kind": "rational", "R": _c(2), "D": _c(0, 1)}, "closed", range(8)),
+    "x + 3/x circle": ({"kind": "rational", "R": _c(3, 0, 1), "D": _c(0, 1)}, "closed", range(8)),
+    "cubic elbows": ({"kind": "polynomial", "t": _c(1, 0, 1)}, "open", range(5)),
+    "x + x^3 elbows": ({"kind": "polynomial", "t": _c(0, 1, 0, 1)}, "open", range(5)),
+}
+
+
+def _exp_neg_V(V, z):
+    """e^{-V(z)} in mpmath arithmetic, from the same partial fractions as ``V.exp_neg_V``."""
+    q, poles = V.partial_fractions
+    out = mpmath.exp(-mpmath.fsum(c * z ** k / k for k, c in enumerate(q, start=1)))
+    for p, r in poles:
+        out *= (z - p) ** (-r)
+    return out
+
+
+@functools.cache  # each ray of an elbow basis is walked by two arcs
+def _ray_integral(base, angle, V, k):
+    step = mpmath.expj(angle)
+
+    def f(s):
+        z = base + s * step
+        return z ** k * _exp_neg_V(V, z) * step
+
+    return mpmath.quad(f, [0, mpmath.inf])
+
+
+def _circle_integral(seg, V, k):
+    def f(t):
+        w = seg.radius * mpmath.expj(t)
+        z = seg.center + w
+        return z ** k * _exp_neg_V(V, z) * 1j * w
+
+    return mpmath.quad(f, [0, mpmath.pi, 2 * mpmath.pi])
+
+
+def _reference(arc, V, k):
+    """The 30-digit integral of z^k e^{-V} dz along ``arc``."""
+    total = mpmath.mpc(0)
+    with mpmath.workdps(30):
+        for seg in arc.segments:
+            if isinstance(seg, RaySeg):
+                val = _ray_integral(seg.base, seg.angle, V, k)
+            else:
+                assert isinstance(seg, CircleSeg)
+                val = _circle_integral(seg, V, k)
+            total += -val if seg.inward else val
+    return complex(total)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_bar_bounds_the_true_error(name):
+    data, kind, ks = CASES[name]
+    V = Potential.from_json(data)
+    arcs = basis_arcs(V)
+    table = MomentTable(arcs, V, 1e-12)
+    failures = []
+    for i, arc in enumerate(arcs):
+        if arc.closed != (kind == "closed"):
+            continue
+        for k in ks:
+            value, err = table.moment(i, k)
+            miss = abs(value - _reference(arc, V, k))
+            print(f"{name} {arc.label} k={k}: |value - ref| = {miss:.2e}, bar {err:.2e}"
+                  f" ({err / miss if miss else float('inf'):.3g}x)")
+            if miss > err:
+                failures.append((arc.label, k, miss, err))
+    assert not failures
