@@ -33,6 +33,7 @@ from .contours import (
 from .loopgen import Potential, q_polynomial, q_rational
 from .momsolve import MomentFunctional, loop_tuples, residuals, solve_moments
 from .quadrature import (
+    RULE_TAG,
     MomentTable,
     QuadratureError,
     expectation,
@@ -112,7 +113,8 @@ def _read_moment_cache(path: str) -> dict:
 
 
 class CachedMomentTable(MomentTable):
-    """Moment table backed by a JSON cache keyed by potential/arc/k/tol hashes."""
+    """Moment table backed by a JSON cache keyed by potential/arc/tol hashes, k
+    and the quadrature rule's ``RULE_TAG``."""
 
     def __init__(self, arcs, V, tol, cache_dir):
         super().__init__(arcs, V, tol)
@@ -129,7 +131,7 @@ class CachedMomentTable(MomentTable):
         # only a key not yet in memory is looked up on disk (or stored after)
         key = None
         if (arc_index, k) not in self.data:
-            key = f"{self._arc_keys[arc_index]}:{k}"
+            key = f"{self._arc_keys[arc_index]}:{k}:{RULE_TAG}"
             if key in self._store:
                 re, im, err = self._store[key]
                 self.data[(arc_index, k)] = (complex(re, im), err)

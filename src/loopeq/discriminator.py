@@ -8,6 +8,10 @@ the measure on a prescribed saddle assignment, so suitably normalized
 expectations converge to Kronecker deltas and recover the coefficients of any
 arc combination.
 
+Every body moment is a combination of plain ray moments, each integrated once
+by L1's segment rule (``_body_moment``); the range guard on |Re V_r| keeps
+their integrands x^q e^{-V} inside double precision.
+
 The arc basis used here anchors every class at the most strongly damped
 saddle (largest Re V_r), pairing it with each of the other d saddles; with
 consecutive-sector arcs the projection onto saddle classes is triangular
@@ -24,8 +28,9 @@ from math import factorial
 
 import numpy as np
 
+from .contours import RaySeg
 from .loopgen import Potential
-from .quadrature import _quad_complex, vandermonde_sum
+from .quadrature import _segment_moment, vandermonde_sum
 from .symfunc import compositions
 
 MAX_BODIES = 2
@@ -108,22 +113,17 @@ def _second_derivative(V: Potential, z: complex) -> complex:
     return out
 
 
-def lagrange_f(S: SaddleSet):
-    """Pointwise Lagrange evaluators f_j with f_j(xi_i) = delta_ij."""
-    xi = list(S.xi)
-    qp = list(S.Q_prime)
-
-    def make(j):
-        def f(x):
-            prod = 1.0 + 0j
-            for k, zk in enumerate(xi):
-                if k != j:
-                    prod *= x - zk
-            return prod / qp[j]
-
-        return f
-
-    return [make(j) for j in range(len(xi))]
+def lagrange_f(S: SaddleSet) -> list[list[complex]]:
+    """Ascending monomial coefficients of the Lagrange polynomials f_j,
+    f_j(x) = prod_{k != j} (x - xi_k) / Q'(xi_j), so f_j(xi_i) = delta_ij."""
+    out = []
+    for j, qp in enumerate(S.Q_prime):
+        coeffs = [1.0 + 0j]
+        for k, zk in enumerate(S.xi):
+            if k != j:  # multiply by (x - zk)
+                coeffs = [a - zk * b for a, b in zip([0j, *coeffs], [*coeffs, 0j])]
+        out.append([a / qp for a in coeffs])
+    return out
 
 
 def _gaussian_block_constant(n: int) -> float:
@@ -160,69 +160,31 @@ class DiscriminatorEngine:
         self.f = lagrange_f(self.S)
         self.anchor = self.S.anchor_index
         self.others = [j for j in range(len(self.S.xi)) if j != self.anchor]
-        self._prims: dict[tuple[int, int, int], tuple[complex, float]] = {}
+        self._rays: dict[tuple[int, int], tuple[complex, float]] = {}
 
-    # -- 1-D primitives ------------------------------------------------------
-
-    def _truncation(self, j: int) -> float:
-        theta = cmath.phase(self.S.xi[j])
-        peak_r = abs(self.S.xi[j])
-
-        def logmag(rho: float) -> float:
-            z = rho * cmath.exp(1j * theta)
-            return self.r * math.log(rho) - self.V.V(z).real
-
-        top = logmag(peak_r)
-        rho = peak_r
-        for _ in range(200):
-            rho *= 1.12
-            if logmag(rho) < top - 60.0:
-                break
-        return rho
-
-    def _primitive(self, j: int, c: int, extra: int) -> tuple[complex, float]:
-        """integral over the ray through saddle j of x^{r+extra} f_c(x) e^{-V},
-        with the quadrature error estimate."""
-        key = (j, c, extra)
-        if key in self._prims:
-            return self._prims[key]
-        theta = cmath.phase(self.S.xi[j])
-        phase = cmath.exp(1j * theta)
-        smax = self._truncation(j)
-        peak = abs(self.S.xi[j])
-        width = peak / math.sqrt(self.r)
-        fc = self.f[c]
-        rr = self.r + extra
-
-        def integrand(s):
-            z = s * phase
-            if s <= 0:
-                return 0j
-            # x^{r+extra} e^{-V} dz with dz = e^{i theta} ds, kept in log form
-            logm = rr * math.log(s) - self.V.V(z)
-            return cmath.exp(logm + 1j * (rr + 1) * theta) * fc(z)
-
-        total = 0j
-        err = 0.0
-        cuts = [0.0, max(0.0, peak - 8 * width), peak + 8 * width, smax]
-        for a, b in zip(cuts, cuts[1:]):
-            if b <= a:
-                continue
-            val, e = _quad_complex(integrand, a, b, self.tol)
-            total += val
-            err += e
-        self._prims[key] = total, err
-        return total, err
-
-    # -- N-body expectations ---------------------------------------------------
+    def _ray(self, j: int, q: int) -> tuple[complex, float]:
+        """R_j(q): integral of x^q e^{-V} from 0 out along the ray through saddle j,
+        with its error estimate (L1's segment rule)."""
+        key = (j, q)
+        if key not in self._rays:
+            ray = RaySeg(0j, cmath.phase(self.S.xi[j]))
+            self._rays[key] = _segment_moment(ray, self.V, q, self.tol)
+        return self._rays[key]
 
     def _body_moment(self, body: tuple[int, int], k: int) -> tuple[complex, float]:
-        """Moment of x^k over body (arc, c) = x^r f_c(x) e^{-V} dx on that arc,
-        with the two rays' quadrature errors summed."""
+        """Moment of x^k over body (arc, c) = x^r f_c(x) e^{-V} dx on that arc:
+        sum_i a_{c,i} [R_j(r + k + i) - R_anchor(r + k + i)] over the coefficients
+        a_{c,i} of f_c, with the bar sum_i |a_{c,i}| (e_j + e_anchor)."""
         arc, c = body
-        v_other, e_other = self._primitive(self.others[arc], c, k)
-        v_anchor, e_anchor = self._primitive(self.anchor, c, k)
-        return v_other - v_anchor, e_other + e_anchor
+        j = self.others[arc]
+        total = 0j
+        err = 0.0
+        for i, a in enumerate(self.f[c]):
+            v_other, e_other = self._ray(j, self.r + k + i)
+            v_anchor, e_anchor = self._ray(self.anchor, self.r + k + i)
+            total += a * (v_other - v_anchor)
+            err += abs(a) * (e_other + e_anchor)
+        return total, err
 
     def expectation(self, n: tuple[int, ...], m_hat: tuple[int, ...]) -> complex:
         """E over the product domain of arcs (composition n) of p_{r, m_hat}."""
@@ -237,7 +199,9 @@ class DiscriminatorEngine:
         return total / len(assignments)
 
     def amplitude(self, m_hat: tuple[int, ...]) -> complex:
-        """The saddle-product normalization A(m) including Q' factors."""
+        """The saddle-product normalization A(m): the Vandermonde of the saddles
+        and a Gaussian block per occupied saddle.  It has no Q'(xi) factors, since
+        each f_c is already normalized to 1 at its own saddle."""
         S = self.S
         out = 1.0 + 0j
         for i in range(len(S.xi)):
@@ -250,12 +214,11 @@ class DiscriminatorEngine:
                 continue
             z = S.Vr_second[j] * S.xi[j] ** 2 / self.r
             w = 1.0 / cmath.sqrt(z)
-            block = (
+            out *= (
                 cmath.exp(-mm * S.Vr_values[j])
                 * _gaussian_block_constant(mm)
                 * (S.xi[j] / math.sqrt(self.r) * w) ** (mm * mm)
             )
-            out *= block * S.Q_prime[j] ** mm
         return out
 
     def ratio(self, n: tuple[int, ...], m: tuple[int, ...]) -> complex:
@@ -268,21 +231,16 @@ class DiscriminatorEngine:
         return self.ratio_for_class({tuple(n): 1}, m)
 
     def ratio_for_class(self, coeffs: dict, m: tuple[int, ...]) -> complex:
-        """E_Gamma(p_{r,m}) * prod Q'(xi)^m * (N!/prod m_j!) / A(m) for
-        Gamma = sum_n coeffs[n] gamma^n."""
+        """E_Gamma(p_{r,m}) * (N!/prod m_j!) / A(m) for Gamma = sum_n coeffs[n] gamma^n."""
         m_hat = self._lift(m)
         E = 0j
         for n, c in coeffs.items():
             E += complex(c) * self.expectation(tuple(n), m_hat)
-        qfac = 1.0 + 0j
-        for j, mm in enumerate(m_hat):
-            if mm:
-                qfac *= self.S.Q_prime[j] ** mm
         N = sum(m)
         snorm = factorial(N)
         for mm in m_hat:
             snorm //= factorial(mm)
-        return E * qfac * snorm / self.amplitude(m_hat)
+        return E * snorm / self.amplitude(m_hat)
 
     def _lift(self, m: tuple[int, ...]) -> tuple[int, ...]:
         m_hat = [0] * len(self.S.xi)

@@ -5,12 +5,14 @@ E_Gamma(p) factorizes over product domains once Delta(X)^2 is expanded as a
 double determinant and each power sum is distributed over variables, so the
 only quadrature ever performed is one-dimensional: adaptive Gauss-Kronrod
 (QUADPACK's QAGS, Piessens et al. 1983) on open arcs (rays, elbows) and the
-periodic trapezoid rule on circles, whose bar covers rounding too.  QAGS is
-scipy's compiled routine, loaded from its file; ``scipy.integrate`` is never
-imported.  The one N-body kernel, ``vandermonde_sum``, assembles those moments
-for quadrature functionals and the saddle discriminator alike: a
-permutation-pair sum up to N = 2 and a Laplace expansion of the Andreief
-determinant (Forrester, *Log-gases and Random Matrices*, ch. 1) from N = 3 on.
+periodic trapezoid rule on circles, whose bar covers rounding too.  One segment
+rule, ``_segment_moment``, serves ``arc_moment`` and the discriminator's saddle
+rays; ``RULE_TAG`` names it in the disk cache's keys.  QAGS is scipy's compiled
+routine, loaded from its file; ``scipy.integrate`` is never imported.  The one
+N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
+functionals and the saddle discriminator alike: a permutation-pair sum up to
+N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
+*Log-gases and Random Matrices*, ch. 1) from N = 3 on.
 Everything downstream is exact bookkeeping plus worst-case error propagation.
 
 A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
@@ -148,37 +150,47 @@ def _trapezoid_circle(f, a: float, b: float, tol: float):
     raise QuadratureError(f"trapezoid rule did not converge to {tol}; last delta {last_delta:.3e}")
 
 
-def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
-    """integral over the contour of x^k e^{-V(x)} dx, with an error estimate.
+# names the 1-D rule and its bar; it changes whenever a value or a bar of
+# ``_segment_moment`` does, and the disk cache keys every moment with it
+RULE_TAG = "qags-trapezoid-2"
 
-    Every segment is walked through its parametrization: the integrand is
-    z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with an infinite upper bound
-    cut where the tail falls below TAIL_CUTOFF.
-    """
+
+def _segment_moment(seg, V: Potential, k: int, tol: float):
+    """integral of x^k e^{-V(x)} dx along one segment, in its direction of travel,
+    with an error estimate: z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with an
+    infinite upper bound cut where the tail falls below TAIL_CUTOFF."""
     weight = V.exp_neg_V
+    if isinstance(seg, RaySeg):
+        base, step = seg.base, seg.direction
+
+        def f(t):
+            z = base + t * step
+            return z ** k * weight(z) * step
+
+    else:
+
+        def f(t):
+            z = seg.point(t)
+            return z ** k * weight(z) * seg.tangent(t)
+
+    a, b = seg.bounds
+    if isinstance(seg, CircleSeg):
+        val, e = _trapezoid_circle(f, a, b, tol)
+    else:
+        if math.isinf(b):
+            b = _ray_truncation(seg, weight, k)
+        val, e = _quad_complex(f, a, b, tol)
+    return (-val if seg.inward else val), e
+
+
+def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
+    """integral over the contour of x^k e^{-V(x)} dx, with an error estimate:
+    the sum of its segments' ``_segment_moment``s."""
     total = 0j
     err = 0.0
     for seg in c.segments:
-        if isinstance(seg, RaySeg):
-
-            def f(t, base=seg.base, step=seg.direction):
-                z = base + t * step
-                return z ** k * weight(z) * step
-
-        else:
-
-            def f(t, _s=seg):
-                z = _s.point(t)
-                return z ** k * weight(z) * _s.tangent(t)
-
-        a, b = seg.bounds
-        if isinstance(seg, CircleSeg):
-            val, e = _trapezoid_circle(f, a, b, tol)
-        else:
-            if math.isinf(b):
-                b = _ray_truncation(seg, weight, k)
-            val, e = _quad_complex(f, a, b, tol)
-        total += -val if seg.inward else val
+        val, e = _segment_moment(seg, V, k, tol)
+        total += val
         err += e
     return total, err
 

@@ -34,7 +34,6 @@ from loopeq import (
     Potential,
     arc_moment,
     basis_arcs,
-    discriminator,
     imaginary_axis_contour,
     quadrature,
     real_axis_contour,
@@ -312,9 +311,9 @@ def _quad_calls(case, monkeypatch):
         for arc in basis_arcs(V):
             calls += _recorded(monkeypatch, quadrature, lambda: arc_moment(arc, V, 2, 1e-12))
         return [c for c in calls if (c[1], c[2]) in joins]
-    if case == "discriminator primitive":
+    if case == "discriminator primitive":  # R_0(62), the ray through saddle 0 at r = 60
         engine = DiscriminatorEngine(cubic, 60)
-        return _recorded(monkeypatch, discriminator, lambda: engine._primitive(0, 1, 2))
+        return _recorded(monkeypatch, quadrature, lambda: engine._ray(0, 62))
     # 477 oscillations on [0, 20]: 200 subintervals fall short, 800 pass
     return [(lambda x: cmath.exp(150j * x - x), 0.0, 20.0, 1e-10)]
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import loopeq
-from loopeq.cli import main
+from loopeq import Potential, real_axis_contour
+from loopeq.cli import CachedMomentTable, main
 
 GAUSS = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]]}
 CUBIC = {"kind": "polynomial", "t": [["1", "0"], ["0", "0"], ["1", "0"]]}
@@ -116,6 +117,21 @@ def test_interrupted_cache_write_keeps_previous_cache(pot, tmp_path, monkeypatch
     assert os.listdir(cache) == ["moments.json"]
     assert main(args + ["--poly", "2", "--out", str(tmp_path / "o3.json")]) == 0
     assert (tmp_path / "o3.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
+
+
+def test_moment_cache_does_not_serve_entries_of_an_untagged_rule(pot, tmp_path):
+    # a moments.json written before the rule tag keyed entries by potential, arc, tol and k only
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    table = CachedMomentTable([real_axis_contour()], Potential.from_json(GAUSS), 1e-10, str(cache))
+    stale = {f"{table._arc_keys[0]}:{k}": [1.0, 0.0, 0.0] for k in range(8)}
+    (cache / "moments.json").write_text(json.dumps(stale))
+    args = ["expect", "--potential", path, "--class", cls, "--poly", "2", "--tol", "1e-10"]
+    assert main(args + ["--cache", str(cache), "--out", str(tmp_path / "cached.json")]) == 0
+    assert main(args + ["--out", str(tmp_path / "plain.json")]) == 0
+    assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 @pytest.mark.parametrize("store,detail", [
@@ -612,6 +628,20 @@ def test_discrim_cli(pot, capsys):
     assert code == 0
     assert data["max_deviation"] < 0.2
     assert len(data["ratios"]) == 4
+
+
+def test_discrim_range_guard_keeps_the_ray_integrands_finite(pot, capsys):
+    # x^q e^{-V} is integrated in plain form, so r stops where e^{-V_r} leaves double range
+    path = pot("cubic.json", CUBIC)
+    code, data = run(["discrim", "--potential", path, "--r", "215", "--N", "1"], capsys)
+    assert code == 0
+    assert data["max_deviation"] < 0.2
+    assert all(math.isfinite(x) for ratio in data["ratios"] for x in ratio["value"])
+    assert main(["discrim", "--potential", path, "--r", "230", "--N", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: |Re V_r| ~ 343 exceeds double-precision dynamic range;"
+                            " lower r\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -2,16 +2,18 @@
 
 Every moment's error bar must bound its true error: |value - ref| <= err.
 The reference integrates the same segments (rays out to infinity, circles over
-their full period) with e^{-V} evaluated in 30-digit arithmetic.  How loose
+their full period, and the discriminator's rays from 0 through the saddles of
+V_r) with e^{-V} evaluated in 30-digit arithmetic.  How loose
 each bar is, err / |value - ref|, is printed (``pytest -s``) but not gated.
 """
 
+import cmath
 import functools
 
 import mpmath
 import pytest
 
-from loopeq import Potential, basis_arcs
+from loopeq import DiscriminatorEngine, Potential, basis_arcs
 from loopeq.contours import CircleSeg, RaySeg
 from loopeq.quadrature import MomentTable
 
@@ -91,4 +93,25 @@ def test_every_bar_bounds_the_true_error(name):
                   f" ({err / miss if miss else float('inf'):.3g}x)")
             if miss > err:
                 failures.append((arc.label, k, miss, err))
+    assert not failures
+
+
+def test_saddle_ray_bars_bound_the_true_error():
+    # the discriminator's ray moments R_j(q) = integral of x^q e^{-V} from 0 out through
+    # saddle j, at q = r: the integrand peaks at |xi_j| and spans about e^{|Re V_r|}
+    V = Potential.from_json(CASES["cubic elbows"][0])
+    engine = DiscriminatorEngine(V, 60)
+    failures = []
+    for j, xi in enumerate(engine.S.xi):
+        value, err = engine._ray(j, 60)
+        rho = abs(xi)
+        with mpmath.workdps(30):  # x^60 dx = s^60 ds e^{61 i theta} on the ray at angle theta
+            step = mpmath.expj(cmath.phase(xi))
+            ref = complex(step ** 61 * mpmath.quad(lambda s: s ** 60 * _exp_neg_V(V, s * step),
+                                                   [0, rho / 2, rho, 1.5 * rho, 3 * rho, mpmath.inf]))
+        miss = abs(value - ref)
+        print(f"cubic r=60 ray {j}: |value - ref| / |ref| = {miss / abs(ref):.2e},"
+              f" bar {err:.2e} ({err / miss if miss else float('inf'):.3g}x)")
+        if miss > err:
+            failures.append((j, miss, err))
     assert not failures

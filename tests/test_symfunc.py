@@ -113,6 +113,20 @@ def test_reduce_length_examples():
     assert reduce_length(p0, 3) == p0
 
 
+def test_reduce_length_merges_a_short_term_with_a_long_terms_expansion():
+    # p_111 + 3 p_21 at N = 2: p_111 expands to 3 p_21 - 2 p_3, which meets the short p_21
+    long, short = Partition((1, 1, 1)), Partition((2, 1))
+    rng = random.Random(3)
+    for order in ((long, short), (short, long)):
+        coeffs = {long: CRational(1), short: CRational(3)}
+        p = PowerSumPoly({mu: coeffs[mu] for mu in order}, 2)
+        red = reduce_length(p, 2)
+        assert red.terms == {short: CRational(6), Partition((3,)): CRational(-2)}
+        for _ in range(5):
+            pts = distinct_rational_points(rng, 2)
+            assert eval_powersum(red, pts) == eval_powersum(p, pts)
+
+
 def test_reduce_length_random_exactness():
     rng = random.Random(11)
     cases = 0
