@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -146,11 +147,12 @@ class CachedMomentTable(MomentTable):
         if self._dirty:
             os.makedirs(self.cache_dir, exist_ok=True)
             # write a sibling temp file and rename it over the cache, so an
-            # interrupted dump never leaves a truncated moments.json behind
+            # interrupted dump never leaves a truncated moments.json behind;
+            # json.dumps uses the C encoder (json.dump the Python one), same bytes
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=".moments.", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(self._store, fh, sort_keys=True)
+                    fh.write(json.dumps(self._store, sort_keys=True))
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
@@ -163,8 +165,9 @@ def _moment_table(arcs, V, args):
     """The moment table of one command (on disk under ``--cache``).  Once the
     command has filled it, new moments are flushed to the cache and the table
     is written to ``--dump-moments``; a failing command does neither."""
-    if args.cache:
-        table = CachedMomentTable(arcs, V, args.tol, args.cache)
+    cache = args.cache if args.cache is not None else os.environ.get("LOOPEQ_CACHE")
+    if cache:
+        table = CachedMomentTable(arcs, V, args.tol, cache)
     else:
         table = MomentTable(arcs, V, args.tol)
     yield table
@@ -394,7 +397,10 @@ def cmd_discrim(args) -> int:
     return 0 if report.max_deviation < args.delta_tol else VERIFY_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: it holds no state of a command (--cache reads
+    # LOOPEQ_CACHE when the command runs)
     ap = argparse.ArgumentParser(
         prog="loopeq",
         description="Loop equations of matrix models: generate, solve, integrate, cross-check.",
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         if moments:
             p.add_argument(
                 "--cache",
-                default=os.environ.get("LOOPEQ_CACHE"),
+                default=None,
                 help="moment cache directory (env LOOPEQ_CACHE)",
             )
             p.add_argument(
@@ -421,14 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mu", required=True, help="comma-separated index tuple, e.g. 3,1")
     p.add_argument("--N", type=int, required=True, help="number of eigenvalues (folds p_0)")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="reduce moments to the finite basis and evaluate")
     common(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--basis", required=True, help="JSON with basis values on the box partitions")
     p.add_argument("--targets", required=True, help="semicolon-separated tuples, e.g. '4;3,1'")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("residuals", help="loop-equation residuals of a quadrature functional")
     common(p, moments=True)
@@ -439,25 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
     gamma = p.add_mutually_exclusive_group()
     gamma.add_argument("--class", dest="cls", default=None, help="homology class JSON")
     gamma.add_argument("--gamma", choices=["real", "circle"], default=None)
-    p.set_defaults(func=cmd_residuals)
 
     p = sub.add_parser("contours", help="emit sampled basis arcs as polylines")
     common(p)
-    p.set_defaults(func=cmd_contours)
 
     p = sub.add_parser("expect", help="moment functional value on a class")
     common(p, moments=True)
     p.add_argument("--class", dest="cls", required=True, help="homology class JSON")
     p.add_argument("--poly", default="", help="partition, e.g. 2,1 (empty = Z)")
     p.add_argument("--tol", type=_tol_arg, default=1e-10)
-    p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("iso", help="moment matrix + singular values (isomorphism witness)")
     common(p, moments=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tol", type=_tol_arg, default=1e-12)
     p.add_argument("--min-singular", type=_finite_arg, default=1e-8)
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("maps", help="map generating series by edge count")
     common(p, potential=False)
@@ -465,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--t{k}", default=None, help=f"degree-{k} vertex weight (rational)")
     p.add_argument("--marked", default="", help="marked face sizes, e.g. 3 or 2,1")
     p.add_argument("--order", type=int, default=4, help="edge-count truncation")
-    p.set_defaults(func=cmd_maps)
 
     p = sub.add_parser("tutte", help="loop-equation residual of the map series (exact)")
     common(p, potential=False)
@@ -473,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--t{k}", default=None, help=f"degree-{k} vertex weight (rational)")
     p.add_argument("--mu", required=True)
     p.add_argument("--order", type=int, default=4)
-    p.set_defaults(func=cmd_tutte)
 
     p = sub.add_parser("discrim", help="saddle-point delta-limit ratios")
     common(p)
@@ -481,19 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--tol", type=_tol_arg, default=1e-9)
     p.add_argument("--delta-tol", type=_finite_arg, default=0.2)
-    p.set_defaults(func=cmd_discrim)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up when the command runs, so a rebound cmd_* is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

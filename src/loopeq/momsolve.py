@@ -162,23 +162,33 @@ def solve_moments(F: MomentFunctional, V: Potential, targets: Sequence[Sequence[
     Returns (values, reducer); values map each target partition to a number of
     the same flavour as the basis values (exact if those are CRational,
     complex otherwise).  The reducer carries the coefficient-growth diagnostic.
+
+    Complex values are summed from the reducer's integer forms, with no
+    ``CRational`` built: each coefficient is ``complex(re / den) + 1j *
+    complex(im / den)``, the sum ``CRational.to_complex`` takes (the pair
+    ``complex(re / den, im / den)`` can differ from it in the sign of a zero,
+    where a quotient underflows to -0.0).  Int true division is correctly
+    rounded, so an entry not in lowest terms gives the bits of its reduced
+    ``CRational``.
     """
     if V.d != F.d:
         raise ValueError(f"potential has d={V.d} but functional expects d={F.d}")
     red = LoopReducer(V, F.N)
     exact = all(isinstance(v, CRational) for v in F.basis_values.values())
+    if not exact:
+        values = {b: complex(v) for b, v in F.basis_values.items()}
     out = {}
     for target in targets:
         mu = Partition.of(target)
-        form = red.reduce(mu)
         if exact:
             total = CRational(0)
-            for b, w in form.items():
+            for b, w in red.reduce(mu).items():
                 total = total + w * F.basis_values[b]
         else:
+            den, coeffs = red._reduce(mu)
             total = 0j
-            for b, w in form.items():
-                total += w.to_complex() * complex(F.basis_values[b])
+            for b, (re, im) in coeffs.items():
+                total += (complex(re / den) + 1j * complex(im / den)) * values[b]
         out[mu] = total
     return out, red
 

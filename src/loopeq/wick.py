@@ -32,6 +32,10 @@ def n_poly(terms: dict[int, object]) -> MPoly:
     return MPoly(NVARS, {(e,): CRational.coerce(c) for e, c in terms.items()})
 
 
+# face-path state -> its face counts (see _face_counts); kept for the process
+_FACE_MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _face_counts(gamma: list[int]) -> dict[int, int]:
     """{faces: matchings}: how many perfect matchings pi of the half-edges give
     gamma.pi that many cycles (faces).
@@ -43,36 +47,40 @@ def _face_counts(gamma: list[int]) -> dict[int, int]:
     Pairing 0 with b adds the arcs 0 -> gamma[b] and b -> gamma[0]; an arc
     closes a face when it joins a path to its own start, otherwise it joins
     two paths.  Partial matchings that leave equal states share their
-    completions, so each state is counted once; the memo lives for one call.
+    completions, so each state is counted once.  A state fixes its face
+    counts whatever gamma it came from, so the memo (``_FACE_MEMO``) lives
+    for the process and every trace moment shares it.
     """
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
-
-    def count(f: tuple[int, ...]) -> tuple[int, ...]:
-        # entry c: the matchings of the free half-edges that close c faces
-        if f in memo:
-            return memo[f]
-        out = [0] * (len(f) + 1)
-        for b in range(1, len(f)):
-            g = list(f)
-            closed = 0
-            for x, y in ((0, b), (b, 0)):
-                if g[x] == y:
-                    closed += 1
-                else:
-                    g[g.index(y)] = g[x]
-                g[x] = -1
-            rest = tuple(y - 1 - (y > b) for y in g[1:b] + g[b + 1:])
-            for c, n in enumerate(count(rest), closed):
-                out[c] += n
-        while not out[-1]:
-            out.pop()
-        memo[f] = tuple(out)
-        return memo[f]
-
     start = [0] * len(gamma)
     for x, y in enumerate(gamma):
         start[y] = x
-    return {c: n for c, n in enumerate(count(tuple(start))) if n}
+    return {c: n for c, n in enumerate(_count_faces(tuple(start))) if n}
+
+
+def _count_faces(f: tuple[int, ...]) -> tuple[int, ...]:
+    # entry c: the matchings of the free half-edges that close c faces
+    known = _FACE_MEMO.get(f)
+    if known is not None:
+        return known
+    if not f:
+        return (1,)
+    out = [0] * (len(f) + 1)
+    for b in range(1, len(f)):
+        g = list(f)
+        closed = 0
+        for x, y in ((0, b), (b, 0)):
+            if g[x] == y:
+                closed += 1
+            else:
+                g[g.index(y)] = g[x]
+            g[x] = -1
+        rest = tuple(y - 1 - (y > b) for y in g[1:b] + g[b + 1:])
+        for c, n in enumerate(_count_faces(rest), closed):
+            out[c] += n
+    while not out[-1]:
+        out.pop()
+    _FACE_MEMO[f] = tuple(out)
+    return _FACE_MEMO[f]
 
 
 _GTM_CACHE: dict[tuple[int, ...], MPoly] = {}

@@ -106,17 +106,55 @@ def test_interrupted_cache_write_keeps_previous_cache(pot, tmp_path, monkeypatch
     assert main(args + ["--poly", "2", "--out", str(tmp_path / "o1.json")]) == 0
     before = (cache / "moments.json").read_bytes()
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write(json.dumps(obj, **kwargs)[:20])
-        raise OSError("No space left on device")
+    real_fdopen = os.fdopen
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    def fdopen_then_fail(fd, *args, **kwargs):
+        # the cache file's handle writes 20 characters, then the disk is full
+        fh = real_fdopen(fd, *args, **kwargs)
+        write = fh.write
+
+        def write_then_fail(text):
+            write(text[:20])
+            raise OSError("No space left on device")
+
+        fh.write = write_then_fail
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen_then_fail)
     assert main(args + ["--poly", "6,4", "--out", str(tmp_path / "o2.json")]) == 2
     monkeypatch.undo()
     assert (cache / "moments.json").read_bytes() == before
     assert os.listdir(cache) == ["moments.json"]
     assert main(args + ["--poly", "2", "--out", str(tmp_path / "o3.json")]) == 0
     assert (tmp_path / "o3.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
+
+
+def test_loopeq_cache_is_read_when_the_command_runs(pot, tmp_path, monkeypatch):
+    # the parser is built once per process; LOOPEQ_CACHE set after the first
+    # command must still reach the second
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    cache = tmp_path / "cache"
+    args = ["expect", "--potential", path, "--class", cls, "--poly", "2", "--tol", "1e-10"]
+    monkeypatch.delenv("LOOPEQ_CACHE", raising=False)
+    assert main(args + ["--out", str(tmp_path / "o1.json")]) == 0
+    assert not cache.exists()
+    monkeypatch.setenv("LOOPEQ_CACHE", str(cache))
+    assert main(args + ["--out", str(tmp_path / "o2.json")]) == 0
+    assert os.listdir(cache) == ["moments.json"]
+    assert (tmp_path / "o2.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
+
+
+def test_cache_file_bytes_are_json_dump_bytes(pot, tmp_path):
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    cache = tmp_path / "cache"
+    assert main(["expect", "--potential", path, "--class", cls, "--poly", "6,4", "--tol", "1e-10",
+                 "--cache", str(cache), "--out", str(tmp_path / "o.json")]) == 0
+    written = (cache / "moments.json").read_bytes()
+    with open(tmp_path / "dumped.json", "w") as fh:
+        json.dump(json.loads(written), fh, sort_keys=True)
+    assert written == (tmp_path / "dumped.json").read_bytes()
 
 
 def test_moment_cache_does_not_serve_entries_of_an_untagged_rule(pot, tmp_path):

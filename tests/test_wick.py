@@ -15,6 +15,7 @@ from loopeq import (
     real_power_class,
     tutte_residual,
 )
+from loopeq import wick
 from loopeq.wick import map_potential
 
 
@@ -88,6 +89,21 @@ def test_gtm_matches_brute_force_matchings():
             counts = _brute_face_counts(powers)
             expect = MPoly(("N",), {(c,): CRational(n) for c, n in counts.items()})
             assert gaussian_trace_moment(powers) == expect, powers
+
+
+def test_shared_face_memo_matches_brute_force_in_any_order():
+    # one memo serves every gamma: states met first under one key must give
+    # the same counts under another, whichever key is walked first
+    keys = [powers for h in range(2, 13, 2) for powers in _multisets(h)]
+    brute = {powers: dict(_brute_face_counts(powers)) for powers in keys}
+    for order in (keys, keys[::-1]):
+        wick._FACE_MEMO.clear()
+        for powers in order:
+            gamma, pos = [], 0
+            for k in powers:
+                gamma += [pos + (i + 1) % k for i in range(k)]
+                pos += k
+            assert wick._face_counts(gamma) == brute[powers], powers
 
 
 def test_gtm_single_trace_is_harer_zagier():
