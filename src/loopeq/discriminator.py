@@ -187,16 +187,17 @@ class DiscriminatorEngine:
         return total, err
 
     def expectation(self, n: tuple[int, ...], m_hat: tuple[int, ...]) -> complex:
-        """E over the product domain of arcs (composition n) of p_{r, m_hat}."""
+        """E over the product domain of arcs (composition n) of p_{r, m_hat}:
+        the sum over level maps s of the Vandermonde assembly of the bodies
+        (arc, s(i)), not their mean."""
         N = sum(n)
         if N > MAX_BODIES:
             raise ValueError(f"N={N} beyond the discriminator cap {MAX_BODIES}")
         word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
-        assignments = _level_maps(m_hat, N)
         total = 0j
-        for s in assignments:
+        for s in _level_maps(m_hat, N):
             total += vandermonde_sum(self._body_moment, tuple(zip(word, s)))[0]
-        return total / len(assignments)
+        return total
 
     def amplitude(self, m_hat: tuple[int, ...]) -> complex:
         """The saddle-product normalization A(m): the Vandermonde of the saddles
@@ -231,16 +232,13 @@ class DiscriminatorEngine:
         return self.ratio_for_class({tuple(n): 1}, m)
 
     def ratio_for_class(self, coeffs: dict, m: tuple[int, ...]) -> complex:
-        """E_Gamma(p_{r,m}) * (N!/prod m_j!) / A(m) for Gamma = sum_n coeffs[n] gamma^n."""
+        """E_Gamma(p_{r,m}) / A(m) for Gamma = sum_n coeffs[n] gamma^n, E being
+        the sum over the N!/prod m_j! level maps of ``expectation``."""
         m_hat = self._lift(m)
         E = 0j
         for n, c in coeffs.items():
             E += complex(c) * self.expectation(tuple(n), m_hat)
-        N = sum(m)
-        snorm = factorial(N)
-        for mm in m_hat:
-            snorm //= factorial(mm)
-        return E * snorm / self.amplitude(m_hat)
+        return E / self.amplitude(m_hat)
 
     def _lift(self, m: tuple[int, ...]) -> tuple[int, ...]:
         m_hat = [0] * len(self.S.xi)

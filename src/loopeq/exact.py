@@ -327,17 +327,6 @@ class MPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def embed(self, vars: tuple[str, ...]) -> "MPoly":
-        """Reinterpret in a superset of generators."""
-        pos = [vars.index(v) for v in self.vars]
-        out: dict[tuple[int, ...], CRational] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(vars)
-            for p, x in zip(pos, e):
-                ne[p] = x
-            out[tuple(ne)] = c
-        return MPoly(vars, out)
-
     def eval(self, values: Mapping[str, Scalarish]) -> CRational:
         missing = [v for v in self.vars if v not in values]
         if missing:

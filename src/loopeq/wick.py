@@ -3,8 +3,9 @@ the loop equations.
 
 Trace moments of the unit Gaussian matrix weight are sums over perfect
 matchings of half-edges, each contributing N^(number of index loops); they are
-taken by a memoized walk over partial matchings that tracks the open index
-paths, with no loop-equation recursion.  Vertex insertions from
+taken by a walk over partial matchings that tracks the open index paths, with
+no loop-equation recursion, and one process-wide memo of its states is the
+only cache.  Vertex insertions from
 exp(N sum_k t_k Tr M^k / k) with propagator weight t/N turn these into
 generating series counting (non-connected) maps graded by edge count, with
 coefficients that are Laurent polynomials in N times monomials in the
@@ -20,7 +21,6 @@ from math import factorial
 
 from .exact import CRational, MPoly
 from .loopgen import Potential, q_polynomial
-from .symfunc import Partition
 
 HALF_EDGE_CAP = 16
 
@@ -83,9 +83,6 @@ def _count_faces(f: tuple[int, ...]) -> tuple[int, ...]:
     return _FACE_MEMO[f]
 
 
-_GTM_CACHE: dict[tuple[int, ...], MPoly] = {}
-
-
 def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
     """< prod_i Tr M^{k_i} > for the unit Gaussian weight e^{-Tr M^2 / 2}.
 
@@ -93,19 +90,16 @@ def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
     gamma being the product of the trace cycles; exact polynomial in N.  The
     sum is taken by ``_face_counts``, a memoized walk over partial matchings
     that uses no loop-equation recursion, so it stays an independent check of
-    ``tutte_residual``.
+    ``tutte_residual``.  Gamma is built from the sorted powers, so the same
+    multiset in any order starts from the same face-path state, and the
+    process-wide ``_FACE_MEMO`` is the only cache.
     """
-    powers = tuple(int(k) for k in powers)
+    powers = sorted(int(k) for k in powers)
     if any(k < 1 for k in powers):
         raise ValueError("trace powers must be positive")
-    key = tuple(sorted(powers))
-    if key in _GTM_CACHE:
-        return _GTM_CACHE[key]
     total = sum(powers)
     if total % 2:
-        result = MPoly.zero(NVARS)
-        _GTM_CACHE[key] = result
-        return result
+        return MPoly.zero(NVARS)
     if total > HALF_EDGE_CAP:
         raise ValueError(
             f"half-edge count {total} exceeds the enumeration cap {HALF_EDGE_CAP}"
@@ -116,9 +110,7 @@ def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
         for i in range(k):
             gamma[pos + i] = pos + (i + 1) % k
         pos += k
-    result = n_poly(_face_counts(gamma))
-    _GTM_CACHE[key] = result
-    return result
+    return n_poly(_face_counts(gamma))
 
 
 @dataclass
@@ -197,34 +189,26 @@ def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) ->
     degrees = tuple(sorted(weights))
     svars = _series_vars(degrees)
     base = sum(marked)
-    coeffs: dict[int, MPoly] = {}
-    for mvec in _vertex_configs(degrees, 2 * e_max - base if 2 * e_max >= base else -1):
+    # distinct configurations give distinct monomials (N^(nshift + c), mvec),
+    # so each edge layer collects its terms with nothing to merge
+    layers: dict[int, dict[tuple[int, ...], CRational]] = {}
+    for mvec in _vertex_configs(degrees, 2 * e_max - base):
         half = base + sum(k * m for k, m in zip(degrees, mvec))
-        if half % 2:
-            continue
         e = half // 2
-        if e > e_max:
+        if half % 2 or e > e_max:
             continue
-        if half > HALF_EDGE_CAP:
-            raise ValueError(
-                f"order e={e} needs {half} half-edges, beyond the cap {HALF_EDGE_CAP};"
-                f" lower e_max"
-            )
         powers = marked + tuple(
             k for k, m in zip(degrees, mvec) for _ in range(m)
         )
         wick = gaussian_trace_moment(powers) if powers else MPoly.const(1, NVARS)
-        if wick.is_zero():
-            continue
         rat = CRational(1)
         for k, m in zip(degrees, mvec):
             rat = rat * (weights[k] / k) ** m / Fraction(factorial(m))
         nshift = sum(mvec) - e
-        mono_exp = (nshift,) + mvec
-        factor = MPoly(svars, {mono_exp: rat})
-        contrib = factor * wick.embed(svars)
-        coeffs[e] = coeffs.get(e, MPoly.zero(svars)) + contrib
-    coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
+        layer = layers.setdefault(e, {})
+        for (c,), q in wick.terms.items():
+            layer[(nshift + c, *mvec)] = rat * q
+    coeffs = {e: p for e, t in layers.items() if (p := MPoly(svars, t))}
     return MapSeries(marked=marked, e_max=e_max, vars=svars, coeffs=coeffs)
 
 
@@ -256,15 +240,12 @@ def apply_functional(Q, qvars: tuple[str, ...], tweights: dict[int, object], e_m
     degrees = tuple(sorted(int(k) for k in tweights))
     svars = _series_vars(degrees)
     order = e_max + 1
-    cache: dict[Partition, MapSeries] = {}
     n_idx = qvars.index("N")
     t_idx = qvars.index("t")
     coup_idx = [qvars.index(f"t{k}") for k in degrees]
     out: dict[int, MPoly] = {}
     for nu, coeff in Q.terms.items():
-        if nu not in cache:
-            cache[nu] = _series(tweights, tuple(nu), order)
-        T = cache[nu]
+        T = _series(tweights, tuple(nu), order)
         for exps, q in coeff.terms.items():
             mono = (exps[n_idx],) + tuple(exps[i] for i in coup_idx)
             factor = MPoly(svars, {mono: q})

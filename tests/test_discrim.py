@@ -111,6 +111,14 @@ def test_cubic_trend_improves(cubic):
             assert abs(e100.ratio(n, m) - target) <= abs(e25.ratio(n, m) - target) + 0.1
 
 
+@pytest.mark.parametrize("r", [60, 100])
+def test_degree_three_delta_matrix(r):
+    # V' = 1 + x^3: d = 3 = MAX_DEGREE, three non-anchor saddles
+    rep = discriminator_report(Potential.polynomial([1, 0, 0, 1]), r, 1)
+    assert len(rep.ratios) == 9
+    assert rep.max_deviation < 0.1
+
+
 def test_cubic_two_body_diagonal(cubic):
     # multiplicity-2 blocks exercise the full amplitude (C_2, Vandermonde)
     eng = DiscriminatorEngine(cubic, 100, 1e-9)
@@ -163,7 +171,7 @@ def test_two_body_expectation_is_hand_expanded_vandermonde(cubic, r):
                 - 2 * A(word[0], s[0], 1) * A(word[1], s[1], 1)
                 + A(word[0], s[0], 0) * A(word[1], s[1], 2)
                 for s in maps
-            ) / len(maps)
+            )
             got = eng.expectation(n, m_hat)
             assert abs(got - want) <= 1e-13 * abs(want)
 

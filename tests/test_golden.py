@@ -59,6 +59,8 @@ CASES = {
     "expect_cubic": ("expect", "cubic", ["--class", "{class}", "--poly", "2,1"]),
     "residuals_quartic": ("residuals", "quartic", ["--gamma", "real", "--N", "2", "--weight-max", "4"]),
     "discrim_cubic": ("discrim", "cubic", ["--N", "1", "--r", "60"]),
+    # two bodies, where the ratio's count of level maps is 2; max deviation 1.334
+    "discrim_cubic_N2": ("discrim", "cubic", ["--N", "2", "--r", "60", "--delta-tol", "2"]),
     # circles, arc elbows and rays in one moment matrix
     "iso_rational": ("iso", "rational", ["--N", "2"]),
     # the N-body assembly at N = 3

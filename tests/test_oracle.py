@@ -1,10 +1,13 @@
-"""1-D arc moments against a 30-digit ``mpmath.quad`` reference.
+"""1-D arc moments and N-body cells against a 30-digit ``mpmath.quad`` reference.
 
-Every moment's error bar must bound its true error: |value - ref| <= err.
-The reference integrates the same segments (rays out to infinity, circles over
-their full period, and the discriminator's rays from 0 through the saddles of
-V_r) with e^{-V} evaluated in 30-digit arithmetic.  How loose
-each bar is, err / |value - ref|, is printed (``pytest -s``) but not gated.
+Every moment's and every cell's error bar must bound its true error:
+|value - ref| <= err.  The reference integrates the same segments (rays out
+to infinity, circles over their full period, the arcs of an elbow round a
+pole, and the discriminator's rays from 0 through the saddles of V_r) with
+e^{-V} evaluated in 30-digit arithmetic; a reference cell is the same
+``vandermonde_sum`` over those moments, carried out in 30-digit arithmetic.
+How loose each bar is, err / |value - ref|, is printed (``pytest -s``) but
+not gated.
 """
 
 import cmath
@@ -15,7 +18,8 @@ import pytest
 
 from loopeq import DiscriminatorEngine, Potential, basis_arcs
 from loopeq.contours import CircleSeg, RaySeg
-from loopeq.quadrature import MomentTable
+from loopeq.quadrature import MomentTable, vandermonde_sum
+from loopeq.symfunc import compositions
 
 
 def _c(*xs):
@@ -54,26 +58,33 @@ def _ray_integral(base, angle, V, k):
 
 
 def _circle_integral(seg, V, k):
+    """Along a full circle or an arc of one, over the bounds the code integrates."""
+    a, b = (0, 2 * mpmath.pi) if isinstance(seg, CircleSeg) else map(mpmath.mpf, seg.bounds)
+
     def f(t):
         w = seg.radius * mpmath.expj(t)
         z = seg.center + w
         return z ** k * _exp_neg_V(V, z) * 1j * w
 
-    return mpmath.quad(f, [0, mpmath.pi, 2 * mpmath.pi])
+    return mpmath.quad(f, [a, (a + b) / 2, b])
 
 
+@functools.cache  # every cell of an arc reads its moments again
 def _reference(arc, V, k):
-    """The 30-digit integral of z^k e^{-V} dz along ``arc``."""
+    """The 30-digit integral of z^k e^{-V} dz along ``arc``, as an ``mpc``."""
     total = mpmath.mpc(0)
     with mpmath.workdps(30):
         for seg in arc.segments:
             if isinstance(seg, RaySeg):
                 val = _ray_integral(seg.base, seg.angle, V, k)
             else:
-                assert isinstance(seg, CircleSeg)
                 val = _circle_integral(seg, V, k)
             total += -val if seg.inward else val
-    return complex(total)
+    return total
+
+
+def _loose(miss, err):
+    return f"{err / miss if miss else float('inf'):.3g}x"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -88,9 +99,9 @@ def test_every_bar_bounds_the_true_error(name):
             continue
         for k in ks:
             value, err = table.moment(i, k)
-            miss = abs(value - _reference(arc, V, k))
+            miss = float(abs(value - _reference(arc, V, k)))
             print(f"{name} {arc.label} k={k}: |value - ref| = {miss:.2e}, bar {err:.2e}"
-                  f" ({err / miss if miss else float('inf'):.3g}x)")
+                  f" ({_loose(miss, err)})")
             if miss > err:
                 failures.append((arc.label, k, miss, err))
     assert not failures
@@ -115,3 +126,50 @@ def test_saddle_ray_bars_bound_the_true_error():
         if miss > err:
             failures.append((j, miss, err))
     assert not failures
+
+
+# name -> (V, the largest N); every composition word of N bodies over the basis arcs
+CELL_CASES = {
+    "cubic": (CASES["cubic elbows"][0], 4),
+    "x + x^3": (CASES["x + x^3 elbows"][0], 4),
+    "x^2 + 2/x": (CASES["x^2 + 2/x circle"][0], 2),  # elbows round the pole on an ArcSeg
+}
+CELL_MU = ((), (1,), (2, 1))
+
+
+def _reference_cell(table, word, mu):
+    """``vandermonde_sum`` of p_mu over ``word`` on the 30-digit moments, in 30 digits."""
+    def moment(body, k):
+        return _reference(table.arcs[body], table.V, k), 0
+
+    with mpmath.workdps(30):
+        return vandermonde_sum(moment, word, mu)[0]
+
+
+def _cell_failures(name, table, word, mu, value, err):
+    miss = float(abs(value - _reference_cell(table, word, mu)))
+    print(f"{name} word={word} mu={mu}: |cell - ref| = {miss:.2e}, bar {err:.2e}"
+          f" ({_loose(miss, err)})")
+    return [(word, mu, miss, err)] if miss > err else []
+
+
+@pytest.mark.parametrize("name", sorted(CELL_CASES))
+def test_every_cell_bar_bounds_the_true_error(name):
+    data, n_max = CELL_CASES[name]
+    V = Potential.from_json(data)
+    table = MomentTable(basis_arcs(V), V, 1e-12)
+    failures = []
+    for N in range(1, n_max + 1):
+        for comp in compositions(N, len(table.arcs)):
+            word = tuple(arc for arc, cnt in enumerate(comp) for _ in range(cnt))
+            for mu in CELL_MU:
+                failures += _cell_failures(name, table, word, mu, *table.cell(word, mu))
+    assert not failures
+
+
+def test_six_body_cell_bar_bounds_the_true_error():
+    # past MAX_VARS = 5, which caps ``expectation`` but not the assembly itself
+    V = Potential.from_json(CASES["cubic elbows"][0])
+    table = MomentTable(basis_arcs(V), V, 1e-12)
+    word = (0, 0, 0, 1, 1, 1)
+    assert not _cell_failures("cubic", table, word, (), *vandermonde_sum(table.moment, word))

@@ -106,6 +106,14 @@ def test_shared_face_memo_matches_brute_force_in_any_order():
             assert wick._face_counts(gamma) == brute[powers], powers
 
 
+def test_reordered_key_adds_no_memo_state():
+    # gamma is built from the sorted powers, so (4, 3, 3) starts from the state of (3, 3, 4)
+    first = gaussian_trace_moment((3, 3, 4))
+    states = len(wick._FACE_MEMO)
+    assert gaussian_trace_moment((4, 3, 3)) == first
+    assert len(wick._FACE_MEMO) == states
+
+
 def test_gtm_single_trace_is_harer_zagier():
     # (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2), e_0(0) = 1,
     # and <Tr M^{2n}> = sum_g e_g(n) N^{n+1-2g} (Harer-Zagier 1986)
@@ -213,6 +221,17 @@ def test_tutte_residual_detects_mismatched_weights():
     assert tutte_residual({3: 2}, (1,), 3).is_zero()
     mismatched = apply_functional(Q, qvars, {3: 1}, 3)
     assert not mismatched.is_zero()
+
+
+def test_apply_functional_past_the_half_edge_cap():
+    # map_series stops at order 6; only a direct call reaches 18 half-edges
+    from loopeq import q_polynomial
+    from loopeq.wick import apply_functional
+
+    V, qvars, N = map_potential({3: 1})
+    Q = q_polynomial((1,), V, nvars=N)
+    with pytest.raises(ValueError, match="cap 16"):
+        apply_functional(Q, qvars, {3: 1}, 8)
 
 
 def test_tutte_order_cap():
