@@ -501,6 +501,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:  # the exact layer recurses once per part or reduction step
+        print("error: input nests too deeply: the exact recursion exceeds Python's recursion limit;"
+              " use fewer parts or a lower weight", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

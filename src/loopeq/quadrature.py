@@ -82,9 +82,7 @@ _IER = ("", "subdivision limit", "roundoff", "bad integrand", "extrapolation rou
 def _quad_complex(f, a: float, b: float, tol: float):
     """integral of the complex f from a to b and its error: QAGS on the real,
     then the imaginary part over (min(a, b), max(a, b)), limit 200 then 800,
-    negated when b < a.  QAGS answers bad input (ier 6) with 0 +- 0: refused."""
-    if a == b:
-        return 0.0, 0.0
+    negated when b < a.  Bad input (ier 6) is refused; an empty interval is 0 +- 0."""
     lo, hi = min(a, b), max(a, b)
     for limit in (200, 800):
         re, re_err, re_ier = _qagse(lambda x: f(x).real, lo, hi, (), 0, tol * 1e-2, tol, limit)
@@ -270,8 +268,8 @@ def vandermonde_sum(moment, word, mu=()):
     len(mu) <= 4: the recursion is 3-7x slower at N = 2; at N = 3 it is
     1.3-5x slower up to len(mu) = 2 (5x at mu = ()) and 1.2-1.5x faster from
     3 on; at N = 4 the two tie at mu = () and the recursion is 3-8x faster at
-    len(mu) = 1, 2.  The split stays at N = 2 so that N >= 3 results keep
-    their summation order.
+    len(mu) = 1, 2.  Each wins a workload: the recursion at N <= 2 made the
+    ``quadrature`` benchmark 9-19% slower and moved its cancelling sums.
     """
     if len(word) <= 2:
         return _permutation_sum(moment, word, mu)

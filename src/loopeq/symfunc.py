@@ -150,15 +150,6 @@ class PowerSumPoly:
     def scale(self, c) -> "PowerSumPoly":
         return PowerSumPoly({mu: v * c for mu, v in self.terms.items()}, self.nvars)
 
-    def __mul__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        out: dict[Partition, object] = {}
-        for mu, a in self.terms.items():
-            for nu, b in other.terms.items():
-                lam = Partition.of(mu + nu)
-                c = a * b
-                out[lam] = out[lam] + c if lam in out else c
-        return PowerSumPoly(out, self.nvars)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -194,14 +185,6 @@ class PowerSumPoly:
                 raise TypeError("only CRational coefficients serialize to JSON")
             out.append({"mu": list(mu), "re": str(c.re), "im": str(c.im)})
         return out
-
-    @classmethod
-    def from_json(cls, data: list[dict], nvars: int) -> "PowerSumPoly":
-        items = []
-        for entry in data:
-            c = CRational(Fraction(entry["re"]), Fraction(entry["im"]))
-            items.append((tuple(entry["mu"]), c))
-        return cls.build(items, nvars)
 
 
 def eval_powersum(p: PowerSumPoly, points: Sequence[CRational]) -> CRational:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .exact import CRational, MPoly
@@ -25,11 +26,6 @@ from .loopgen import Potential, q_polynomial
 HALF_EDGE_CAP = 16
 
 NVARS = ("N",)
-
-
-def n_poly(terms: dict[int, object]) -> MPoly:
-    """Laurent polynomial in the symbol N."""
-    return MPoly(NVARS, {(e,): CRational.coerce(c) for e, c in terms.items()})
 
 
 # face-path state -> its face counts (see _face_counts); kept for the process
@@ -110,7 +106,7 @@ def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
         for i in range(k):
             gamma[pos + i] = pos + (i + 1) % k
         pos += k
-    return n_poly(_face_counts(gamma))
+    return MPoly(NVARS, {(c,): CRational(n) for c, n in _face_counts(gamma).items()})
 
 
 @dataclass
@@ -152,17 +148,6 @@ def _series_vars(degrees: tuple[int, ...]) -> tuple[str, ...]:
     return ("N",) + tuple(f"t{k}" for k in degrees)
 
 
-def _vertex_configs(degrees: tuple[int, ...], budget: int):
-    """Multiplicity vectors m_k with sum k*m_k <= budget."""
-    if not degrees:
-        yield ()
-        return
-    k = degrees[0]
-    for m in range(budget // k + 1):
-        for rest in _vertex_configs(degrees[1:], budget - k * m):
-            yield (m,) + rest
-
-
 def _check_order(e_max: int) -> None:
     if not 0 <= e_max <= 6:
         raise ValueError(f"edge order {e_max} outside 0..6 (6 is the complexity cap)")
@@ -192,7 +177,8 @@ def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) ->
     # distinct configurations give distinct monomials (N^(nshift + c), mvec),
     # so each edge layer collects its terms with nothing to merge
     layers: dict[int, dict[tuple[int, ...], CRational]] = {}
-    for mvec in _vertex_configs(degrees, 2 * e_max - base):
+    # each m_k within budget alone: odd or e > e_max entries are skipped before any trace moment
+    for mvec in product(*(range((2 * e_max - base) // k + 1) for k in degrees)):
         half = base + sum(k * m for k, m in zip(degrees, mvec))
         e = half // 2
         if half % 2 or e > e_max:

@@ -243,6 +243,32 @@ def test_double_overflow_is_usage_error(pot, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+DEEP = "error: input nests too deeply: the exact recursion exceeds Python's recursion limit"
+
+
+def test_deep_reduction_is_usage_error(pot, capsys):
+    # LoopReducer recursed once per reduction step and died with a RecursionError traceback, exit 1
+    path = pot("quartic.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]})
+    box = [[], [1], [1, 1], [1, 1, 1], [2], [2, 1], [2, 1, 1], [2, 2], [2, 2, 1], [2, 2, 2]]
+    basis = pot("basis.json", {"N": 3, "d": 3, "values": [{"mu": mu, "value": [1.0, 0.0]} for mu in box]})
+    code = main(["solve", "--potential", path, "--N", "3", "--basis", basis, "--targets", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(DEEP) and captured.err.count("\n") == 1
+
+
+def test_long_partition_is_usage_error(pot, capsys):
+    # the power-sum to monomial expansion recursed once per part: exit 1 with a traceback
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 1, "arcs": "real", "terms": [{"n": [1], "c": [1, 0]}]})
+    code = main(["expect", "--potential", path, "--class", cls, "--poly", ",".join(["1"] * 1100)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(DEEP) and captured.err.count("\n") == 1
+
+
 GOOD_BASIS = {"N": 1, "d": 2, "values": [{"mu": [], "value": [1.0, 0.0]},
                                          {"mu": [1], "value": [0.0, 0.0]}]}
 

@@ -49,6 +49,8 @@ def _targets(weight_max):
 CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1], "c": [1, 0]}, {"n": [2, 0], "c": [0.5, -1]}]}
 # one circle times one elbow of x^2 + 2/x: its weight-6 residuals include noise equations
 RATIONAL_CLASS = {"N": 2, "arcs": "basis", "terms": [{"n": [1, 1, 0], "c": [1.0, 0.0]}]}
+# five bodies on two basis arcs, composition (3, 2): the DP's repeated-body caps at the largest N
+CLASS_N5 = {"N": 5, "arcs": "basis", "terms": [{"n": [3, 2], "c": [1, 0]}]}
 
 # case -> (command, potential or None, extra arguments)
 CASES = {
@@ -57,6 +59,7 @@ CASES = {
     "contours_cubic": ("contours", "cubic", []),
     "contours_rational": ("contours", "rational", []),
     "expect_cubic": ("expect", "cubic", ["--class", "{class}", "--poly", "2,1"]),
+    "expect_cubic_N5": ("expect", "cubic", ["--class", "{class_n5}", "--poly", "1,1"]),
     "residuals_quartic": ("residuals", "quartic", ["--gamma", "real", "--N", "2", "--weight-max", "4"]),
     "discrim_cubic": ("discrim", "cubic", ["--N", "1", "--r", "60"]),
     # two bodies, where the ratio's count of level maps is 2; max deviation 1.334
@@ -65,6 +68,8 @@ CASES = {
     "iso_rational": ("iso", "rational", ["--N", "2"]),
     # the N-body assembly at N = 3
     "iso_cubic_N3": ("iso", "cubic", ["--N", "3"]),
+    # the N-body assembly at N = 4
+    "iso_cubic_N4": ("iso", "cubic", ["--N", "4"]),
     # the costliest N = 2 moment matrix, on a sparse quotient (2 of 8 terms nonzero)
     "iso_deg7_N2": ("iso", "deg7", ["--N", "2"]),
     # equations whose terms cancel to rounding: every last bit of the N = 2 sums shows
@@ -73,6 +78,8 @@ CASES = {
     # the Wick sums behind the map series (no potential file)
     "maps_mixed": ("maps", None, ["--t3", "1", "--t4", "1", "--marked", "2", "--order", "6"]),
     "maps_quartic": ("maps", None, ["--t4", "1", "--marked", "4", "--order", "6"]),
+    # the loop-equation residual of the map series: vertex configurations and face counts
+    "tutte_t3_t4_order6": ("tutte", None, ["--t3", "1", "--t4", "1", "--mu", "2", "--order", "6"]),
     # the exact reducer: forms, float summation order and coefficient_growth
     "solve_quartic_N3": ("solve", "quartic", ["--N", "3", "--basis", "{basis}", "--targets", _targets(10)]),
     # imaginary numerators, a complex leading coefficient and q_rational
@@ -89,12 +96,14 @@ def run_case(case: str, workdir: Path) -> bytes:
     cls.write_text(json.dumps(CLASS))
     cls_rational = workdir / "class_rational.json"
     cls_rational.write_text(json.dumps(RATIONAL_CLASS))
+    cls_n5 = workdir / "class_n5.json"
+    cls_n5.write_text(json.dumps(CLASS_N5))
     basis = workdir / "basis.json"
     if case in BASES:
         basis.write_text(json.dumps(BASES[case]))
     out = workdir / f"{case}.out"
     args = [a.replace("{class}", str(cls)).replace("{class_rational}", str(cls_rational))
-            .replace("{basis}", str(basis)) for a in extra]
+            .replace("{class_n5}", str(cls_n5)).replace("{basis}", str(basis)) for a in extra]
     if name is not None:
         pot = workdir / f"{name}.json"
         pot.write_text(json.dumps(POTENTIALS[name]))

@@ -373,6 +373,17 @@ def test_reversed_arc_is_the_negated_forward_arc(cubic):
         assert backward_err == forward_err
 
 
+def test_empty_interval_is_zero_with_zero_error(cubic):
+    # QAGS answers an empty interval with 0 +- 0 and no error code
+    from loopeq.contours import ArcSeg, Contour
+    from loopeq.quadrature import _quad_complex
+
+    assert _quad_complex(lambda x: 1.0 + 2j * x, 1.0, 1.0, 1e-12) == (0, 0)
+    point = Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=0.5, a1=0.5),), start=("point",), end=("point",))
+    for k in range(3):
+        assert arc_moment(point, cubic, k) == (0, 0)
+
+
 @pytest.mark.parametrize("tol, reason", [
     (1e-14, r"real part: extrapolation roundoff \(QUADPACK ier 4\)$"),
     # QAGS returns 0 with error 0 for a tolerance it refuses; that is no result
