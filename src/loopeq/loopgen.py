@@ -183,8 +183,13 @@ class Potential:
         return out
 
     def exp_neg_V(self, z: complex) -> complex:
-        """e^{-V(z)}; single-valued for integer pole residues."""
-        val = cmath.exp(-self._quotient_part(z))
+        """e^{-V(z)}; single-valued for integer pole residues.  The quotient
+        terms are summed here, as in ``_quotient_part``, one frame fewer per
+        quadrature node."""
+        out = 0j
+        for c, k in self._quotient_terms:
+            out += c * z ** k
+        val = cmath.exp(-out)
         for p, r in self.partial_fractions[1]:
             val *= (z - p) ** (-r)
         return val

@@ -12,7 +12,9 @@ routine, loaded from its file; ``scipy.integrate`` is never imported.  The one
 N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
 functionals and the saddle discriminator alike: a permutation-pair sum up to
 N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
-*Log-gases and Random Matrices*, ch. 1) from N = 3 on.
+*Log-gases and Random Matrices*, ch. 1) from N = 3 on, about
+2^N N A prod binom(c_i + 2, 2) ring products for A distinct bodies and part
+multiplicities c_i of mu.
 Everything downstream is exact bookkeeping plus worst-case error propagation.
 
 A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
@@ -37,6 +39,7 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import sys
 from collections import Counter
@@ -79,14 +82,15 @@ _qagse = _load_qagse()
 _IER = ("", "subdivision limit", "roundoff", "bad integrand", "extrapolation roundoff", "divergent", "bad input")
 
 
-def _quad_complex(f, a: float, b: float, tol: float):
-    """integral of the complex f from a to b and its error: QAGS on the real,
-    then the imaginary part over (min(a, b), max(a, b)), limit 200 then 800,
-    negated when b < a.  Bad input (ier 6) is refused; an empty interval is 0 +- 0."""
+def _quad_complex(re_f, im_f, a: float, b: float, tol: float):
+    """integral from a to b of the complex function re_f + i im_f and its error:
+    QAGS on the real, then the imaginary part over (min(a, b), max(a, b)), limit
+    200 then 800, negated when b < a.  Bad input (ier 6) is refused; an empty
+    interval is 0 +- 0."""
     lo, hi = min(a, b), max(a, b)
     for limit in (200, 800):
-        re, re_err, re_ier = _qagse(lambda x: f(x).real, lo, hi, (), 0, tol * 1e-2, tol, limit)
-        im, im_err, im_ier = _qagse(lambda x: f(x).imag, lo, hi, (), 0, tol * 1e-2, tol, limit)
+        re, re_err, re_ier = _qagse(re_f, lo, hi, (), 0, tol * 1e-2, tol, limit)
+        im, im_err, im_ier = _qagse(im_f, lo, hi, (), 0, tol * 1e-2, tol, limit)
         val = re + 1j * im
         err_abs = abs(re_err + 1j * im_err)
         if err_abs <= max(tol * 1e-2, tol * abs(val)) * 10 + 1e-300 and 6 not in (re_ier, im_ier):
@@ -155,29 +159,33 @@ RULE_TAG = "qags-trapezoid-2"
 
 def _segment_moment(seg, V: Potential, k: int, tol: float):
     """integral of x^k e^{-V(x)} dx along one segment, in its direction of travel,
-    with an error estimate: z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with an
-    infinite upper bound cut where the tail falls below TAIL_CUTOFF."""
+    with an error estimate: z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with a
+    ray's infinite upper bound cut where the tail falls below TAIL_CUTOFF.  QAGS
+    calls a ray's real and imaginary integrands directly, one frame each."""
     weight = V.exp_neg_V
+    a, b = seg.bounds
     if isinstance(seg, RaySeg):
         base, step = seg.base, seg.direction
 
-        def f(t):
+        def re_f(t):
             z = base + t * step
-            return z ** k * weight(z) * step
+            return (z ** k * weight(z) * step).real
 
+        def im_f(t):
+            z = base + t * step
+            return (z ** k * weight(z) * step).imag
+
+        val, e = _quad_complex(re_f, im_f, a, _ray_truncation(seg, weight, k), tol)
     else:
 
         def f(t):
             z = seg.point(t)
             return z ** k * weight(z) * seg.tangent(t)
 
-    a, b = seg.bounds
-    if isinstance(seg, CircleSeg):
-        val, e = _trapezoid_circle(f, a, b, tol)
-    else:
-        if math.isinf(b):
-            b = _ray_truncation(seg, weight, k)
-        val, e = _quad_complex(f, a, b, tol)
+        if isinstance(seg, CircleSeg):
+            val, e = _trapezoid_circle(f, a, b, tol)
+        else:
+            val, e = _quad_complex(lambda t: f(t).real, lambda t: f(t).imag, a, b, tol)
     return (-val if seg.inward else val), e
 
 
@@ -249,11 +257,47 @@ def _perm_pairs(N: int):
 
 
 @functools.cache
-def _subset_pairs(l: int):
-    """(U, T, U minus T) for every T within U within {0..l-1}: the product of
-    C[s_1..s_l]/(s_j^2) on coefficient arrays indexed by subset bitmask."""
-    full = 1 << l
-    return tuple((u, t, u ^ t) for u in range(full) for t in range(full) if t & u == t)
+def _ring_plan(mu):
+    """C[s_1..s_l]/(s_j^2) folded onto the multiplicities c of mu's distinct
+    parts v: coefficient k <= c stands for the product over the parts of e_{k_i},
+    the elementary symmetric sum of degree k_i in the s_j of part v_i, and
+    e_i e_j = binom(i+j, i) e_{i+j} (Macdonald, ch. I).  Returns (the shift
+    k.v of each coefficient, the products (U, T, U - T, prod binom(U_i, T_i))),
+    with the top coefficient c last."""
+    parts = Counter(mu)
+    index = list(itertools.product(*(range(c + 1) for c in parts.values())))
+    at = {k: i for i, k in enumerate(index)}
+    shifts = tuple(sum(map(operator.mul, k, parts)) for k in index)
+    products = tuple(
+        (at[u], at[t], at[tuple(map(operator.sub, u, t))], float(math.prod(map(math.comb, u, t))))
+        for u in index for t in itertools.product(*(range(n + 1) for n in u))
+    )
+    return shifts, products
+
+
+@functools.cache
+def _laplace_plan(need):
+    """The Laplace expansion's transitions for n_b = need[b] rows of body b:
+    per row j, (number of states after it, moves (source, target, sign, body
+    b, j + k)), where a state is (used columns, rows per body) numbered within
+    its row and the sign is one inversion per used column right of column k."""
+    N = sum(need)
+    states = {(0, (0,) * len(need)): 0}
+    rows = []
+    for j in range(N):
+        nxt, moves = {}, []
+        for (cols, used), src in states.items():
+            for k in range(N):
+                if cols >> k & 1:
+                    continue
+                neg = bin(cols >> k).count("1") & 1
+                for b, cap in enumerate(need):
+                    if used[b] < cap:
+                        key = (cols | 1 << k, used[:b] + (used[b] + 1,) + used[b + 1:])
+                        moves.append((src, nxt.setdefault(key, len(nxt)), neg, b, j + k))
+        rows.append((len(nxt), tuple(moves)))
+        states = nxt
+    return tuple(rows)
 
 
 def vandermonde_sum(moment, word, mu=()):
@@ -263,13 +307,14 @@ def vandermonde_sum(moment, word, mu=()):
     error bound; body i carries variable x_i, and bodies are any hashables.
     Returns (value, first-order error bound), where the bound is
     sum over products of N moments of prod(|v| + e) - prod |v|.  Up to N = 2
-    the permutation-pair sum is cheapest, from N = 3 on the determinant
-    recursion runs.  Measured per call on random tables of distinct bodies,
-    len(mu) <= 4: the recursion is 3-7x slower at N = 2; at N = 3 it is
-    1.3-5x slower up to len(mu) = 2 (5x at mu = ()) and 1.2-1.5x faster from
-    3 on; at N = 4 the two tie at mu = () and the recursion is 3-8x faster at
-    len(mu) = 1, 2.  Each wins a workload: the recursion at N <= 2 made the
-    ``quadrature`` benchmark 9-19% slower and moved its cancelling sums.
+    the permutation-pair sum runs, from N = 3 on the determinant recursion.
+    Measured per call on random tables of distinct bodies, len(mu) <= 4: the
+    recursion is 1.5-5x slower at N = 2 (it ties at mu = (1, 1, 1, 1)); at
+    N = 3 it is 3.3x slower at mu = (), 1.2-1.8x slower at (1,) and (2, 1),
+    and 1.1-5.5x faster from (1, 1) on, most where parts repeat; at N = 4 it
+    is 1.3x faster at mu = () and 3-53x faster beyond.  Each wins a workload:
+    the recursion at N <= 2 made the ``quadrature`` benchmark 9-19% slower and
+    moved its cancelling sums.
     """
     if len(word) <= 2:
         return _permutation_sum(moment, word, mu)
@@ -316,20 +361,23 @@ def _laplace_sum(moment, word, mu):
                    of [s_1...s_l] det( W_{c(j)}(j + k) )_{j,k < N},
         W_b(q) = sum over T within the parts of s^T m_b(q + |mu_T|),  s_j^2 = 0,
 
-    since p_mu = [s_1...s_l] prod_i prod_j (1 + s_j x_i^{mu_j}).  The sum and
-    the determinants are one division-free Laplace expansion along the rows,
-    over states (used columns, bodies used so far).  Each state holds three
-    ring elements: the signed value, the majorant P (|m|, no signs) and the
-    error E, updated as E (|W| + e_W) + P e_W, so the top coefficient of E is
-    the permutation sum's bound with no cancellation.  Cost: about
-    2^N N A 3^l ring coefficient products for A distinct bodies.
+    since p_mu = [s_1...s_l] prod_i prod_j (1 + s_j x_i^{mu_j}).  A coefficient
+    depends only on how many parts of each value T holds, so the ring runs on
+    ``_ring_plan``'s multi-indices k <= c, W_b(q)'s coefficient k being
+    m_b(q + k.v).  The sum and the determinants are one division-free Laplace
+    expansion along the rows over ``_laplace_plan``'s states.  Each state
+    holds three ring elements: the signed value, the majorant P (|m|, no
+    signs) and the error E, updated as E (|W| + e_W) + P e_W, so the top
+    coefficient of E is the permutation sum's bound with no cancellation,
+    regrouped by nonnegative binomial weights.  Cost: about
+    2^N N A prod binom(c_i + 2, 2) ring coefficient products for A distinct
+    bodies: 36 per transition for mu = (1^7), where the subset ring took 2,187.
     """
     N = len(word)
     caps = Counter(word)
-    size = 1 << len(mu)
-    shifts = [sum(p for j, p in enumerate(mu) if t >> j & 1) for t in range(size)]
-    pairs = _subset_pairs(len(mu))
-    # W[b][q] = (values, |values|, errors, |values| + errors) over the subsets T
+    shifts, products = _ring_plan(mu)
+    size = len(shifts)
+    # W[b][q] = (values, |values|, errors, |values| + errors) over the coefficients
     W = []
     for body in caps:
         row = []
@@ -338,32 +386,22 @@ def _laplace_sum(moment, word, mu):
             mags = [abs(v) for v in vals]
             row.append((vals, mags, errs, [m + e for m, e in zip(mags, errs)]))
         W.append(row)
-    need = tuple(caps.values())
     unit = [1.0] + [0.0] * (size - 1)
-    layer = {(0, (0,) * len(need)): ([complex(x) for x in unit], unit, [0.0] * size)}
-    for j in range(N):
-        nxt = {}
-        for (cols, used), (av, ap, ae) in layer.items():
-            for k in range(N):
-                if cols >> k & 1:
-                    continue
-                # Laplace sign: one inversion per used column right of k
-                sv = [-x for x in av] if bin(cols >> k).count("1") & 1 else av
-                for b, cap in enumerate(need):
-                    if used[b] == cap:
-                        continue
-                    key = (cols | 1 << k, used[:b] + (used[b] + 1,) + used[b + 1:])
-                    if key not in nxt:
-                        nxt[key] = ([0j] * size, [0.0] * size, [0.0] * size)
-                    tv, tp, te = nxt[key]
-                    wv, wm, we, wme = W[b][j + k]
-                    for u, t, r in pairs:
-                        tv[u] += sv[t] * wv[r]
-                        tp[u] += ap[t] * wm[r]
-                        te[u] += ae[t] * wme[r] + ap[t] * we[r]
+    layer = [([complex(x) for x in unit], unit, [0.0] * size)]
+    for count, moves in _laplace_plan(tuple(caps.values())):
+        nxt = [([0j] * size, [0.0] * size, [0.0] * size) for _ in range(count)]
+        for src, dst, neg, b, q in moves:
+            av, ap, ae = layer[src]
+            sv = [-x for x in av] if neg else av
+            tv, tp, te = nxt[dst]
+            wv, wm, we, wme = W[b][q]
+            for u, t, r, c in products:
+                tv[u] += c * sv[t] * wv[r]
+                tp[u] += c * ap[t] * wm[r]
+                te[u] += c * (ae[t] * wme[r] + ap[t] * we[r])
         layer = nxt
-    ((av, _, ae),) = layer.values()
-    scale = math.prod(math.factorial(n) for n in need)
+    ((av, _, ae),) = layer
+    scale = math.prod(math.factorial(n) for n in caps.values())
     return scale * av[-1], scale * ae[-1]
 
 
@@ -373,7 +411,8 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
 
     Each (composition, p_mu) cell is one ``vandermonde_sum`` over tabulated
     1-D moments: (N!)^2 N^len(mu) products up to N = 2, about
-    2^N N A 3^len(mu) ring products from N = 3 (A arcs in the composition).
+    2^N N A prod binom(c_i + 2, 2) ring products from N = 3 (A arcs in the
+    composition, c_i the multiplicities of mu's distinct parts).
     The table keeps every cell for its lifetime, so a cell that another call
     on the same table already needed costs one dict lookup.
     Hard cap N <= 5; longer partitions are first reduced to length <= N.

@@ -7,7 +7,8 @@ the doubles of the plain per-term formulas kept here as references, the ray
 direction cached on ``RaySeg`` must leave its identity (and so the moment
 cache keys) as it was, the circle trapezoid over Python floats must sum what
 it summed over numpy nodes, and ``_quad_complex``, which calls QUADPACK's compiled
-QAGS directly, must give what ``scipy.integrate.quad`` gives.  Every comparison
+QAGS directly on a real and an imaginary integrand, must give what
+``scipy.integrate.quad`` gives on the complex integrand they make up.  Every comparison
 is exact: ``==`` on the raw bytes (or ``float.hex``) of both parts, which also
 tells -0.0 from 0.0.
 """
@@ -286,12 +287,12 @@ def _scipy_quad_complex(f, a, b, tol):
 
 
 def _recorded(monkeypatch, module, run):
-    """The (f, a, b, tol) that ``run`` passes to ``module._quad_complex``."""
+    """The (re_f, im_f, a, b, tol) that ``run`` passes to ``module._quad_complex``."""
     calls = []
 
-    def record(f, a, b, tol):
-        calls.append((f, a, b, tol))
-        return _quad_complex(f, a, b, tol)
+    def record(re_f, im_f, a, b, tol):
+        calls.append((re_f, im_f, a, b, tol))
+        return _quad_complex(re_f, im_f, a, b, tol)
 
     with monkeypatch.context() as m:
         m.setattr(module, "_quad_complex", record)
@@ -310,23 +311,25 @@ def _quad_calls(case, monkeypatch):
         calls = []
         for arc in basis_arcs(V):
             calls += _recorded(monkeypatch, quadrature, lambda: arc_moment(arc, V, 2, 1e-12))
-        return [c for c in calls if (c[1], c[2]) in joins]
+        return [c for c in calls if (c[2], c[3]) in joins]
     if case == "discriminator primitive":  # R_0(62), the ray through saddle 0 at r = 60
         engine = DiscriminatorEngine(cubic, 60)
         return _recorded(monkeypatch, quadrature, lambda: engine._ray(0, 62))
     # 477 oscillations on [0, 20]: 200 subintervals fall short, 800 pass
-    return [(lambda x: cmath.exp(150j * x - x), 0.0, 20.0, 1e-10)]
+    return [(lambda x: cmath.exp(150j * x - x).real, lambda x: cmath.exp(150j * x - x).imag, 0.0, 20.0, 1e-10)]
 
 
 @pytest.mark.parametrize("case", ["truncated ray", "elbow arc", "discriminator primitive", "limit-800 retry"])
 def test_quad_complex_is_scipy_quad(case, monkeypatch):
     calls = _quad_calls(case, monkeypatch)
     assert calls
-    for f, a, b, tol in calls:
+    for re_f, im_f, a, b, tol in calls:
         assert a < b
         seen = [[], []]
-        got = _quad_complex(lambda x: seen[0].append(x) or f(x), a, b, tol)
-        want = _scipy_quad_complex(lambda x: seen[1].append(x) or f(x), a, b, tol)
+        got = _quad_complex(lambda x: seen[0].append(x) or re_f(x), lambda x: seen[0].append(x) or im_f(x),
+                            a, b, tol)
+        # scipy's complex_func=True integrates the real, then the imaginary part of one complex integrand
+        want = _scipy_quad_complex(lambda x: seen[1].append(x) or complex(re_f(x), im_f(x)), a, b, tol)
         assert [z.hex() for z in (got[0].real, got[0].imag, got[1])] == \
             [z.hex() for z in (want[0].real, want[0].imag, want[1])]
         assert seen[0] == seen[1]  # the same integrand evaluations, in the same order

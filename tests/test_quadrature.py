@@ -22,7 +22,7 @@ from loopeq import (
     real_axis_contour,
     real_power_class,
 )
-from loopeq.quadrature import _permutation_sum, vandermonde_sum
+from loopeq.quadrature import _permutation_sum, _ring_plan, vandermonde_sum
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -281,6 +281,11 @@ LAPLACE_CASES = [
     ((1, 0, 1, 0), (2, 1, 1, 1)),
     ((0, 0, 0, 1, 1), ()),
     ((0, 1, 2, 1, 0), (2,)),
+    # repeated parts, where the ring folds onto multiplicities with binomial weights
+    ((0, 0, 1, 1), (1, 1, 1, 1)),
+    ((0, 1, 1, 0), (2, 2, 1, 1)),
+    ((0, 0, 0), (1, 1, 1)),
+    (((1, 0), (1, 0), (0, 2)), (2, 2, 2)),
 ]
 
 
@@ -298,6 +303,19 @@ def test_vandermonde_sum_from_three_bodies_is_permutation_sum(word, mu):
     assert abs(err - want_err) <= 1e-10 * want_err
     exact = {key: (v, 0.0) for key, (v, _) in table.items()}
     assert vandermonde_sum(lambda b, k: exact[b, k], word, mu)[1] == 0.0
+
+
+@pytest.mark.parametrize("mu,coefficients,products", [
+    ((), 1, 1),
+    ((1,) * 7, 8, 36),  # the subset ring has 128 and 2,187
+    ((3, 2, 1), 8, 27),  # distinct parts: the subset ring itself
+    ((2, 2, 1), 6, 18),
+])
+def test_ring_plan_folds_repeated_parts(mu, coefficients, products):
+    shifts, plan = _ring_plan(mu)
+    assert (len(shifts), len(plan)) == (coefficients, products)
+    # the top coefficient, last, takes every part
+    assert shifts[-1] == sum(mu)
 
 
 def test_moment_matrix_cubic_N5(cubic):
@@ -378,7 +396,7 @@ def test_empty_interval_is_zero_with_zero_error(cubic):
     from loopeq.contours import ArcSeg, Contour
     from loopeq.quadrature import _quad_complex
 
-    assert _quad_complex(lambda x: 1.0 + 2j * x, 1.0, 1.0, 1e-12) == (0, 0)
+    assert _quad_complex(lambda x: 1.0, lambda x: 2.0 * x, 1.0, 1.0, 1e-12) == (0, 0)
     point = Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=0.5, a1=0.5),), start=("point",), end=("point",))
     for k in range(3):
         assert arc_moment(point, cubic, k) == (0, 0)
@@ -394,4 +412,4 @@ def test_unreachable_tolerance_names_the_quadpack_reason(tol, reason):
     from loopeq.quadrature import _quad_complex
 
     with pytest.raises(QuadratureError, match=reason):
-        _quad_complex(lambda x: abs(x - 0.3) ** -0.95 + 0j, 0.0, 1.0, tol)
+        _quad_complex(lambda x: abs(x - 0.3) ** -0.95, lambda x: 0.0, 0.0, 1.0, tol)

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -54,33 +55,43 @@ def _multisets(total, largest=None):
             yield (k,) + rest
 
 
+@functools.cache
+def _matchings(h):
+    """Every perfect matching of {0..h-1}, each as a tuple pi with pi[pi[x]] = x."""
+    if h == 0:
+        return ((),)
+    out = []
+    for i in range(1, h):
+        # pair 0 with i; the rest is a matching of the h - 2 others, relabelled
+        others = [x for x in range(1, h) if x != i]
+        for rest in _matchings(h - 2):
+            pi = [0] * h
+            pi[0], pi[i] = i, 0
+            for a, b in enumerate(rest):
+                pi[others[a]] = others[b]
+            out.append(tuple(pi))
+    return tuple(out)
+
+
+@functools.cache
 def _brute_face_counts(powers):
-    """{faces: matchings} by listing every perfect matching and walking gamma.pi."""
+    """{faces: matchings} by listing every perfect matching and walking gamma.pi;
+    kept per multiset, since the counts depend on nothing else."""
     h = sum(powers)
     gamma, pos = [], 0
     for k in powers:
         gamma += [pos + (i + 1) % k for i in range(k)]
         pos += k
-
-    def matchings(free):
-        if not free:
-            yield {}
-            return
-        a = free[0]
-        for i in range(1, len(free)):
-            for pi in matchings(free[1:i] + free[i + 1:]):
-                yield {**pi, a: free[i], free[i]: a}
-
     counts = Counter()
-    for pi in matchings(list(range(h))):
-        seen, faces = set(), 0
+    for pi in _matchings(h):
+        seen, faces = [False] * h, 0
         for x in range(h):
-            faces += x not in seen
-            while x not in seen:
-                seen.add(x)
+            faces += not seen[x]
+            while not seen[x]:
+                seen[x] = True
                 x = gamma[pi[x]]
         counts[faces] += 1
-    return counts
+    return dict(counts)
 
 
 def test_gtm_matches_brute_force_matchings():
@@ -95,7 +106,6 @@ def test_shared_face_memo_matches_brute_force_in_any_order():
     # one memo serves every gamma: states met first under one key must give
     # the same counts under another, whichever key is walked first
     keys = [powers for h in range(2, 13, 2) for powers in _multisets(h)]
-    brute = {powers: dict(_brute_face_counts(powers)) for powers in keys}
     for order in (keys, keys[::-1]):
         wick._FACE_MEMO.clear()
         for powers in order:
@@ -103,7 +113,7 @@ def test_shared_face_memo_matches_brute_force_in_any_order():
             for k in powers:
                 gamma += [pos + (i + 1) % k for i in range(k)]
                 pos += k
-            assert wick._face_counts(gamma) == brute[powers], powers
+            assert wick._face_counts(gamma) == _brute_face_counts(powers), powers
 
 
 def test_reordered_key_adds_no_memo_state():
