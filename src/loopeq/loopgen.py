@@ -139,9 +139,12 @@ class Potential:
         """V' = sum_k q_k x^{k-1} + sum_p r_p / (x - p) as (q, ((p, r_p), ...)).
 
         Only simple poles with integer residues are supported numerically; the
-        non-integer case needs branch cuts and is out of scope.
+        non-integer case needs branch cuts and is out of scope.  A constant D
+        has no poles, so a polynomial potential does not import numpy here.
         """
         quot, rem = poly_divmod(list(self.R), list(self.D))
+        if len(self.D) == 1:
+            return [c.to_complex() for c in quot], ()
         dD = poly_deriv(list(self.D))
         import numpy as np
 
@@ -275,6 +278,8 @@ def _check_mu(mu: Sequence[int]):
         raise ValueError("mu_1 must be >= 0")
     if any(p < 1 for p in mu[1:]):
         raise ValueError("parts mu_2.. must be >= 1")
+    if not all(isinstance(p, int) for p in mu):
+        raise ValueError(f"mu must have integer entries: {mu}")
     return mu
 
 
@@ -317,13 +322,13 @@ def q_polynomial(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     if V.kind != "polynomial":
         raise ValueError("q_polynomial needs a polynomial potential (use q_rational)")
     mu = _check_mu(mu)
-    return PowerSumPoly.build(_q_items(mu[0], mu[1:], V), nvars)
+    return PowerSumPoly._assemble(_q_items(mu[0], mu[1:], V), nvars)
 
 
 def q_rational(mu: Sequence[int], V: Potential, nvars) -> PowerSumPoly:
     """Loop-equation polynomial for V' = R/D (any D, including D = 1)."""
     mu = _check_mu(mu)
-    return PowerSumPoly.build(_q_items(mu[0], mu[1:], V), nvars)
+    return PowerSumPoly._assemble(_q_items(mu[0], mu[1:], V), nvars)
 
 
 def _neg_one_like(sample):

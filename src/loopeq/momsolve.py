@@ -64,28 +64,43 @@ Form = tuple[int, dict[Partition, tuple[int, int]]]
 
 
 def _combine(terms: Sequence[tuple[CRational, Form]]) -> Form:
-    """sum_j c_j * form_j.
+    """sum_j c_j * form_j, in lowest terms.
 
-    Every term is put over the lcm of the term denominators, the numerators
-    are accumulated as ints and the result is divided by one gcd.  Basis
-    elements keep their order of first appearance; zero entries are dropped.
+    Every term is put over the lcm of the term denominators, and each basis
+    element's numerator is accumulated as one ``[re, im]`` pair of ints; a
+    real c_j (``c.m == 0``) skips the cross products.  The result is divided
+    by one gcd.  Basis elements keep their order of first appearance across
+    the terms; entries that cancel to zero are dropped.
     """
     dens = [c.d * fden for c, (fden, _) in terms]
     den = lcm(*dens)
-    acc_re: dict[Partition, int] = {}
-    acc_im: dict[Partition, int] = {}
+    acc: dict[Partition, list[int]] = {}
+    get = acc.get
     for (c, (_, coeffs)), term_den in zip(terms, dens):
         scale = den // term_den
         cre, cim = c.n * scale, c.m * scale
-        for b, (x, y) in coeffs.items():
-            acc_re[b] = acc_re.get(b, 0) + cre * x - cim * y
-            acc_im[b] = acc_im.get(b, 0) + cre * y + cim * x
-    coeffs = {b: (re, acc_im[b]) for b, re in acc_re.items() if re or acc_im[b]}
-    g = gcd(den, *(v for pair in coeffs.values() for v in pair))
+        if cim:
+            for b, (x, y) in coeffs.items():
+                re, im = cre * x - cim * y, cre * y + cim * x
+                pair = get(b)
+                if pair is None:
+                    acc[b] = [re, im]
+                else:
+                    pair[0] += re
+                    pair[1] += im
+        else:
+            for b, (x, y) in coeffs.items():
+                pair = get(b)
+                if pair is None:
+                    acc[b] = [cre * x, cre * y]
+                else:
+                    pair[0] += cre * x
+                    pair[1] += cre * y
+    g = gcd(den, *(v for pair in acc.values() for v in pair))
     if g > 1:
         den //= g
-        coeffs = {b: (re // g, im // g) for b, (re, im) in coeffs.items()}
-    return den, coeffs
+        return den, {b: (re // g, im // g) for b, (re, im) in acc.items() if re or im}
+    return den, {b: (re, im) for b, (re, im) in acc.items() if re or im}
 
 
 class LoopReducer:
@@ -132,7 +147,7 @@ class LoopReducer:
         if form is not None:
             return form
         if len(mu) > self.N:
-            poly = reduce_length(PowerSumPoly.monomial(mu, self.N), self.N)
+            poly = reduce_length(PowerSumPoly({mu: CRational(1)}, self.N), self.N)
             form = _combine([(c, self._reduce(nu)) for nu, c in poly.terms.items()])
         elif all(p <= self.d - 1 for p in mu):
             form = (1, {mu: (1, 0)})

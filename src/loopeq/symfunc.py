@@ -37,12 +37,6 @@ class Partition(tuple):
         """Sort descending; zeros are not allowed here (fold them first)."""
         return cls(sorted(parts, reverse=True))
 
-    @classmethod
-    def _trusted(cls, parts: tuple) -> "Partition":
-        """Wrap a tuple of ints >= 1 that the caller has already sorted
-        non-increasing; internal, nothing is re-checked."""
-        return tuple.__new__(cls, parts)
-
     @property
     def weight(self) -> int:
         return sum(self)
@@ -112,18 +106,32 @@ class PowerSumPoly:
         Index tuples may contain zeros; each p_0 multiplies the coefficient by
         ``nvars``.  Duplicate partitions are merged.
         """
-        terms: dict[Partition, object] = {}
-        for idx, coeff in items:
-            nz = sum(1 for p in idx if p == 0)
-            parts = sorted((p for p in idx if p != 0), reverse=True)
-            if parts and parts[-1] < 0:
+        items = list(items)
+        for idx, _ in items:
+            if any(p < 0 for p in idx):
                 raise ValueError(f"negative power-sum index in {idx}")
-            if not all(isinstance(p, int) for p in parts):
+            if not all(isinstance(p, int) for p in idx if p != 0):
                 raise ValueError(f"power-sum indices must be integers: {idx}")
-            mu = Partition._trusted(tuple(parts))
-            c = coeff
-            for _ in range(nz):
-                c = c * nvars
+        return cls._assemble(items, nvars)
+
+    @classmethod
+    def _assemble(cls, items, nvars) -> "PowerSumPoly":
+        """``build`` for index tuples of ints >= 0 that the caller has checked.
+
+        Each tuple is sorted once; its zeros sort last and are cut off, each
+        folding ``nvars`` into the coefficient.  Partitions keep their order
+        of first insertion.
+        """
+        terms: dict[Partition, object] = {}
+        trusted = tuple.__new__  # a Partition of parts sorted here, not re-checked
+        for idx, c in items:
+            parts = sorted(idx, reverse=True)
+            nz = idx.count(0)
+            if nz:
+                del parts[-nz:]
+                for _ in range(nz):
+                    c = c * nvars
+            mu = trusted(Partition, parts)
             if mu in terms:
                 terms[mu] = terms[mu] + c
             else:
@@ -228,25 +236,27 @@ def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partit
     the same as dropping them at the end.
     """
     out: dict[Partition, int] = {}
+    get = out.get
+    trusted = tuple.__new__  # a Partition of parts sorted here, not re-checked
     for lam, c in mono.items():
-        seen = set()
+        prev = 0
         for i, v in enumerate(lam):
-            if v in seen:
+            if v == prev:  # lam is sorted: a repeated value follows its first
                 continue
-            seen.add(v)
+            prev = v
             # v + k moves left past the parts smaller than it; lam[i] is the
             # first v, so every part left of i is larger than v
             x, j = v + k, i
             while j and lam[j - 1] < x:
                 j -= 1
-            new = Partition._trusted(lam[:j] + (x,) + lam[j:i] + lam[i + 1:])
-            out[new] = out.get(new, 0) + c * new.count(x)
+            new = trusted(Partition, lam[:j] + (x,) + lam[j:i] + lam[i + 1:])
+            out[new] = get(new, 0) + c * new.count(x)
         if len(lam) < N:
             j = len(lam)
             while j and lam[j - 1] < k:
                 j -= 1
-            new = Partition._trusted(lam[:j] + (k,) + lam[j:])
-            out[new] = out.get(new, 0) + c * new.count(k)
+            new = trusted(Partition, lam[:j] + (k,) + lam[j:])
+            out[new] = get(new, 0) + c * new.count(k)
     return out
 
 
@@ -275,15 +285,16 @@ def _set_partitions(n: int):
 
 
 @cache
-def _mono_to_p(lam: Partition) -> tuple[int, dict[Partition, int]]:
-    """Expand m_lam in power sums via Moebius inversion over set partitions.
+def _mono_to_p(lam: Partition, N: int) -> dict[Partition, int]:
+    """N! * m_lam in power sums, via Moebius inversion over set partitions.
 
     The augmented monomial M_lam = (prod of multiplicities!) * m_lam satisfies
     M_lam = sum over set partitions pi of the positions, with Moebius weight
-    prod_blocks (-1)^(|B|-1) (|B|-1)!, of p indexed by the block sums.
-    Returns (prod of multiplicities!, integer expansion of M_lam).  Every
-    partition appearing has at most ell(lam) parts.  The returned dict is
-    shared; callers must not modify it.
+    prod_blocks (-1)^(|B|-1) (|B|-1)!, of p indexed by the block sums.  For
+    ell(lam) <= N the product of multiplicities! divides N!, so N! * m_lam
+    has integer coefficients: the expansion of M_lam times N! / (that
+    product).  Every partition appearing has at most ell(lam) parts.  Cached
+    per (lam, N); the returned dict is shared, callers must not modify it.
     """
     acc: dict[Partition, int] = {}
     for pi in _set_partitions(len(lam)):
@@ -298,7 +309,8 @@ def _mono_to_p(lam: Partition) -> tuple[int, dict[Partition, int]]:
     mult = 1
     for v in set(lam):
         mult *= factorial(lam.count(v))
-    return mult, {nu: c for nu, c in acc.items() if c}
+    scale = factorial(N) // mult
+    return {nu: c * scale for nu, c in acc.items() if c}
 
 
 def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
@@ -306,40 +318,33 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
 
     Terms already of length <= N pass through untouched; longer ones are
     expanded in the monomial basis, monomials needing more than N variables are
-    dropped (they vanish identically), and the remainder is converted back.
-    Each long term's expansion is summed in integers over the denominator N!
-    (every multiplicity product of a partition with <= N parts divides it)
-    and multiplied by the term's coefficient once; output terms keep their
-    order of first appearance.  The result is the same function of N
-    variables, and homogeneous weight is preserved.
+    dropped (they vanish identically), and the remainder is converted back
+    through the N!-scaled rows of ``_mono_to_p``.  Each long term's expansion
+    is summed in integers over the denominator N! and multiplied by the
+    term's coefficient once; output terms keep their order of first
+    appearance.  The result is the same function of N variables, and
+    homogeneous weight is preserved.
     """
     if N < 1:
         raise ValueError("N must be positive")
     out: dict[Partition, object] = {}
-
-    def add(mu: Partition, c):
-        if mu in out:
-            out[mu] = out[mu] + c
-        else:
-            out[mu] = c
-
     den = factorial(N)
     for mu, c in p.terms.items():
         if len(mu) <= N:
-            add(mu, c)
+            out[mu] = out[mu] + c if mu in out else c
             continue
         expansion: dict[Partition, int] = {}
+        get = expansion.get
         for lam, q in _p_to_mono(mu, N).items():
-            mult, coeffs = _mono_to_p(lam)
-            q *= den // mult
-            for nu, a in coeffs.items():
-                expansion[nu] = expansion.get(nu, 0) + q * a
+            for nu, a in _mono_to_p(lam, N).items():
+                expansion[nu] = get(nu, 0) + q * a
         if type(c) is CRational:
-            for nu, a in expansion.items():
-                add(nu, CRational.from_ints(c.n * a, c.m * a, c.d * den))
+            cn, cm, cd = c.n, c.m, c.d * den
+            terms = ((nu, CRational.from_ints(cn * a, cm * a, cd)) for nu, a in expansion.items())
         else:
-            for nu, a in expansion.items():
-                add(nu, c * CRational.from_ints(a, 0, den))
+            terms = ((nu, c * CRational.from_ints(a, 0, den)) for nu, a in expansion.items())
+        for nu, v in terms:
+            out[nu] = out[nu] + v if nu in out else v
     return PowerSumPoly(out, p.nvars)
 
 

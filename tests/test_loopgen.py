@@ -176,6 +176,25 @@ def test_exp_neg_V_is_the_polynomial_sum_bitwise():
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+def test_polynomial_potential_does_not_call_np_roots(monkeypatch):
+    # a constant D has no poles, so partial_fractions, V and exp_neg_V never need np.roots
+    import numpy
+
+    def no_roots(_coeffs):
+        raise RuntimeError("np.roots called")
+
+    monkeypatch.setattr(numpy, "roots", no_roots)
+    t = [CRational(1), CRational(0), CRational(Fraction(1, 2), 1)]
+    V = Potential.polynomial(t)
+    assert V.partial_fractions == ([c.to_complex() for c in t], ())
+    for z in (0.4 - 1.1j, 2.0 + 0j):
+        s = sum(tk.to_complex() / k * z ** k for k, tk in enumerate(t, start=1))
+        assert V.V(z) == pytest.approx(s, rel=1e-15)
+        assert V.exp_neg_V(z) == pytest.approx(cmath.exp(-s), rel=1e-14)
+    with pytest.raises(RuntimeError, match="np.roots called"):
+        Potential.rational([2, 0, 0, 1], [0, 1]).partial_fractions
+
+
 def test_q_rational_coprimality_precondition():
     with pytest.raises(ValueError):
         Potential.rational([0, 0, 0, 1], [0, 1])  # x^3 / x not coprime

@@ -78,6 +78,49 @@ def test_float_solve_is_the_sum_of_reduced_coefficients_bit_for_bit():
         assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex()), mu
 
 
+def _fraction_combine(terms):
+    """sum_j c_j * form_j with Fraction pairs, in first-appearance order."""
+    acc = {}
+    for c, (den, coeffs) in terms:
+        for b, (x, y) in coeffs.items():
+            x, y = Fraction(x, den), Fraction(y, den)
+            re, im = acc.get(b, (0, 0))
+            acc[b] = (re + c.re * x - c.im * y, im + c.re * y + c.im * x)
+    return {b: v for b, v in acc.items() if v != (0, 0)}
+
+
+def test_combine_matches_fraction_arithmetic():
+    from loopeq.momsolve import _combine
+
+    a, b, c = Partition(()), Partition((1,)), Partition((2, 1))
+    # entries that cancel are dropped; a form that cancels entirely is (1, {})
+    assert _combine([(CRational(2), (3, {a: (1, 0), b: (2, 1)})),
+                     (CRational(-1), (3, {a: (2, 0), c: (0, 5)}))]) == (3, {b: (4, 2), c: (0, -5)})
+    assert _combine([(CRational(1), (2, {a: (1, 1)})), (CRational(-1), (2, {a: (1, 1)}))]) == (1, {})
+
+    rng = random.Random(7)
+    basis = [Partition(mu) for mu in ((), (1,), (2,), (1, 1), (2, 1), (2, 2))]
+    scalars = [
+        CRational(3),  # real
+        CRational(Fraction(-5, 6)),  # real with its own denominator
+        CRational(2, -1),  # complex
+        CRational(Fraction(1, 4), Fraction(3, 10)),  # complex with its own denominator
+        CRational(0, 7),  # imaginary
+    ]
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            keys = rng.sample(basis, rng.randint(1, len(basis)))
+            form = (rng.choice((1, 2, 6, 12, 35)),
+                    {k: (rng.randint(-3, 3) or 1, rng.randint(-3, 3)) for k in keys})
+            terms.append((rng.choice(scalars), form))
+        den, coeffs = _combine(terms)
+        want = _fraction_combine(terms)
+        assert list(coeffs) == list(want)  # first appearance across the terms, zeros dropped
+        assert {k: (Fraction(re, den), Fraction(im, den)) for k, (re, im) in coeffs.items()} == want
+        assert den > 0 and gcd(den, *(v for pair in coeffs.values() for v in pair)) == 1
+
+
 def test_solve_requires_consistent_d(gauss):
     F = MomentFunctional(N=2, d=2, basis_values={
         mu: CRational(1) for mu in partitions_in_box(2, 1)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -143,6 +143,56 @@ def test_reduce_length_random_exactness():
         assert red.max_length() <= N
         pts = distinct_rational_points(rng, N)
         assert eval_powersum(red, pts) == eval_powersum(p, pts)
+
+
+def _reference_reduce_length(p, N):
+    """reduce_length before its rows were scaled to N!: the double loop over
+    _p_to_mono and (multiplicity product, unscaled Moebius row) pairs."""
+    from loopeq.symfunc import _p_to_mono, _set_partitions
+
+    def mono_to_p(lam):
+        acc = {}
+        for pi in _set_partitions(len(lam)):
+            coeff, sums = 1, []
+            for block in pi:
+                coeff *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+                sums.append(sum(lam[i] for i in block))
+            nu = Partition.of(sums)
+            acc[nu] = acc.get(nu, 0) + coeff
+        mult = 1
+        for v in set(lam):
+            mult *= factorial(lam.count(v))
+        return mult, {nu: c for nu, c in acc.items() if c}
+
+    out = {}
+    den = factorial(N)
+    for mu, c in p.terms.items():
+        if len(mu) <= N:
+            out[mu] = out[mu] + c if mu in out else c
+            continue
+        expansion = {}
+        for lam, q in _p_to_mono(mu, N).items():
+            mult, coeffs = mono_to_p(lam)
+            q *= den // mult
+            for nu, a in coeffs.items():
+                expansion[nu] = expansion.get(nu, 0) + q * a
+        for nu, a in expansion.items():
+            v = CRational.from_ints(c.n * a, c.m * a, c.d * den)
+            out[nu] = out[nu] + v if nu in out else v
+    return out
+
+
+def test_reduce_length_keeps_its_term_order():
+    # expectation sums reduce_length's terms in this order, so at N <= 2 the order fixes bits
+    c = CRational(Fraction(-2, 3), Fraction(5, 7))
+    for N in range(1, 5):
+        for w in range(N + 1, 13):
+            for mu in partitions_of_weight(w):
+                if len(mu) <= N:
+                    continue
+                p = PowerSumPoly({mu: c}, N)
+                want = _reference_reduce_length(p, N)
+                assert list(reduce_length(p, N).terms.items()) == list(want.items())
 
 
 def test_reduce_length_scales_any_ring_coefficient():
