@@ -160,12 +160,11 @@ class LoopReducer:
                 Q = q_polynomial(qmu, self.V, self.N)
             else:
                 Q = q_rational(qmu, self.V, self.N)
-            top = Partition.of(mu)
-            lead = Q.terms.get(top)
+            lead = Q.terms.get(mu)  # mu is the sorted Partition: Q's top term
             if lead is None or not lead:
-                raise RuntimeError(f"expected top term p_{tuple(top)} in Q_{qmu}")
+                raise RuntimeError(f"expected top term p_{tuple(mu)} in Q_{qmu}")
             form = _combine([(-c / lead, self._reduce(nu))
-                             for nu, c in Q.terms.items() if nu != top])
+                             for nu, c in Q.terms.items() if nu != mu])
         self._memo[mu] = form
         self._track(form)
         return form

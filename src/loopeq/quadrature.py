@@ -27,9 +27,9 @@ equations that share moments after length reduction share their assembly too.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, and the benchmark
-compares those scales at 1e-9 relative.  A new quadrature rule (ROADMAP item 4)
+compares those scales at 1e-9 relative.  A new quadrature rule (ROADMAP item 6)
 moves moments at about 1e-14, so it waits until such equations are bounded by
-their own error budget (ROADMAP item 1).
+their own error budget (ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -226,37 +226,50 @@ def eval_powersum(p: PowerSumPoly, points: Sequence[CRational]) -> CRational:
 # ---------------------------------------------------------------------------
 
 
-def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partition, int]:
-    """Multiply a monomial-basis combination by p_k, keeping monomials of <= N parts.
+@cache
+def _times_pk_moves(lam: Partition, k: int, N: int) -> tuple[tuple[Partition, int], ...]:
+    """The monomials of m_lam * p_k with at most N parts, as (partition, multiplier).
 
     m_lam * p_k = sum over results: adding k to one distinct part value, or
     appending k as a new part; the multiplier is the multiplicity of the new
     part value in the resulting partition.  No result is shorter than lam, so
     dropping the m_lam with more than N parts (zero in N variables) here is
-    the same as dropping them at the end.
+    the same as dropping them at the end.  Cached per (lam, k, N).
+    """
+    moves = []
+    trusted = tuple.__new__  # a Partition of parts sorted here, not re-checked
+    prev = 0
+    for i, v in enumerate(lam):
+        if v == prev:  # lam is sorted: a repeated value follows its first
+            continue
+        prev = v
+        # v + k moves left past the parts smaller than it; lam[i] is the
+        # first v, so every part left of i is larger than v
+        x, j = v + k, i
+        while j and lam[j - 1] < x:
+            j -= 1
+        new = trusted(Partition, lam[:j] + (x,) + lam[j:i] + lam[i + 1:])
+        moves.append((new, new.count(x)))
+    if len(lam) < N:
+        j = len(lam)
+        while j and lam[j - 1] < k:
+            j -= 1
+        new = trusted(Partition, lam[:j] + (k,) + lam[j:])
+        moves.append((new, new.count(k)))
+    return tuple(moves)
+
+
+def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partition, int]:
+    """Multiply a monomial-basis combination by p_k, keeping monomials of <= N parts.
+
+    Each m_lam contributes its cached ``_times_pk_moves(lam, k, N)``, scaled
+    by its coefficient, in the order the moves are listed.
     """
     out: dict[Partition, int] = {}
     get = out.get
-    trusted = tuple.__new__  # a Partition of parts sorted here, not re-checked
     for lam, c in mono.items():
-        prev = 0
-        for i, v in enumerate(lam):
-            if v == prev:  # lam is sorted: a repeated value follows its first
-                continue
-            prev = v
-            # v + k moves left past the parts smaller than it; lam[i] is the
-            # first v, so every part left of i is larger than v
-            x, j = v + k, i
-            while j and lam[j - 1] < x:
-                j -= 1
-            new = trusted(Partition, lam[:j] + (x,) + lam[j:i] + lam[i + 1:])
-            out[new] = get(new, 0) + c * new.count(x)
-        if len(lam) < N:
-            j = len(lam)
-            while j and lam[j - 1] < k:
-                j -= 1
-            new = trusted(Partition, lam[:j] + (k,) + lam[j:])
-            out[new] = get(new, 0) + c * new.count(k)
+        for new, m in _times_pk_moves(lam, k, N):
+            out[new] = get(new, 0) + c * m
     return out
 
 
@@ -264,8 +277,9 @@ def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partit
 def _p_to_mono(mu: tuple[int, ...], N: int) -> dict[Partition, int]:
     """p_mu in the monomial basis of N variables (integer coefficients).
 
-    Memoized by prefix: p_mu = p_(mu without its last part) * p_(last part).
-    The returned dict is shared; callers must not modify it.
+    Memoized by prefix: p_mu = p_(mu without its last part) * p_(last part),
+    each step reading the moves of ``_times_pk_moves``.  The returned dict is
+    shared; callers must not modify it.
     """
     if not mu:
         return {EMPTY: 1}
@@ -317,13 +331,15 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
     """Rewrite so every partition has at most N parts.
 
     Terms already of length <= N pass through untouched; longer ones are
-    expanded in the monomial basis, monomials needing more than N variables are
-    dropped (they vanish identically), and the remainder is converted back
-    through the N!-scaled rows of ``_mono_to_p``.  Each long term's expansion
-    is summed in integers over the denominator N! and multiplied by the
-    term's coefficient once; output terms keep their order of first
-    appearance.  The result is the same function of N variables, and
-    homogeneous weight is preserved.
+    expanded in the monomial basis (``_p_to_mono``, memoized by prefix, each
+    step reading the moves cached per (lam, k, N) by ``_times_pk_moves``),
+    monomials needing more than N variables are dropped (they vanish
+    identically), and the remainder is converted back through the N!-scaled
+    rows of ``_mono_to_p``.  These three tables are the exact layer's only
+    process-wide caches.  Each long term's expansion is summed in integers
+    over the denominator N! and multiplied by the term's coefficient once;
+    output terms keep their order of first appearance.  The result is the
+    same function of N variables, and homogeneous weight is preserved.
     """
     if N < 1:
         raise ValueError("N must be positive")

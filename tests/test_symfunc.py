@@ -195,6 +195,31 @@ def test_reduce_length_keeps_its_term_order():
                 assert list(reduce_length(p, N).terms.items()) == list(want.items())
 
 
+def test_reduce_length_tables_do_not_depend_on_fill_order():
+    # the moves, prefix and row tables are process-wide: a term's expansion must not
+    # depend on which partitions filled them first
+    from loopeq.symfunc import _mono_to_p, _p_to_mono, _times_pk_moves
+
+    def run(N, mus):
+        out = {}
+        for mu in mus:
+            red = reduce_length(PowerSumPoly({mu: CRational(1)}, N), N)
+            out[mu] = [(nu, (c.n, c.m, c.d)) for nu, c in red.terms.items()]
+        return out
+
+    def clear():
+        for table in (_times_pk_moves, _p_to_mono, _mono_to_p):
+            table.cache_clear()
+
+    for N, w_max in ((3, 14), (2, 10)):
+        mus = [mu for w in range(w_max + 1) for mu in partitions_of_weight(w) if len(mu) > N]
+        clear()
+        cold = run(N, mus)
+        assert run(N, mus) == cold
+        clear()
+        assert run(N, mus[::-1]) == cold
+
+
 def test_reduce_length_scales_any_ring_coefficient():
     # CRational coefficients are scaled in ints; ints and MPoly go through the ring product
     c = CRational(Fraction(-3, 4), Fraction(5, 6))
