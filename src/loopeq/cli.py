@@ -85,11 +85,15 @@ def _load_potential(path: str) -> Potential:
         raise ConfigError(f"{where}: {e}")
 
 
-def _parse_mu(text: str) -> tuple[int, ...]:
+def _parse_mu(text: str, flag: str) -> tuple[int, ...]:
+    """``flag``'s comma-separated index tuple; blank text is the empty tuple,
+    and an empty field between commas is refused, not dropped."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad index tuple {text!r}; expected comma-separated integers")
+        raise ConfigError(f"bad {flag} {text!r}; expected comma-separated integers, no empty field")
 
 
 def _emit(data, path: str | None):
@@ -265,7 +269,7 @@ def cmd_gen(args) -> int:
     if args.N < 1:
         raise ConfigError(f"--N must be >= 1, got {args.N}")
     V = _load_potential(args.potential)
-    mu = _parse_mu(args.mu)
+    mu = _parse_mu(args.mu, "--mu")
     if V.kind == "polynomial":
         Q = q_polynomial(mu, V, args.N)
     else:
@@ -281,7 +285,11 @@ def cmd_solve(args) -> int:
     d = _json_int(data.get("d", V.d), f"{where}: 'd'", 1)
     values = _json_table(data["values"], "mu", "value", 1, where)
     F = MomentFunctional(N=args.N, d=d, basis_values=values)
-    targets = [_parse_mu(t) for t in args.targets.split(";") if t.strip()]
+    fields = args.targets.split(";")
+    if not all(t.strip() for t in fields):
+        raise ConfigError(f"bad --targets {args.targets!r}; expected semicolon-separated index tuples,"
+                          " no empty target")
+    targets = [_parse_mu(t, "--targets") for t in fields]
     out, red = solve_moments(F, V, targets)
     _emit(
         {
@@ -350,7 +358,7 @@ def cmd_contours(args) -> int:
 def cmd_expect(args) -> int:
     V = _load_potential(args.potential)
     G = _load_class(args.cls, V)
-    mu = _parse_mu(args.poly) if args.poly else ()
+    mu = _parse_mu(args.poly, "--poly")
     p = PowerSumPoly.monomial(Partition.of(mu), G.N)
     with _moment_table(G.arc_basis, V, args) as table:
         val, err = expectation(G, p, table)
@@ -373,7 +381,7 @@ def cmd_iso(args) -> int:
 
 def cmd_maps(args) -> int:
     weights = _couplings(args)
-    marked = _parse_mu(args.marked) if args.marked else ()
+    marked = _parse_mu(args.marked, "--marked")
     series = map_series(weights, marked, args.order)
     _emit(series.to_json(), args.out)
     return 0
@@ -381,7 +389,7 @@ def cmd_maps(args) -> int:
 
 def cmd_tutte(args) -> int:
     weights = _couplings(args)
-    mu = _parse_mu(args.mu)
+    mu = _parse_mu(args.mu, "--mu")
     series = tutte_residual(weights, mu, args.order)
     ok = series.is_zero()
     out = series.to_json()

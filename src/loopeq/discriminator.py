@@ -9,8 +9,9 @@ expectations converge to Kronecker deltas and recover the coefficients of any
 arc combination.
 
 Every body moment is a combination of plain ray moments, each integrated once
-by L1's segment rule (``_body_moment``); the range guard on |Re V_r| keeps
-their integrands x^q e^{-V} inside double precision.
+by L1's segment rule (``_body_moment``), and is itself formed once per engine,
+in the ``MomentMap`` the N-body kernel reads; the range guard on |Re V_r| keeps
+the integrands x^q e^{-V} inside double precision.
 
 The arc basis used here anchors every class at the most strongly damped
 saddle (largest Re V_r), pairing it with each of the other d saddles; with
@@ -30,7 +31,7 @@ import numpy as np
 
 from .contours import RaySeg
 from .loopgen import Potential
-from .quadrature import _segment_moment, vandermonde_sum
+from .quadrature import MomentMap, _segment_moment, vandermonde_sum
 from .symfunc import compositions
 
 MAX_BODIES = 2
@@ -161,6 +162,7 @@ class DiscriminatorEngine:
         self.anchor = self.S.anchor_index
         self.others = [j for j in range(len(self.S.xi)) if j != self.anchor]
         self._rays: dict[tuple[int, int], tuple[complex, float]] = {}
+        self.moments = MomentMap(self, "_body_moment")  # what the N-body kernel reads
 
     def _ray(self, j: int, q: int) -> tuple[complex, float]:
         """R_j(q): integral of x^q e^{-V} from 0 out along the ray through saddle j,
@@ -196,7 +198,7 @@ class DiscriminatorEngine:
         word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
         total = 0j
         for s in _level_maps(m_hat, N):
-            total += vandermonde_sum(self._body_moment, tuple(zip(word, s)))[0]
+            total += vandermonde_sum(self.moments, tuple(zip(word, s)))[0]
         return total
 
     def amplitude(self, m_hat: tuple[int, ...]) -> complex:

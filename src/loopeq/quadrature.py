@@ -10,20 +10,24 @@ rule, ``_segment_moment``, serves ``arc_moment`` and the discriminator's saddle
 rays; ``RULE_TAG`` names it in the disk cache's keys.  QAGS is scipy's compiled
 routine, loaded from its file; ``scipy.integrate`` is never imported.  The one
 N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
-functionals and the saddle discriminator alike: a permutation-pair sum up to
-N = 2 and a Laplace expansion of the Andreief determinant (Forrester,
-*Log-gases and Random Matrices*, ch. 1) from N = 3 on, about
-2^N N A prod binom(c_i + 2, 2) ring products for A distinct bodies and part
-multiplicities c_i of mu.
+functionals and the saddle discriminator alike: the permutation-pair sum,
+written out for N = 1 and N = 2, and a Laplace expansion of the Andreief
+determinant (Forrester, *Log-gases and Random Matrices*, ch. 1) from N = 3 on,
+about 2^N N A prod binom(c_i + 2, 2) ring products for A distinct bodies and
+part multiplicities c_i of mu.  The kernel indexes a ``MomentMap``, a dict
+that computes a missing moment through its owner, so a tabulated moment costs
+one dict lookup and only a miss runs Python code.
 Everything downstream is exact bookkeeping plus worst-case error propagation.
 
 A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
-potential and the tolerance.  The N-body entry points ``expectation``,
-``oracle_from_quadrature`` and ``moment_matrix`` take a table and read all
-three from it; ``expectation`` refuses a table whose arcs are not the class's
-arc basis.  The table also caches N-body cells: each (arc word, mu) sum is
-assembled once and kept for the table's lifetime, which is one command, so loop
-equations that share moments after length reduction share their assembly too.
+potential and the tolerance; its ``data`` map fills through ``moment``, the
+one miss path (``cli.CachedMomentTable`` reads the disk there).  The N-body
+entry points ``expectation``, ``oracle_from_quadrature`` and ``moment_matrix``
+take a table and read all three from it; ``expectation`` refuses a table whose
+arcs are not the class's arc basis.  The table also caches N-body cells: each
+(arc word, mu) sum is assembled once and kept for the table's lifetime, which
+is one command, so loop equations that share moments after length reduction
+share their assembly too.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, and the benchmark
@@ -42,12 +46,14 @@ import math
 import operator
 import os
 import sys
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contours import CircleSeg, Contour, HomologyClass, RaySeg, admissibility_check
+from .exact import CRational
 from .loopgen import Potential
 from .momsolve import hn_dimension
 from .symfunc import Partition, PowerSumPoly, compositions, partitions_in_box, reduce_length
@@ -201,11 +207,31 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
     return total, err
 
 
+class MomentMap(dict):
+    """(body, k) -> (1-D moment, error bound) that fills itself: a missing key
+    is computed by the owner's method ``name``, looked up on the owner when the
+    key is first read, and kept.  The N-body kernels index it, so a tabulated
+    moment costs one dict lookup.  The owner, which holds the map, is held
+    weakly, so no reference cycle keeps a finished table alive until the next
+    garbage collection."""
+
+    __slots__ = ("owner", "name")
+
+    def __init__(self, owner, name: str):
+        super().__init__()
+        self.owner = weakref.ref(owner)
+        self.name = name
+
+    def __missing__(self, key):
+        value = self[key] = getattr(self.owner(), self.name)(*key)
+        return value
+
+
 class MomentTable:
     """Lazy cache of 1-D arc moments m_j(k) and of the N-body cells assembled
     from them, each with an error estimate: the one owner of the arcs, the
     potential and the quadrature tolerance that every N-body assembly over it
-    uses."""
+    uses.  ``data`` is a ``MomentMap`` whose misses go through ``moment``."""
 
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = tuple(arcs)
@@ -215,7 +241,7 @@ class MomentTable:
                 raise ValueError(f"inadmissible contour {arc.label}: {report.detail}")
         self.V = V
         self.tol = tol
-        self.data: dict[tuple[int, int], tuple[complex, float]] = {}
+        self.data: dict[tuple[int, int], tuple[complex, float]] = MomentMap(self, "moment")
         self.cells: dict[tuple, tuple[complex, float]] = {}
 
     def moment(self, arc_index: int, k: int) -> tuple[complex, float]:
@@ -230,7 +256,7 @@ class MomentTable:
         tabulated, so the kept value is the one a new assembly would give."""
         key = (word, mu)
         if key not in self.cells:
-            self.cells[key] = vandermonde_sum(self.moment, word, mu)
+            self.cells[key] = vandermonde_sum(self.data, word, mu)
         return self.cells[key]
 
     def flush(self):
@@ -238,22 +264,16 @@ class MomentTable:
 
 
 @functools.cache
-def _perm_pairs(N: int):
-    """Index plan of the permutation-pair sum: ``pairs`` holds (sign_sigma *
-    sign_tau, slots i (2N - 1) + sigma_i + tau_i) in lexicographic order, and
-    ``fetch`` (i, s, slot) in the order the pairs first use each slot."""
-    perms = tuple(itertools.permutations(range(N)))
-    signs = [-1.0 if sum(p[i] > p[j] for i in range(N) for j in range(i + 1, N)) % 2 else 1.0
-             for p in perms]
-    width = 2 * N - 1
-    pairs = tuple(
-        (signs[si] * signs[ti], tuple(i * width + sigma[i] + tau[i] for i in range(N)))
-        for si, sigma in enumerate(perms)
-        for ti, tau in enumerate(perms)
-    )
-    first_use = dict.fromkeys(j for _, slots in pairs for j in slots)
-    fetch = tuple((j // width, j % width, j) for j in first_use)
-    return pairs, fetch
+def _splits(mu, N: int):
+    """The exponents p_mu adds to each of N variables, one tuple per
+    assignment of its parts to variables, in ``itertools.product`` order."""
+    out = []
+    for assign in itertools.product(range(N), repeat=len(mu)):
+        adds = [0] * N
+        for part, var in zip(mu, assign):
+            adds[var] += part
+        out.append(tuple(adds))
+    return tuple(out)
 
 
 @functools.cache
@@ -300,61 +320,70 @@ def _laplace_plan(need):
     return tuple(rows)
 
 
-def vandermonde_sum(moment, word, mu=()):
+def vandermonde_sum(moments, word, mu=()):
     """integral of p_mu * Delta^2 over the product of the bodies in ``word``.
 
-    ``moment(body, k)`` returns the 1-D moment of x^k over one body with an
-    error bound; body i carries variable x_i, and bodies are any hashables.
-    Returns (value, first-order error bound), where the bound is
-    sum over products of N moments of prod(|v| + e) - prod |v|.  Up to N = 2
-    the permutation-pair sum runs, from N = 3 on the determinant recursion.
-    Measured per call on random tables of distinct bodies, len(mu) <= 4: the
-    recursion is 1.5-5x slower at N = 2 (it ties at mu = (1, 1, 1, 1)); at
-    N = 3 it is 3.3x slower at mu = (), 1.2-1.8x slower at (1,) and (2, 1),
-    and 1.1-5.5x faster from (1, 1) on, most where parts repeat; at N = 4 it
-    is 1.3x faster at mu = () and 3-53x faster beyond.  Each wins a workload:
-    the recursion at N <= 2 made the ``quadrature`` benchmark 9-19% slower and
-    moved its cancelling sums.
+    ``moments[body, k]`` is the 1-D moment of x^k over one body with an error
+    bound, a mapping such as ``MomentMap`` that computes what it lacks; body i
+    carries variable x_i, and bodies are any hashables.  Returns (value,
+    first-order error bound), where the bound is sum over products of N
+    moments of prod(|v| + e) - prod |v|.  Up to N = 2 the written-out
+    permutation-pair sum runs, from N = 3 on the determinant recursion.
+    Measured per call on random tables of distinct bodies, len(mu) <= 4
+    (2-core VM): at N = 2 the recursion is 2.3-11x slower than the written-out
+    sum, which is itself 1.9-2.5x faster than the generic (N!)^2 loop it
+    replaced; at N = 3 the recursion is 3.0x slower than that generic loop at
+    mu = (), 1.7x at (1,) and 1.1x at (2, 1), and 1.1-5.6x faster from (1, 1)
+    on, most where parts repeat; at N = 4 it is 1.3x faster at mu = () and
+    2.8-54x faster beyond.  Each wins a workload: the recursion at N <= 2 made
+    the ``quadrature`` benchmark 9-19% slower and moved its cancelling sums.
     """
     if len(word) <= 2:
-        return _permutation_sum(moment, word, mu)
-    return _laplace_sum(moment, word, mu)
+        return _permutation_sum(moments, word, mu)
+    return _laplace_sum(moments, word, mu)
 
 
-def _permutation_sum(moment, word, mu):
-    """Delta^2 as a double determinant over permutation pairs (sigma, tau),
-    p_mu over the assignments of its parts to variables: (N!)^2 N^len(mu)
-    products of N moments.  Each assignment fetches its N (2N - 1) moments
-    once; the products and sums run in the order of the plain loop over
-    ``moment(word[i], sigma[i] + tau[i] + adds[i])``, so the result is the
-    same to the last bit."""
-    N = len(word)
-    pairs, fetch = _perm_pairs(N)
+def _permutation_sum(moments, word, mu):
+    """Delta^2 as a double determinant over permutation pairs (sigma, tau) and
+    p_mu over the splits of its parts between the variables, written out for
+    N = 1 and N = 2.  At N = 2, Delta^2 = x_1^2 - 2 x_1 x_2 + x_2^2 gives four
+    pair products per split (x, y) of mu over bodies (a, b): m_a(x) m_b(y + 2),
+    -m_a(x + 1) m_b(y + 1) twice, and m_a(x + 2) m_b(y).  Every operation runs
+    as in the plain loop over ``moment(word[i], sigma[i] + tau[i] + adds[i])``:
+    each product is seeded with 1 + 0j and scaled by its sign, each bound
+    grows factor by factor as E (|v| + e) + P e from E = 0, P = 1, the pair
+    that shares its slots is computed once and added twice, and the moments
+    are first read in that loop's order, so the result is the same to the
+    last bit."""
+    if len(word) == 1:
+        ((x,),) = _splits(mu, 1)
+        v, e = moments[word[0], x]
+        return 0j + 1.0 * ((1.0 + 0j) * v), 0.0 + (0.0 * (abs(v) + e) + 1.0 * e)
+    a, b = word
     total = 0j
     err = 0.0
-    for assign in itertools.product(range(N), repeat=len(mu)):
-        adds = [0] * N
-        for part, var in zip(mu, assign):
-            adds[var] += part
-        m = [None] * (N * (2 * N - 1))  # slot i (2N - 1) + s
-        for i, s, j in fetch:
-            v, e = moment(word[i], s + adds[i])
-            m[j] = (v, e, abs(v))
-        for sgn, slots in pairs:
-            prod = 1.0 + 0j
-            emag = 0.0
-            pmag = 1.0
-            for j in slots:
-                v, e, a = m[j]
-                prod *= v
-                emag = emag * (a + e) + pmag * e
-                pmag *= a
-            total += sgn * prod
-            err += emag
+    for x, y in _splits(mu, 2):
+        v0, e0 = moments[a, x]
+        v5, e5 = moments[b, y + 2]
+        v1, e1 = moments[a, x + 1]
+        v4, e4 = moments[b, y + 1]
+        v2, e2 = moments[a, x + 2]
+        v3, e3 = moments[b, y]
+        a0, a1, a2 = abs(v0), abs(v1), abs(v2)
+        mixed = -1.0 * ((1.0 + 0j) * v1 * v4)
+        mixed_err = (0.0 * (a1 + e1) + 1.0 * e1) * (abs(v4) + e4) + (1.0 * a1) * e4
+        total += 1.0 * ((1.0 + 0j) * v0 * v5)
+        total += mixed
+        total += mixed
+        total += 1.0 * ((1.0 + 0j) * v2 * v3)
+        err += (0.0 * (a0 + e0) + 1.0 * e0) * (abs(v5) + e5) + (1.0 * a0) * e5
+        err += mixed_err
+        err += mixed_err
+        err += (0.0 * (a2 + e2) + 1.0 * e2) * (abs(v3) + e3) + (1.0 * a2) * e3
     return total, err
 
 
-def _laplace_sum(moment, word, mu):
+def _laplace_sum(moments, word, mu):
     """Andreief/Heine: with n_b copies of body b in ``word`` and l = len(mu),
 
         integral = prod n_b! * sum over row labellings c (body b on n_b rows)
@@ -382,7 +411,7 @@ def _laplace_sum(moment, word, mu):
     for body in caps:
         row = []
         for q in range(2 * N - 1):
-            vals, errs = zip(*(moment(body, q + s) for s in shifts))
+            vals, errs = zip(*(moments[body, q + s] for s in shifts))
             mags = [abs(v) for v in vals]
             row.append((vals, mags, errs, [m + e for m, e in zip(mags, errs)]))
         W.append(row)
@@ -410,7 +439,8 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     over the 1-D moments of ``table``, whose arcs must be the class's basis.
 
     Each (composition, p_mu) cell is one ``vandermonde_sum`` over tabulated
-    1-D moments: (N!)^2 N^len(mu) products up to N = 2, about
+    1-D moments: one product at N = 1, 3 distinct pair products per split of
+    mu's parts at N = 2 (2^len(mu) splits), about
     2^N N A prod binom(c_i + 2, 2) ring products from N = 3 (A arcs in the
     composition, c_i the multiplicities of mu's distinct parts).
     The table keeps every cell for its lifetime, so a cell that another call
@@ -456,8 +486,7 @@ def oracle_from_quadrature(G: HomologyClass, partitions, table: MomentTable):
     errors: dict[Partition, float] = {}
     for nu in partitions:
         nu = Partition(tuple(nu))
-        poly = PowerSumPoly.monomial(nu, G.N)
-        val, err = expectation(G, poly, table)
+        val, err = expectation(G, PowerSumPoly({nu: CRational(1)}, G.N), table)
         values[nu] = val
         errors[nu] = err
     return values, errors

@@ -26,6 +26,18 @@ def haar2():
     return Potential.rational([2], [0, 1])  # V' = 2/x (Haar weight at N=2)
 
 
+class MomentLookup(dict):
+    """A moment function ``moment(body, k)`` as the mapping the N-body kernels
+    read: it stays empty, so every read calls the function."""
+
+    def __init__(self, moment):
+        super().__init__()
+        self.moment = moment
+
+    def __missing__(self, key):
+        return self.moment(*key)
+
+
 def rand_crational(rng: random.Random, span: int = 6) -> CRational:
     return CRational(
         Fraction(rng.randint(-span, span), rng.randint(1, span)),

@@ -43,6 +43,8 @@ from loopeq.cli import CachedMomentTable
 from loopeq.contours import ArcSeg, RaySeg
 from loopeq.quadrature import _permutation_sum, _quad_complex
 
+from conftest import MomentLookup
+
 
 def _bits(z) -> bytes:
     z = complex(z)
@@ -151,7 +153,7 @@ def test_permutation_sum_is_the_plain_loop(word, mu, kind):
             table[body, k] = (v, e)
     moment, seen = _recording(table)
     ref_moment, ref_seen = _recording(table)
-    got = _permutation_sum(moment, word, mu)
+    got = _permutation_sum(MomentLookup(moment), word, mu)
     want = _reference_permutation_sum(ref_moment, word, mu)
     assert (_bits(got[0]), struct.pack("<d", got[1])) == (_bits(want[0]), struct.pack("<d", want[1]))
     # same moments, first requested in the same order (a failing quadrature
@@ -163,7 +165,7 @@ def test_permutation_sum_bound_is_zero_on_exact_tables():
     rng = random.Random(7)
     table = {(b, k): (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 0.0) for b in (0, 1) for k in range(12)}
     for mu in MUS:
-        got = _permutation_sum(lambda b, k: table[b, k], (0, 1), mu)
+        got = _permutation_sum(table, (0, 1), mu)
         assert got == _reference_permutation_sum(lambda b, k: table[b, k], (0, 1), mu)
         assert got[1] == 0.0
 

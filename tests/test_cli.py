@@ -632,6 +632,49 @@ def test_solve_roundtrip(pot, tmp_path, capsys):
     assert got[(1,)] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("command,flag,text", [
+    ("solve", "--targets", ";"),  # printed "values": [] and exited 0
+    ("solve", "--targets", "2;;3"),  # ran as 2;3
+    ("solve", "--targets", "2; "),
+    ("gen", "--mu", "1,,2"),  # ran as (1, 2)
+    ("gen", "--mu", "1,2,"),
+    ("expect", "--poly", ",1"),
+    ("tutte", "--mu", "2,,"),
+    ("maps", "--marked", "3,,1"),
+])
+def test_empty_index_field_is_usage_error(pot, capsys, command, flag, text):
+    path = pot("gauss.json", GAUSS)
+    argv = {
+        "solve": ["solve", "--potential", path, "--N", "2", "--basis",
+                  pot("basis.json", {"N": 2, "d": 1, "values": [{"mu": [], "value": [1.0, 0.0]}]})],
+        "gen": ["gen", "--potential", path, "--N", "2"],
+        "expect": ["expect", "--potential", path, "--class",
+                   pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})],
+        "tutte": ["tutte", "--t3", "1", "--order", "2"],
+        "maps": ["maps", "--t3", "1", "--order", "2"],
+    }[command]
+    code = main(argv + [flag, text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith(f"error: bad {flag} ") and repr(text) in line
+
+
+def test_blank_poly_is_z_and_spaces_around_parts_are_allowed(pot, capsys):
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    expect = ["expect", "--potential", path, "--class", cls]
+    assert run(expect, capsys) == run(expect + ["--poly", ""], capsys)
+    assert run(expect + ["--poly", "2,1"], capsys) == run(expect + ["--poly", " 2 , 1 "], capsys)
+    basis = pot("basis.json", {"N": 2, "d": 1, "values": [{"mu": [], "value": [1.0, 0.0]}]})
+    solve = ["solve", "--potential", path, "--N", "2", "--basis", basis, "--targets"]
+    code, data = run(solve + ["4; 2 ,1"], capsys)
+    assert code == 0
+    assert run(solve + ["4;2,1"], capsys) == (code, data)
+    assert [e["mu"] for e in data["values"]] == [[2, 1], [4]]
+
+
 def test_contours_polylines(pot, tmp_path, capsys):
     path = pot("cubic.json", CUBIC)
     out = str(tmp_path / "arcs.json")

@@ -178,5 +178,5 @@ def test_two_body_expectation_is_hand_expanded_vandermonde(cubic, r):
 
 def test_two_body_kernel_bound_carries_quadrature_error(cubic):
     eng = DiscriminatorEngine(cubic, 60, 1e-9)
-    value, err = vandermonde_sum(eng._body_moment, ((0, 0), (1, 1)))
+    value, err = vandermonde_sum(eng.moments, ((0, 0), (1, 1)))
     assert 0 < err < 1e-6 * abs(value)

@@ -21,6 +21,8 @@ from loopeq.contours import CircleSeg, RaySeg
 from loopeq.quadrature import MomentTable, vandermonde_sum
 from loopeq.symfunc import compositions
 
+from conftest import MomentLookup
+
 
 def _c(*xs):
     return [[str(x), "0"] for x in xs]
@@ -143,7 +145,7 @@ def _reference_cell(table, word, mu):
         return _reference(table.arcs[body], table.V, k), 0
 
     with mpmath.workdps(30):
-        return vandermonde_sum(moment, word, mu)[0]
+        return vandermonde_sum(MomentLookup(moment), word, mu)[0]
 
 
 def _cell_failures(name, table, word, mu, value, err):
@@ -172,4 +174,4 @@ def test_six_body_cell_bar_bounds_the_true_error():
     V = Potential.from_json(CASES["cubic elbows"][0])
     table = MomentTable(basis_arcs(V), V, 1e-12)
     word = (0, 0, 0, 1, 1, 1)
-    assert not _cell_failures("cubic", table, word, (), *vandermonde_sum(table.moment, word))
+    assert not _cell_failures("cubic", table, word, (), *vandermonde_sum(table.data, word))

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from loopeq import (
     real_axis_contour,
     real_power_class,
 )
-from loopeq.quadrature import _permutation_sum, _ring_plan, vandermonde_sum
+from loopeq.quadrature import _ring_plan, vandermonde_sum
+
+from test_bit_identity import _reference_permutation_sum
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -260,11 +263,11 @@ def test_vandermonde_sum_two_bodies_is_hand_expansion(word, mu):
     for (i, j), c in poly.items():
         for a, b, dc in ((2, 0, 1), (1, 1, -2), (0, 2, 1)):
             want += c * dc * table[word[0], i + a][0] * table[word[1], j + b][0]
-    got, err = vandermonde_sum(lambda a, k: table[a, k], word, mu)
+    got, err = vandermonde_sum(table, word, mu)
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
     assert 0 < err < 1e-6
     exact = {key: (v, 0.0) for key, (v, _) in table.items()}
-    assert vandermonde_sum(lambda a, k: exact[a, k], word, mu) == (got, 0.0)
+    assert vandermonde_sum(exact, word, mu) == (got, 0.0)
 
 
 # N = 3..5, one to three distinct bodies (tuple bodies as in the discriminator),
@@ -294,15 +297,15 @@ def test_vandermonde_sum_from_three_bodies_is_permutation_sum(word, mu):
     rng = random.Random(repr((word, mu)))
     table = {(b, k): (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 1e-9))
              for b in sorted(set(word)) for k in range(40)}
-    got, err = vandermonde_sum(lambda b, k: table[b, k], word, mu)
-    want, want_err = _permutation_sum(lambda b, k: table[b, k], word, mu)
+    got, err = vandermonde_sum(table, word, mu)
+    want, want_err = _reference_permutation_sum(lambda b, k: table[b, k], word, mu)
     # with errors |v| every term's bound is (2^N - 1) prod |v|: the term majorant
-    _, doubled = _permutation_sum(lambda b, k: (table[b, k][0], abs(table[b, k][0])), word, mu)
+    _, doubled = _reference_permutation_sum(lambda b, k: (table[b, k][0], abs(table[b, k][0])), word, mu)
     majorant = doubled / (2 ** len(word) - 1)
     assert abs(got - want) <= 1e-11 * majorant
     assert abs(err - want_err) <= 1e-10 * want_err
     exact = {key: (v, 0.0) for key, (v, _) in table.items()}
-    assert vandermonde_sum(lambda b, k: exact[b, k], word, mu)[1] == 0.0
+    assert vandermonde_sum(exact, word, mu)[1] == 0.0
 
 
 @pytest.mark.parametrize("mu,coefficients,products", [
@@ -325,7 +328,7 @@ def test_moment_matrix_cubic_N5(cubic):
     assert len(M.rows) == len(M.cols) == 6
     assert M.min_scaled_singular > 1e-8
     i, j = M.rows.index((3, 2)), M.cols.index(())
-    want, want_err = _permutation_sum(table.moment, (0, 0, 0, 1, 1), ())
+    want, want_err = _reference_permutation_sum(table.moment, (0, 0, 0, 1, 1), ())
     assert abs(M.entries[i][j] - want) <= M.errors[i][j] + want_err
 
 
@@ -374,6 +377,65 @@ def test_each_cell_is_assembled_once_per_table(monkeypatch):
     assert len(calls) == len(set(calls)) == len(table.cells) == 29
     oracle_from_quadrature(G, sorted(needed), table)
     assert len(calls) == 29
+
+
+def _rational_w6_oracle(table_type, *extra):
+    """The oracle of the benchmark's residuals-rational-w6 command on a new table."""
+    from loopeq import loop_tuples, oracle_from_quadrature, q_rational
+
+    V = Potential.rational([2, 0, 0, 1], [0, 1])  # V' = x^2 + 2/x
+    G = HomologyClass.make(2, basis_arcs(V), {(1, 1, 0): 1.0})
+    needed = set()
+    for mu in loop_tuples(6):
+        needed.update(q_rational(mu, V, 2).terms)
+    table = table_type(G.arc_basis, V, 1e-12, *extra)
+    return table, oracle_from_quadrature(G, sorted(needed), table)
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` per argument tuple."""
+    calls = Counter()
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[args[-2:]] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["cubic N=2", "cubic N=4", "residuals-rational-w6"])
+def test_each_moment_goes_through_the_miss_path_once(monkeypatch, cubic, case):
+    # the kernels index the table's moment map; only a missing key calls
+    # MomentTable.moment, and it calls arc_moment: the benchmark counts both
+    from loopeq import quadrature
+
+    moments = _counted(monkeypatch, MomentTable, "moment")
+    integrals = _counted(monkeypatch, quadrature, "arc_moment")
+    if case == "residuals-rational-w6":
+        table, _ = _rational_w6_oracle(MomentTable)
+    else:
+        table = MomentTable(basis_arcs(cubic), cubic, 1e-12)
+        moment_matrix(table, int(case[-1]))
+    assert set(moments) == set(table.data)
+    assert set(moments.values()) == {1}
+    assert sum(integrals.values()) == len(table.data)
+
+
+def test_warm_cache_answers_each_stored_key_from_disk_once(monkeypatch, tmp_path):
+    from loopeq import quadrature
+    from loopeq.cli import CachedMomentTable
+
+    cold, want = _rational_w6_oracle(CachedMomentTable, str(tmp_path))
+    cold.flush()
+    moments = _counted(monkeypatch, CachedMomentTable, "moment")
+    integrals = _counted(monkeypatch, quadrature, "arc_moment")
+    warm, got = _rational_w6_oracle(CachedMomentTable, str(tmp_path))
+    assert got == want
+    assert not integrals
+    assert len(warm._store) == len(cold.data) == len(moments)
+    assert set(moments) == set(warm.data) and set(moments.values()) == {1}
 
 
 def test_reversed_arc_is_the_negated_forward_arc(cubic):
