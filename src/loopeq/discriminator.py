@@ -8,10 +8,10 @@ the measure on a prescribed saddle assignment, so suitably normalized
 expectations converge to Kronecker deltas and recover the coefficients of any
 arc combination.
 
-Every body moment is a combination of plain ray moments, each integrated once
-by L1's segment rule (``_body_moment``), and is itself formed once per engine,
-in the ``MomentMap`` the N-body kernel reads; the range guard on |Re V_r| keeps
-the integrands x^q e^{-V} inside double precision.
+Every body moment is a combination of plain ray moments (``_body_moment``).
+Each ray moment is integrated once per engine by L1's segment rule, and each
+body moment formed once, both kept in a ``MomentMap``; the range guard on
+|Re V_r| keeps the integrands x^q e^{-V} inside double precision.
 
 The arc basis used here anchors every class at the most strongly damped
 saddle (largest Re V_r), pairing it with each of the other d saddles; with
@@ -143,7 +143,8 @@ class DiscriminatorEngine:
 
     Arc j (j = 1..d) is the origin-crossing bisector arc from the anchor
     saddle's sector to the j-th non-anchor saddle's sector; compositions over
-    arcs map to saddle assignments over the non-anchor saddles.
+    arcs map to saddle assignments over the non-anchor saddles.  ``_rays``
+    and ``moments`` are ``MomentMap``s over ``_ray`` and ``_body_moment``.
     """
 
     def __init__(self, V: Potential, r: int, tol: float = 1e-9):
@@ -161,17 +162,14 @@ class DiscriminatorEngine:
         self.f = lagrange_f(self.S)
         self.anchor = self.S.anchor_index
         self.others = [j for j in range(len(self.S.xi)) if j != self.anchor]
-        self._rays: dict[tuple[int, int], tuple[complex, float]] = {}
+        self._rays = MomentMap(self, "_ray")
         self.moments = MomentMap(self, "_body_moment")  # what the N-body kernel reads
 
     def _ray(self, j: int, q: int) -> tuple[complex, float]:
         """R_j(q): integral of x^q e^{-V} from 0 out along the ray through saddle j,
-        with its error estimate (L1's segment rule)."""
-        key = (j, q)
-        if key not in self._rays:
-            ray = RaySeg(0j, cmath.phase(self.S.xi[j]))
-            self._rays[key] = _segment_moment(ray, self.V, q, self.tol)
-        return self._rays[key]
+        with its error estimate (L1's segment rule); ``_rays`` keeps each one."""
+        ray = RaySeg(0j, cmath.phase(self.S.xi[j]))
+        return _segment_moment(ray, self.V, q, self.tol)
 
     def _body_moment(self, body: tuple[int, int], k: int) -> tuple[complex, float]:
         """Moment of x^k over body (arc, c) = x^r f_c(x) e^{-V} dx on that arc:
@@ -182,8 +180,8 @@ class DiscriminatorEngine:
         total = 0j
         err = 0.0
         for i, a in enumerate(self.f[c]):
-            v_other, e_other = self._ray(j, self.r + k + i)
-            v_anchor, e_anchor = self._ray(self.anchor, self.r + k + i)
+            v_other, e_other = self._rays[j, self.r + k + i]
+            v_anchor, e_anchor = self._rays[self.anchor, self.r + k + i]
             total += a * (v_other - v_anchor)
             err += abs(a) * (e_other + e_anchor)
         return total, err

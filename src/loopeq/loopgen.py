@@ -166,7 +166,9 @@ class Potential:
 
     @cached_property
     def _quotient_terms(self) -> tuple[tuple[complex, int], ...]:
-        """(q_k / k, k) for the nonzero quotient coefficients q_k."""
+        """(q_k / k, k) for the nonzero quotient coefficients q_k: the terms of
+        V's polynomial part.  Skipping a zero q_k changes no bit, since its term
+        is +-0 and a sum that starts at 0j never holds -0.0."""
         return tuple((c / k, k) for k, c in enumerate(self.partial_fractions[0], start=1) if c)
 
     @cached_property
@@ -180,15 +182,16 @@ class Potential:
         return _horner(R, z) / _horner(D, z)
 
     def V(self, z: complex) -> complex:
-        out = self._quotient_part(z)
+        out = 0j
+        for c, k in self._quotient_terms:
+            out += c * z ** k
         for p, r in self.partial_fractions[1]:
             out += r * cmath.log(z - p)
         return out
 
     def exp_neg_V(self, z: complex) -> complex:
         """e^{-V(z)}; single-valued for integer pole residues.  The quotient
-        terms are summed here, as in ``_quotient_part``, one frame fewer per
-        quadrature node."""
+        terms are summed here, as in ``V``, one frame fewer per quadrature node."""
         out = 0j
         for c, k in self._quotient_terms:
             out += c * z ** k
@@ -196,17 +199,6 @@ class Potential:
         for p, r in self.partial_fractions[1]:
             val *= (z - p) ** (-r)
         return val
-
-    def _quotient_part(self, z: complex) -> complex:
-        """sum_k q_k z^k / k: the polynomial part of V.
-
-        Zero coefficients are skipped: their terms are +-0, and a sum that
-        starts at 0j never holds -0.0, so adding them changes no bit.
-        """
-        out = 0j
-        for c, k in self._quotient_terms:
-            out += c * z ** k
-        return out
 
     # -- JSON ----------------------------------------------------------------
 

@@ -10,13 +10,13 @@ rule, ``_segment_moment``, serves ``arc_moment`` and the discriminator's saddle
 rays; ``RULE_TAG`` names it in the disk cache's keys.  QAGS is scipy's compiled
 routine, loaded from its file; ``scipy.integrate`` is never imported.  The one
 N-body kernel, ``vandermonde_sum``, assembles those moments for quadrature
-functionals and the saddle discriminator alike: the permutation-pair sum,
-written out for N = 1 and N = 2, and a Laplace expansion of the Andreief
-determinant (Forrester, *Log-gases and Random Matrices*, ch. 1) from N = 3 on,
-about 2^N N A prod binom(c_i + 2, 2) ring products for A distinct bodies and
-part multiplicities c_i of mu.  The kernel indexes a ``MomentMap``, a dict
-that computes a missing moment through its owner, so a tabulated moment costs
-one dict lookup and only a miss runs Python code.
+functionals and the saddle discriminator alike: one moment at N = 1, the
+permutation-pair sum written out at N = 2, and from N = 3 on a Laplace
+expansion of the Andreief determinant (Forrester, *Log-gases and Random
+Matrices*, ch. 1), about 2^N N A prod binom(c_i + 2, 2) ring products for A
+distinct bodies and part multiplicities c_i of mu.  The kernel indexes a
+``MomentMap``, a dict that computes a missing moment through its owner, so a
+tabulated moment costs one dict lookup and only a miss runs Python code.
 Everything downstream is exact bookkeeping plus worst-case error propagation.
 
 A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
@@ -63,7 +63,7 @@ TAIL_CUTOFF = 1e-18
 
 
 class QuadratureError(RuntimeError):
-    """A rule misses its tolerance, or e^{-V} overflows or does not decay along a ray."""
+    """A rule misses its tolerance, or e^{-V} overflows, underflows or does not decay along a ray."""
 
 
 def _load_qagse():
@@ -131,6 +131,9 @@ def _ray_truncation(seg: RaySeg, weight, kpow: int) -> float:
         if val < peak + logcut:
             return s
         s *= 1.30
+    if peak == -math.inf:  # no point had a magnitude to fall from
+        raise QuadratureError(f"e^{{-V}} underflows double precision along ray angle"
+                              f" {seg.angle:.4f} from its base {seg.base:.4g}")
     raise QuadratureError(f"|x|^{kpow} |e^{{-V}}| along ray angle {seg.angle:.4f} does not fall"
                           f" below the tail cutoff {TAIL_CUTOFF:g} within arc length {s:.4g}")
 
@@ -209,11 +212,12 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
 
 class MomentMap(dict):
     """(body, k) -> (1-D moment, error bound) that fills itself: a missing key
-    is computed by the owner's method ``name``, looked up on the owner when the
-    key is first read, and kept.  The N-body kernels index it, so a tabulated
-    moment costs one dict lookup.  The owner, which holds the map, is held
-    weakly, so no reference cycle keeps a finished table alive until the next
-    garbage collection."""
+    is computed by the owner's method ``name`` from the key's fields, looked up
+    on the owner when the key is first read, and kept.  The N-body kernels
+    index it, so a tabulated moment costs one dict lookup; the discriminator
+    also keeps its saddle-ray moments in one.  The owner, which holds the map,
+    is held weakly, so no reference cycle keeps a finished table alive until
+    the next garbage collection."""
 
     __slots__ = ("owner", "name")
 
@@ -328,15 +332,9 @@ def vandermonde_sum(moments, word, mu=()):
     carries variable x_i, and bodies are any hashables.  Returns (value,
     first-order error bound), where the bound is sum over products of N
     moments of prod(|v| + e) - prod |v|.  Up to N = 2 the written-out
-    permutation-pair sum runs, from N = 3 on the determinant recursion.
-    Measured per call on random tables of distinct bodies, len(mu) <= 4
-    (2-core VM): at N = 2 the recursion is 2.3-11x slower than the written-out
-    sum, which is itself 1.9-2.5x faster than the generic (N!)^2 loop it
-    replaced; at N = 3 the recursion is 3.0x slower than that generic loop at
-    mu = (), 1.7x at (1,) and 1.1x at (2, 1), and 1.1-5.6x faster from (1, 1)
-    on, most where parts repeat; at N = 4 it is 1.3x faster at mu = () and
-    2.8-54x faster beyond.  Each wins a workload: the recursion at N <= 2 made
-    the ``quadrature`` benchmark 9-19% slower and moved its cancelling sums.
+    permutation-pair sum runs, from N = 3 on the determinant recursion: each
+    is the faster of the two where it runs, and the recursion would move the
+    N <= 2 bits that must stay fixed (see the module docstring).
     """
     if len(word) <= 2:
         return _permutation_sum(moments, word, mu)
@@ -344,21 +342,20 @@ def vandermonde_sum(moments, word, mu=()):
 
 
 def _permutation_sum(moments, word, mu):
-    """Delta^2 as a double determinant over permutation pairs (sigma, tau) and
-    p_mu over the splits of its parts between the variables, written out for
-    N = 1 and N = 2.  At N = 2, Delta^2 = x_1^2 - 2 x_1 x_2 + x_2^2 gives four
-    pair products per split (x, y) of mu over bodies (a, b): m_a(x) m_b(y + 2),
-    -m_a(x + 1) m_b(y + 1) twice, and m_a(x + 2) m_b(y).  Every operation runs
-    as in the plain loop over ``moment(word[i], sigma[i] + tau[i] + adds[i])``:
-    each product is seeded with 1 + 0j and scaled by its sign, each bound
-    grows factor by factor as E (|v| + e) + P e from E = 0, P = 1, the pair
-    that shares its slots is computed once and added twice, and the moments
-    are first read in that loop's order, so the result is the same to the
-    last bit."""
+    """Delta^2 as a double determinant over permutation pairs and p_mu over
+    the splits of its parts between the variables, written out for N = 1 and
+    N = 2.  At N = 1 it is one moment, m_a(|mu|).  At N = 2,
+    Delta^2 = x_1^2 - 2 x_1 x_2 + x_2^2 gives four pair products per split
+    (x, y) of mu over bodies (a, b): m_a(x) m_b(y + 2), -m_a(x + 1) m_b(y + 1)
+    twice, and m_a(x + 2) m_b(y), each with the bound
+    e_1 (|v_2| + e_2) + |v_1| e_2.  The sums run in that order and the moments
+    are first read as the generic loop over (sigma, tau) read them, so the bits
+    are the loop's: the factors it multiplied by (1 + 0j, +-1.0, a zero first
+    error) only move the sign of a zero, and a sum seeded at +0.0 never holds
+    -0.0 (Higham, ch. 2)."""
     if len(word) == 1:
-        ((x,),) = _splits(mu, 1)
-        v, e = moments[word[0], x]
-        return 0j + 1.0 * ((1.0 + 0j) * v), 0.0 + (0.0 * (abs(v) + e) + 1.0 * e)
+        v, e = moments[word[0], sum(mu)]
+        return 0j + v, 0.0 + e
     a, b = word
     total = 0j
     err = 0.0
@@ -369,17 +366,16 @@ def _permutation_sum(moments, word, mu):
         v4, e4 = moments[b, y + 1]
         v2, e2 = moments[a, x + 2]
         v3, e3 = moments[b, y]
-        a0, a1, a2 = abs(v0), abs(v1), abs(v2)
-        mixed = -1.0 * ((1.0 + 0j) * v1 * v4)
-        mixed_err = (0.0 * (a1 + e1) + 1.0 * e1) * (abs(v4) + e4) + (1.0 * a1) * e4
-        total += 1.0 * ((1.0 + 0j) * v0 * v5)
+        mixed = -(v1 * v4)
+        mixed_err = e1 * (abs(v4) + e4) + abs(v1) * e4
+        total += v0 * v5
         total += mixed
         total += mixed
-        total += 1.0 * ((1.0 + 0j) * v2 * v3)
-        err += (0.0 * (a0 + e0) + 1.0 * e0) * (abs(v5) + e5) + (1.0 * a0) * e5
+        total += v2 * v3
+        err += e0 * (abs(v5) + e5) + abs(v0) * e5
         err += mixed_err
         err += mixed_err
-        err += (0.0 * (a2 + e2) + 1.0 * e2) * (abs(v3) + e3) + (1.0 * a2) * e3
+        err += e2 * (abs(v3) + e3) + abs(v2) * e3
     return total, err
 
 
@@ -439,12 +435,13 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     over the 1-D moments of ``table``, whose arcs must be the class's basis.
 
     Each (composition, p_mu) cell is one ``vandermonde_sum`` over tabulated
-    1-D moments: one product at N = 1, 3 distinct pair products per split of
+    1-D moments: one moment at N = 1, 3 distinct pair products per split of
     mu's parts at N = 2 (2^len(mu) splits), about
     2^N N A prod binom(c_i + 2, 2) ring products from N = 3 (A arcs in the
     composition, c_i the multiplicities of mu's distinct parts).
     The table keeps every cell for its lifetime, so a cell that another call
-    on the same table already needed costs one dict lookup.
+    on the same table already needed costs one dict lookup; p's coefficients
+    are converted to complex once per call.
     Hard cap N <= 5; longer partitions are first reduced to length <= N.
     """
     N = G.N
@@ -457,6 +454,7 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     if p.max_length() > N:
         # same function of N variables, exponentially cheaper to assemble
         p = reduce_length(p, N)
+    terms = [(mu, c, abs(c)) for mu, coeff in p.terms.items() if (c := complex(coeff))]
     total = 0j
     err_total = 0.0
     for comp, ccoef in G.terms:
@@ -465,13 +463,10 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
         word = tuple(arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt))
         comp_val = 0j
         comp_err = 0.0
-        for mu, coeff in p.terms.items():
-            cval = complex(coeff)
-            if not cval:
-                continue
+        for mu, cval, cabs in terms:
             term_val, term_err = table.cell(word, mu)
             comp_val += cval * term_val
-            comp_err += abs(cval) * term_err
+            comp_err += cabs * term_err
         total += ccoef * comp_val
         err_total += abs(ccoef) * comp_err
     return total, err_total

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 
@@ -26,10 +27,6 @@ from .loopgen import Potential, q_polynomial
 HALF_EDGE_CAP = 16
 
 NVARS = ("N",)
-
-
-# face-path state -> its face counts (see _face_counts); kept for the process
-_FACE_MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def _face_counts(gamma: list[int]) -> dict[int, int]:
@@ -44,7 +41,7 @@ def _face_counts(gamma: list[int]) -> dict[int, int]:
     closes a face when it joins a path to its own start, otherwise it joins
     two paths.  Partial matchings that leave equal states share their
     completions, so each state is counted once.  A state fixes its face
-    counts whatever gamma it came from, so the memo (``_FACE_MEMO``) lives
+    counts whatever gamma it came from, so ``_count_faces``'s cache lives
     for the process and every trace moment shares it.
     """
     start = [0] * len(gamma)
@@ -53,11 +50,9 @@ def _face_counts(gamma: list[int]) -> dict[int, int]:
     return {c: n for c, n in enumerate(_count_faces(tuple(start))) if n}
 
 
+@cache
 def _count_faces(f: tuple[int, ...]) -> tuple[int, ...]:
     # entry c: the matchings of the free half-edges that close c faces
-    known = _FACE_MEMO.get(f)
-    if known is not None:
-        return known
     if not f:
         return (1,)
     out = [0] * (len(f) + 1)
@@ -75,8 +70,7 @@ def _count_faces(f: tuple[int, ...]) -> tuple[int, ...]:
             out[c] += n
     while not out[-1]:
         out.pop()
-    _FACE_MEMO[f] = tuple(out)
-    return _FACE_MEMO[f]
+    return tuple(out)
 
 
 def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
@@ -88,7 +82,7 @@ def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
     that uses no loop-equation recursion, so it stays an independent check of
     ``tutte_residual``.  Gamma is built from the sorted powers, so the same
     multiset in any order starts from the same face-path state, and the
-    process-wide ``_FACE_MEMO`` is the only cache.
+    process-wide cache of ``_count_faces`` is the only one.
     """
     powers = sorted(int(k) for k in powers)
     if any(k < 1 for k in powers):

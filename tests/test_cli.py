@@ -572,6 +572,21 @@ def test_inadmissible_contours_and_overflow_name_their_cause(pot, capsys, potent
     assert captured.err == message
 
 
+def test_elbow_join_through_an_anti_sector_fails_cleanly(pot, tmp_path, capsys):
+    # V' = x^2 + 2/(x - 3): basis_arcs joins the elbows on a circle of radius
+    # 1 + 2 * 3 = 7, which crosses the anti-sectors, where |e^{-V}| reaches
+    # e^{111}; QAGS stops at roundoff (achieved error 6.5e33).  A known limit
+    # of elbow routing (README "Caps"): move this test when routing improves.
+    path = pot("elbow.json", {"kind": "rational", "R": [["2", "0"], ["0", "0"], ["-3", "0"], ["1", "0"]],
+                              "D": [["-3", "0"], ["1", "0"]]})
+    out = tmp_path / "iso.json"
+    assert main(["iso", "--potential", path, "--N", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("quadrature error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t0,code", [("1e5000", 2), ("1e100000000", 2), ("-2.5e-100000000", 2),
                                      ("0e100000000", 0)])
 def test_coefficients_beyond_the_digit_limit_name_the_file(tmp_path, t0, code):

@@ -475,3 +475,45 @@ def test_unreachable_tolerance_names_the_quadpack_reason(tol, reason):
 
     with pytest.raises(QuadratureError, match=reason):
         _quad_complex(lambda x: abs(x - 0.3) ** -0.95, lambda x: 0.0, 0.0, 1.0, tol)
+
+
+def test_ray_that_underflows_from_its_base_says_so(gauss):
+    # |e^{-x^2/2}| is below the smallest double from x = 40 on, so the tail has
+    # no peak to fall from; the ray is refused after the same 242 evaluations
+    # that end a ray which does not decay, with a message that names the cause
+    from loopeq import QuadratureError
+    from loopeq.contours import RaySeg
+    from loopeq.quadrature import _ray_truncation
+
+    calls = []
+
+    def weight(z):
+        calls.append(z)
+        return gauss.exp_neg_V(z)
+
+    with pytest.raises(QuadratureError, match=r"^e\^\{-V\} underflows double precision along ray angle"
+                                              r" 0\.0000 from its base 40$"):
+        _ray_truncation(RaySeg(40.0, 0.0), weight, 0)
+    assert len(calls) == 242
+
+
+def test_expectation_converts_each_coefficient_once(monkeypatch, cubic):
+    # the benchmark's cubic residual class has two compositions; each
+    # coefficient of p is converted to complex once per call, not per composition
+    from loopeq import q_polynomial
+
+    G = HomologyClass.make(2, basis_arcs(cubic), {(2, 0): 1.0, (1, 1): 0.5 - 0.25j})
+    p = q_polynomial((2, 1), cubic, 2)
+    assert p.max_length() <= 2 and len(p.terms) == 4
+    table = MomentTable(G.arc_basis, cubic, 1e-12)
+    want = expectation(G, p, table)
+    conversions = []
+    to_complex = CRational.__complex__
+
+    def counted(self):
+        conversions.append(self)
+        return to_complex(self)
+
+    monkeypatch.setattr(CRational, "__complex__", counted)
+    assert expectation(G, p, table) == want
+    assert len(conversions) == len(p.terms)
