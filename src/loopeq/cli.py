@@ -133,18 +133,14 @@ class CachedMomentTable(MomentTable):
         ]
 
     def moment(self, arc_index, k):
-        # only a key not yet in memory is looked up on disk (or stored after)
-        key = None
-        if (arc_index, k) not in self.data:
-            key = f"{self._arc_keys[arc_index]}:{k}:{RULE_TAG}"
-            if key in self._store:
-                re, im, err = self._store[key]
-                self.data[(arc_index, k)] = (complex(re, im), err)
-                key = None
+        # the stored moment, or a new one recorded for the next flush
+        key = f"{self._arc_keys[arc_index]}:{k}:{RULE_TAG}"
+        if key in self._store:
+            re, im, err = self._store[key]
+            return complex(re, im), err
         val, err = super().moment(arc_index, k)
-        if key is not None:
-            self._store[key] = [val.real, val.imag, err]
-            self._dirty = True
+        self._store[key] = [val.real, val.imag, err]
+        self._dirty = True
         return val, err
 
     def flush(self):

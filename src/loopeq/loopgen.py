@@ -44,8 +44,6 @@ def poly_divmod(num: Sequence[CRational], den: Sequence[CRational]):
     rem = list(num)
     dlead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        if len(rem) < len(den) + i:
-            continue
         c = rem[len(den) + i - 1] / dlead
         quot[i] = c
         for j, dc in enumerate(den):

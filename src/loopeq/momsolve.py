@@ -112,8 +112,11 @@ class LoopReducer:
 
     Memoized forms are ``Form``s in lowest terms, built by ``_combine`` in
     both the length and the substitution step; ``reduce`` hands out
-    ``CRational`` coefficients.  ``max_abs_coeff`` is the largest modulus of
-    any memoized coefficient, a growth diagnostic for conditioning reports.
+    ``CRational`` coefficients.  The memo ``_memo`` is a plain dict filled by
+    ``_reduce``: a self-filling map would add a frame per reduction step and
+    lower the recursion cap.  ``max_abs_coeff`` is read from it: the largest
+    modulus of any memoized coefficient, a growth diagnostic for conditioning
+    reports.
     """
 
     def __init__(self, V: Potential, N: int, strategy: str = "largest"):
@@ -129,18 +132,15 @@ class LoopReducer:
         self.d = V.d
         self.strategy = strategy
         self._memo: dict[Partition, Form] = {}
-        self.max_abs_coeff = 0.0
 
     def reduce(self, mu: Sequence[int]) -> dict[Partition, CRational]:
         den, coeffs = self._reduce(Partition.of(mu))
         return {b: CRational.from_ints(re, im, den) for b, (re, im) in coeffs.items()}
 
-    def _track(self, form: Form):
-        den, coeffs = form
-        for re, im in coeffs.values():
-            m = abs(complex(re / den, im / den))
-            if m > self.max_abs_coeff:
-                self.max_abs_coeff = m
+    @property
+    def max_abs_coeff(self) -> float:
+        return max((abs(complex(re / den, im / den)) for den, coeffs in self._memo.values()
+                    for re, im in coeffs.values()), default=0.0)
 
     def _reduce(self, mu: Partition) -> Form:
         form = self._memo.get(mu)
@@ -166,7 +166,6 @@ class LoopReducer:
             form = _combine([(-c / lead, self._reduce(nu))
                              for nu, c in Q.terms.items() if nu != mu])
         self._memo[mu] = form
-        self._track(form)
         return form
 
 

@@ -20,14 +20,15 @@ tabulated moment costs one dict lookup and only a miss runs Python code.
 Everything downstream is exact bookkeeping plus worst-case error propagation.
 
 A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
-potential and the tolerance; its ``data`` map fills through ``moment``, the
-one miss path (``cli.CachedMomentTable`` reads the disk there).  The N-body
-entry points ``expectation``, ``oracle_from_quadrature`` and ``moment_matrix``
-take a table and read all three from it; ``expectation`` refuses a table whose
-arcs are not the class's arc basis.  The table also caches N-body cells: each
-(arc word, mu) sum is assembled once and kept for the table's lifetime, which
-is one command, so loop equations that share moments after length reduction
-share their assembly too.
+potential and the tolerance.  Its two ``MomentMap``s are its only memos:
+``data`` keeps each 1-D moment, ``cells`` each N-body (arc word, mu) sum, for
+the table's lifetime, which is one command, so loop equations that share
+moments after length reduction share their assembly too.  Their miss methods
+``moment`` and ``cell`` only compute; ``cli.CachedMomentTable``'s ``moment``
+only reads and records its disk store.  The N-body entry points
+``expectation``, ``oracle_from_quadrature`` and ``moment_matrix`` take a table
+and read all three from it; ``expectation`` refuses a table whose arcs are not
+the class's arc basis.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, and the benchmark
@@ -211,13 +212,14 @@ def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
 
 
 class MomentMap(dict):
-    """(body, k) -> (1-D moment, error bound) that fills itself: a missing key
-    is computed by the owner's method ``name`` from the key's fields, looked up
-    on the owner when the key is first read, and kept.  The N-body kernels
-    index it, so a tabulated moment costs one dict lookup; the discriminator
-    also keeps its saddle-ray moments in one.  The owner, which holds the map,
-    is held weakly, so no reference cycle keeps a finished table alive until
-    the next garbage collection."""
+    """key -> (value, error bound) that fills itself: a missing key is
+    computed by the owner's method ``name`` from the key's fields, looked up
+    on the owner when the key is first read, and kept, so it is the one memo
+    of that method.  The N-body kernels index one of (body, k) -> 1-D moment,
+    so a tabulated moment costs one dict lookup; ``MomentTable.cells`` keeps
+    its (arc word, mu) cells in another, and the discriminator its saddle-ray
+    moments.  The owner, which holds the map, is held weakly, so no reference
+    cycle keeps a finished table alive until the next garbage collection."""
 
     __slots__ = ("owner", "name")
 
@@ -235,7 +237,8 @@ class MomentTable:
     """Lazy cache of 1-D arc moments m_j(k) and of the N-body cells assembled
     from them, each with an error estimate: the one owner of the arcs, the
     potential and the quadrature tolerance that every N-body assembly over it
-    uses.  ``data`` is a ``MomentMap`` whose misses go through ``moment``."""
+    uses.  ``data`` and ``cells`` are ``MomentMap``s, the only memos; their
+    misses call ``moment`` and ``cell``, which compute and store nothing."""
 
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = tuple(arcs)
@@ -246,22 +249,17 @@ class MomentTable:
         self.V = V
         self.tol = tol
         self.data: dict[tuple[int, int], tuple[complex, float]] = MomentMap(self, "moment")
-        self.cells: dict[tuple, tuple[complex, float]] = {}
+        self.cells: dict[tuple, tuple[complex, float]] = MomentMap(self, "cell")
 
     def moment(self, arc_index: int, k: int) -> tuple[complex, float]:
-        key = (arc_index, k)
-        if key not in self.data:
-            self.data[key] = arc_moment(self.arcs[arc_index], self.V, k, self.tol)
-        return self.data[key]
+        """``arc_moment`` of x^k over arc ``arc_index``, computed anew."""
+        return arc_moment(self.arcs[arc_index], self.V, k, self.tol)
 
     def cell(self, word: tuple[int, ...], mu) -> tuple[complex, float]:
-        """``vandermonde_sum`` of p_mu over the arcs in ``word``, assembled on
-        first use.  A cell reads only moments, which never change once
-        tabulated, so the kept value is the one a new assembly would give."""
-        key = (word, mu)
-        if key not in self.cells:
-            self.cells[key] = vandermonde_sum(self.data, word, mu)
-        return self.cells[key]
+        """``vandermonde_sum`` of p_mu over the arcs in ``word``, assembled
+        anew.  A cell reads only moments, which never change once tabulated,
+        so the value ``cells`` keeps is the one a new assembly would give."""
+        return vandermonde_sum(self.data, word, mu)
 
     def flush(self):
         """Persist new moments; an in-memory table has nowhere to write."""
@@ -439,9 +437,9 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     mu's parts at N = 2 (2^len(mu) splits), about
     2^N N A prod binom(c_i + 2, 2) ring products from N = 3 (A arcs in the
     composition, c_i the multiplicities of mu's distinct parts).
-    The table keeps every cell for its lifetime, so a cell that another call
-    on the same table already needed costs one dict lookup; p's coefficients
-    are converted to complex once per call.
+    ``table.cells`` keeps every cell for the table's lifetime, so a cell that
+    another call on the same table already needed costs one dict lookup; p's
+    coefficients are converted to complex once per call.
     Hard cap N <= 5; longer partitions are first reduced to length <= N.
     """
     N = G.N
@@ -464,7 +462,7 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
         comp_val = 0j
         comp_err = 0.0
         for mu, cval, cabs in terms:
-            term_val, term_err = table.cell(word, mu)
+            term_val, term_err = table.cells[word, mu]
             comp_val += cval * term_val
             comp_err += cabs * term_err
         total += ccoef * comp_val

@@ -58,14 +58,19 @@ def partitions_in_box(N: int, maxpart: int) -> list[Partition]:
         raise ValueError("N must be positive")
     if maxpart < 0:
         raise ValueError("maxpart must be non-negative")
-    out = [mu for w in range(N * maxpart + 1) for mu in partitions_of_weight(w, N)
-           if not mu or mu[0] <= maxpart]
+    out = [mu for w in range(N * maxpart + 1) for mu in _partitions(w, N, maxpart)]
     assert len(out) == comb(N + maxpart, N)
     return out
 
 
 def partitions_of_weight(w: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of w, optionally bounded in length."""
+    return _partitions(w, max_length, w)
+
+
+def _partitions(w: int, max_length: int | None, maxpart: int) -> list[Partition]:
+    """The partitions of w with at most ``max_length`` parts (None: any number)
+    and no part above ``maxpart``, in reverse lexicographic order."""
     res: list[Partition] = []
 
     def rec(rem: int, largest: int, prefix: list[int]):
@@ -79,7 +84,7 @@ def partitions_of_weight(w: int, max_length: int | None = None) -> list[Partitio
             rec(rem - p, p, prefix)
             prefix.pop()
 
-    rec(w, w, [])
+    rec(w, maxpart, [])
     return res
 
 

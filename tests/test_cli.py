@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,18 @@ def test_deep_reduction_is_usage_error(pot, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(DEEP) and captured.err.count("\n") == 1
+
+
+def test_large_box_basis_is_checked_quickly(pot, capsys):
+    # the box check listed every partition of each weight up to N(d-1) and then
+    # dropped those with a large part: N = 30 took 43 s, N = 40 over 10 min
+    path = pot("quartic.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]})
+    basis = pot("basis.json", {"N": 40, "d": 3, "values": [{"mu": [], "value": [1.0, 0.0]}]})
+    start = time.perf_counter()
+    code = main(["solve", "--potential", path, "--N", "40", "--basis", basis, "--targets", "1"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: basis keys must be exactly the box partitions")
 
 
 def test_long_partition_is_usage_error(pot, capsys):

@@ -202,6 +202,8 @@ def test_coefficient_growth_diagnostic(cubic):
     red = LoopReducer(cubic, 2)
     red.reduce((6, 2))
     assert red.max_abs_coeff >= 1.0
+    # the largest modulus over every memoized form, read through ``reduce``
+    assert red.max_abs_coeff == max(abs(complex(c)) for nu in red._memo for c in red.reduce(nu).values())
 
 
 def test_free_basis_dimension_witness(cubic):

@@ -185,8 +185,8 @@ def test_moment_matrix_shapes_and_conditioning(cubic, quartic):
 
 def test_moment_table_caching(gauss):
     table = MomentTable([real_axis_contour()], gauss, 1e-12)
-    v1 = table.moment(0, 2)
-    v2 = table.moment(0, 2)
+    v1 = table.data[0, 2]
+    v2 = table.data[0, 2]
     assert v1 is v2  # cached tuple, not recomputed
 
 
@@ -328,7 +328,7 @@ def test_moment_matrix_cubic_N5(cubic):
     assert len(M.rows) == len(M.cols) == 6
     assert M.min_scaled_singular > 1e-8
     i, j = M.rows.index((3, 2)), M.cols.index(())
-    want, want_err = _reference_permutation_sum(table.moment, (0, 0, 0, 1, 1), ())
+    want, want_err = _reference_permutation_sum(lambda b, k: table.data[b, k], (0, 0, 0, 1, 1), ())
     assert abs(M.entries[i][j] - want) <= M.errors[i][j] + want_err
 
 
@@ -408,10 +408,12 @@ def _counted(monkeypatch, owner, name):
 @pytest.mark.parametrize("case", ["cubic N=2", "cubic N=4", "residuals-rational-w6"])
 def test_each_moment_goes_through_the_miss_path_once(monkeypatch, cubic, case):
     # the kernels index the table's moment map; only a missing key calls
-    # MomentTable.moment, and it calls arc_moment: the benchmark counts both
+    # MomentTable.moment, and it calls arc_moment: the benchmark counts both.
+    # Likewise only a missing cell calls MomentTable.cell
     from loopeq import quadrature
 
     moments = _counted(monkeypatch, MomentTable, "moment")
+    cells = _counted(monkeypatch, MomentTable, "cell")
     integrals = _counted(monkeypatch, quadrature, "arc_moment")
     if case == "residuals-rational-w6":
         table, _ = _rational_w6_oracle(MomentTable)
@@ -421,6 +423,8 @@ def test_each_moment_goes_through_the_miss_path_once(monkeypatch, cubic, case):
     assert set(moments) == set(table.data)
     assert set(moments.values()) == {1}
     assert sum(integrals.values()) == len(table.data)
+    assert set(cells) == set(table.cells)
+    assert set(cells.values()) == {1}
 
 
 def test_warm_cache_answers_each_stored_key_from_disk_once(monkeypatch, tmp_path):
