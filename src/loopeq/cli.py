@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 mathematical verification failure (residual above
 tolerance, singular value below threshold or within its error bound, nonzero
-residual series, delta deviation too large), 2 usage or configuration error.
+residual series, delta deviation too large), 2 usage or configuration error:
+a bad file or flag raises ``ValueError``, printed as one ``error:`` line.
 All outputs are JSON; quadrature results can be cached across subcommands
-(--cache or LOOPEQ_CACHE).
+with --cache DIR.
 """
 
 from __future__ import annotations
@@ -49,22 +50,18 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _read_json(path: str, where: str, fields=()) -> dict:
     """The JSON object at ``path`` holding all of ``fields``; errors start with ``where``."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as e:  # ValueError: bad JSON or not UTF-8
-        raise ConfigError(f"{where}: {e}")
+        raise ValueError(f"{where}: {e}")
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+        raise ValueError(f"{where}: expected a JSON object")
     for f in fields:
         if f not in data:
-            raise ConfigError(f"{where}: missing field '{f}'")
+            raise ValueError(f"{where}: missing field '{f}'")
     return data
 
 
@@ -82,7 +79,7 @@ def _load_potential(path: str) -> Potential:
     try:
         return Potential.from_json(data)
     except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}")
+        raise ValueError(f"{where}: {e}")
 
 
 def _parse_mu(text: str, flag: str) -> tuple[int, ...]:
@@ -93,7 +90,7 @@ def _parse_mu(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad {flag} {text!r}; expected comma-separated integers, no empty field")
+        raise ValueError(f"bad {flag} {text!r}; expected comma-separated integers, no empty field")
 
 
 def _emit(data, path: str | None):
@@ -112,8 +109,8 @@ def _read_moment_cache(path: str) -> dict:
     for key, entry in store.items():
         if (type(entry) is not list or len(entry) != 3
                 or not all(map(_json_finite, entry)) or entry[2] < 0):
-            raise ConfigError(f"bad moment cache {path}: entry {key!r} must be [re, im, err],"
-                              f" three finite numbers with err >= 0, got {json.dumps(entry)}")
+            raise ValueError(f"bad moment cache {path}: entry {key!r} must be [re, im, err],"
+                             f" three finite numbers with err >= 0, got {json.dumps(entry)}")
     return store
 
 
@@ -165,9 +162,8 @@ def _moment_table(arcs, V, args):
     """The moment table of one command (on disk under ``--cache``).  Once the
     command has filled it, new moments are flushed to the cache and the table
     is written to ``--dump-moments``; a failing command does neither."""
-    cache = args.cache if args.cache is not None else os.environ.get("LOOPEQ_CACHE")
-    if cache:
-        table = CachedMomentTable(arcs, V, args.tol, cache)
+    if args.cache:
+        table = CachedMomentTable(arcs, V, args.tol, args.cache)
     else:
         table = MomentTable(arcs, V, args.tol)
     yield table
@@ -182,7 +178,7 @@ def _moment_table(arcs, V, args):
 def _json_int(value, what: str, minimum: int) -> int:
     """A JSON integer >= minimum; floats, strings and booleans are refused."""
     if type(value) is not int or value < minimum:
-        raise ConfigError(f"{what} must be an integer >= {minimum}, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {json.dumps(value)}")
     return value
 
 
@@ -196,14 +192,14 @@ def _json_table(entries, key: str, value: str, minimum: int, where: str) -> dict
             k = tuple(_json_int(x, f"{where}: '{key}' entry", minimum) for x in entry[key])
             pair = entry[value]
             if type(pair) is not list or len(pair) != 2 or not all(map(_json_finite, pair)):
-                raise ConfigError(
+                raise ValueError(
                     f"{where}: '{value}' for {key}={list(k)} must be [re, im], two finite numbers,"
                     f" got {json.dumps(pair)}")
             if k in table:
-                raise ConfigError(f"{where}: {key}={list(k)} appears twice")
+                raise ValueError(f"{where}: {key}={list(k)} appears twice")
             table[k] = complex(float(pair[0]), float(pair[1]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e!r}")
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{where}: {e!r}")
     return table
 
 
@@ -217,13 +213,13 @@ def _load_class(path: str, V: Potential) -> HomologyClass:
     elif kind == "circle":
         radius = data.get("radius", 1.0)
         if not _json_finite(radius) or radius <= 0:
-            raise ConfigError(
+            raise ValueError(
                 f"{where}: 'radius' must be a finite number > 0, got {json.dumps(radius)}")
         arcs = [circle_contour(0j, float(radius))]
     elif kind == "basis":
         arcs = basis_arcs(V)
     else:
-        raise ConfigError(f"{where}: 'arcs' must be real|circle|basis, got {json.dumps(kind)}")
+        raise ValueError(f"{where}: 'arcs' must be real|circle|basis, got {json.dumps(kind)}")
     return HomologyClass.make(N, arcs, _json_table(data["terms"], "n", "c", 0, where))
 
 
@@ -235,7 +231,7 @@ def _couplings(args) -> dict[int, Fraction]:
             try:
                 out[k] = Fraction(v)
             except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"bad --t{k} weight {v!r}; expected a rational such as 1/2")
+                raise ValueError(f"bad --t{k} weight {v!r}; expected a rational such as 1/2")
     return out
 
 
@@ -263,7 +259,7 @@ def _tol_arg(text: str) -> float:
 
 def cmd_gen(args) -> int:
     if args.N < 1:
-        raise ConfigError(f"--N must be >= 1, got {args.N}")
+        raise ValueError(f"--N must be >= 1, got {args.N}")
     V = _load_potential(args.potential)
     mu = _parse_mu(args.mu, "--mu")
     if V.kind == "polynomial":
@@ -283,8 +279,8 @@ def cmd_solve(args) -> int:
     F = MomentFunctional(N=args.N, d=d, basis_values=values)
     fields = args.targets.split(";")
     if not all(t.strip() for t in fields):
-        raise ConfigError(f"bad --targets {args.targets!r}; expected semicolon-separated index tuples,"
-                          " no empty target")
+        raise ValueError(f"bad --targets {args.targets!r}; expected semicolon-separated index tuples,"
+                         " no empty target")
     targets = [_parse_mu(t, "--targets") for t in fields]
     out, red = solve_moments(F, V, targets)
     _emit(
@@ -301,7 +297,7 @@ def cmd_solve(args) -> int:
 
 def cmd_residuals(args) -> int:
     if args.weight_max < 0:
-        raise ConfigError(f"--weight-max must be >= 0, got {args.weight_max}")
+        raise ValueError(f"--weight-max must be >= 0, got {args.weight_max}")
     V = _load_potential(args.potential)
     G = _class_from_flag(args, V)
     needed = set()
@@ -309,8 +305,8 @@ def cmd_residuals(args) -> int:
         Q = q_polynomial(mu, V, G.N) if V.kind == "polynomial" else q_rational(mu, V, G.N)
         needed.update(Q.terms)
     with _moment_table(G.arc_basis, V, args) as table:
-        oracle, errors = oracle_from_quadrature(G, sorted(needed), table)
-    report = residuals(oracle, V, G.N, args.weight_max, errors=errors)
+        oracle = oracle_from_quadrature(G, sorted(needed), table)
+    report = residuals(oracle, V, G.N, args.weight_max)
     _emit(report.to_json(), args.out)
     return 0 if report.max_relative < args.fail_above else VERIFY_ERROR
 
@@ -318,14 +314,14 @@ def cmd_residuals(args) -> int:
 def _class_from_flag(args, V) -> HomologyClass:
     if args.cls:
         if args.N is not None:
-            raise ConfigError("--N is not allowed with --class; the class file gives N")
+            raise ValueError("--N is not allowed with --class; the class file gives N")
         return _load_class(args.cls, V)
     N = 2 if args.N is None else args.N
     if args.gamma == "real":
         return real_power_class(N)
     if args.gamma == "circle":
         return circle_power_class(N)
-    raise ConfigError("provide --class FILE or --gamma real|circle")
+    raise ValueError("provide --class FILE or --gamma real|circle")
 
 
 def cmd_contours(args) -> int:
@@ -403,8 +399,7 @@ def cmd_discrim(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # built once per process: it holds no state of a command (--cache reads
-    # LOOPEQ_CACHE when the command runs)
+    # built once per process: it holds no state of a command
     ap = argparse.ArgumentParser(
         prog="loopeq",
         description="Loop equations of matrix models: generate, solve, integrate, cross-check.",
@@ -416,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--potential", required=True, help="potential JSON file")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         if moments:
-            p.add_argument(
-                "--cache",
-                default=None,
-                help="moment cache directory (env LOOPEQ_CACHE)",
-            )
+            p.add_argument("--cache", default=None, help="moment cache directory")
             p.add_argument(
                 "--dump-moments",
                 default=None,
@@ -495,9 +486,6 @@ def main(argv=None) -> int:
     try:
         # looked up when the command runs, so a rebound cmd_* is the one called
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
     except QuadratureError as e:
         # unreachable tolerance is a configuration problem, not a falsified check
         print(f"quadrature error: {e}", file=sys.stderr)

@@ -54,7 +54,8 @@ class MomentFunctional:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             raise ValueError(
-                f"basis keys must be exactly the box partitions; missing={missing} extra={extra}"
+                "basis keys must be exactly the box partitions;"
+                f" {len(missing)} missing (first {missing[:5]}), {len(extra)} extra (first {extra[:5]})"
             )
         self.basis_values = {Partition(tuple(mu)): v for mu, v in self.basis_values.items()}
 
@@ -234,22 +235,22 @@ class ResidualReport:
 
 
 def residuals(
-    oracle: Mapping[Partition, complex],
+    oracle: Mapping[Partition, tuple[complex, float]],
     V: Potential,
     N: int,
     weight_max: int,
-    errors: Mapping[Partition, float] | None = None,
 ) -> ResidualReport:
     """Evaluate |oracle(Q_mu)| / sum of |individual terms| over all tuples.
 
+    ``oracle`` maps each partition to a (value, error bound) pair, as
+    ``oracle_from_quadrature`` returns it; an exact value carries bound 0.
     A solution of loop equations makes every entry vanish up to the oracle's
-    own error.  When per-value error estimates are supplied, equations whose
-    every term is zero within that budget count as vacuously satisfied
-    (otherwise the ratio would be noise over noise).  Raises with the list of
-    missing partitions if the oracle is not defined on everything needed.
+    own error.  Equations whose every term is zero within the error budget
+    count as vacuously satisfied (otherwise the ratio would be noise over
+    noise).  Raises with the list of missing partitions if the oracle is not
+    defined on everything needed.
     """
-    table = {Partition(tuple(k)): complex(v) for k, v in oracle.items()}
-    errs = {Partition(tuple(k)): float(v) for k, v in (errors or {}).items()}
+    table = {Partition(tuple(k)): (complex(v), float(e)) for k, (v, e) in oracle.items()}
     tuples = loop_tuples(weight_max)
     needed: set[Partition] = set()
     qs = {}
@@ -268,10 +269,11 @@ def residuals(
         budget = 0.0
         for nu, c in qs[mu].terms.items():
             cval = c.to_complex()
-            term = cval * table[nu]
+            value, err = table[nu]
+            term = cval * value
             total += term
             scale += abs(term)
-            budget += abs(cval) * errs.get(nu, 0.0)
+            budget += abs(cval) * err
         if scale <= 10.0 * budget:
             rel = 0.0
         else:

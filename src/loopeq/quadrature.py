@@ -28,13 +28,13 @@ moments after length reduction share their assembly too.  Their miss methods
 only reads and records its disk store.  The N-body entry points
 ``expectation``, ``oracle_from_quadrature`` and ``moment_matrix`` take a table
 and read all three from it; ``expectation`` refuses a table whose arcs are not
-the class's arc basis.
+the class's arc basis.  ``expectation`` returns a (value, error bound) pair,
+as every ``MomentMap`` holds, and ``oracle_from_quadrature`` one per partition.
 
 Up to N = 2 the numbers must stay bit-identical: some loop equations (e.g.
 Q(0,1,1) on x^2 + 2/x) cancel to a term scale of about 1e-14, and the benchmark
-compares those scales at 1e-9 relative.  A new quadrature rule (ROADMAP item 6)
-moves moments at about 1e-14, so it waits until such equations are bounded by
-their own error budget (ROADMAP item 2).
+compares those scales at 1e-9 relative, so a rule or kernel change that moves
+moments at about 1e-14 changes those outputs.
 """
 
 from __future__ import annotations
@@ -347,10 +347,9 @@ def _permutation_sum(moments, word, mu):
     (x, y) of mu over bodies (a, b): m_a(x) m_b(y + 2), -m_a(x + 1) m_b(y + 1)
     twice, and m_a(x + 2) m_b(y), each with the bound
     e_1 (|v_2| + e_2) + |v_1| e_2.  The sums run in that order and the moments
-    are first read as the generic loop over (sigma, tau) read them, so the bits
-    are the loop's: the factors it multiplied by (1 + 0j, +-1.0, a zero first
-    error) only move the sign of a zero, and a sum seeded at +0.0 never holds
-    -0.0 (Higham, ch. 2)."""
+    are first read in the Leibniz sum's (sigma, tau) order, so the bits are
+    that sum's: its factors (1 + 0j, +-1.0, a zero first error) only move the
+    sign of a zero, and a sum seeded at +0.0 never holds -0.0 (Higham, ch. 2)."""
     if len(word) == 1:
         v, e = moments[word[0], sum(mu)]
         return 0j + v, 0.0 + e
@@ -394,7 +393,7 @@ def _laplace_sum(moments, word, mu):
     coefficient of E is the permutation sum's bound with no cancellation,
     regrouped by nonnegative binomial weights.  Cost: about
     2^N N A prod binom(c_i + 2, 2) ring coefficient products for A distinct
-    bodies: 36 per transition for mu = (1^7), where the subset ring took 2,187.
+    bodies.
     """
     N = len(word)
     caps = Counter(word)
@@ -428,6 +427,11 @@ def _laplace_sum(moments, word, mu):
     return scale * av[-1], scale * ae[-1]
 
 
+def _check_cap(N: int):
+    if N > MAX_VARS:
+        raise ValueError(f"N={N} exceeds the assembly cap N <= {MAX_VARS}")
+
+
 def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     """E_Gamma(p) = integral of p * Delta^2 * prod e^{-V}, with error estimate,
     over the 1-D moments of ``table``, whose arcs must be the class's basis.
@@ -443,8 +447,7 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     Hard cap N <= 5; longer partitions are first reduced to length <= N.
     """
     N = G.N
-    if N > MAX_VARS:
-        raise ValueError(f"N={N} exceeds the assembly cap N <= {MAX_VARS}")
+    _check_cap(N)
     if G.arc_basis != table.arcs:
         raise ValueError("moment table arcs differ from the class's arc basis")
     if isinstance(p.nvars, int) and p.nvars != N:
@@ -471,18 +474,12 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
 
 
 def oracle_from_quadrature(G: HomologyClass, partitions, table: MomentTable):
-    """Tabulate E(p_nu) with error estimates (the empty partition gives Z).
-
-    Returns (values, errors), both keyed by partition.
-    """
-    values: dict[Partition, complex] = {}
-    errors: dict[Partition, float] = {}
-    for nu in partitions:
-        nu = Partition(tuple(nu))
-        val, err = expectation(G, PowerSumPoly({nu: CRational(1)}, G.N), table)
-        values[nu] = val
-        errors[nu] = err
-    return values, errors
+    """{Partition: (E(p_nu), error bound)} over ``partitions``, in their order,
+    each pair as ``expectation`` returns it (the empty partition gives Z)."""
+    return {
+        nu: expectation(G, PowerSumPoly({nu: CRational(1)}, G.N), table)
+        for nu in map(Partition, map(tuple, partitions))
+    }
 
 
 @dataclass
@@ -519,7 +516,9 @@ class MomentMatrix:
 
 def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
     """Fill E_{gamma^n}(p_nu) over the full basis x box grid, rows over
-    ``table.arcs``, and report the singular values of the column-scaled matrix."""
+    ``table.arcs``, and report the singular values of the column-scaled matrix.
+    ``N`` above the assembly cap is refused before the grid is enumerated."""
+    _check_cap(N)
     d = table.V.d
     size = hn_dimension(N, d)
     rows = compositions(N, d)
@@ -529,9 +528,9 @@ def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
     errors = []
     for comp in rows:
         G = HomologyClass.make(N, table.arcs, {comp: 1.0})
-        row_vals, row_errs = oracle_from_quadrature(G, cols, table)
-        entries.append(list(row_vals.values()))
-        errors.append(list(row_errs.values()))
+        row = oracle_from_quadrature(G, cols, table).values()
+        entries.append([val for val, _ in row])
+        errors.append([err for _, err in row])
     A = np.array(entries, dtype=complex)
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0] = 1.0

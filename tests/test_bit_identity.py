@@ -342,7 +342,6 @@ def _python(script):
     """Run ``script`` in a fresh interpreter that imports loopeq from this checkout."""
     src = str(Path(loopeq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("LOOPEQ_CACHE", None)
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
 
 

@@ -130,20 +130,28 @@ def test_interrupted_cache_write_keeps_previous_cache(pot, tmp_path, monkeypatch
     assert (tmp_path / "o3.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
 
 
-def test_loopeq_cache_is_read_when_the_command_runs(pot, tmp_path, monkeypatch):
-    # the parser is built once per process; LOOPEQ_CACHE set after the first
-    # command must still reach the second
+def test_parser_keeps_no_command_state(pot, tmp_path):
+    # the parser is built once per process; a --cache given to the second
+    # command must reach it, and the first must leave no cache behind
     path = pot("gauss.json", GAUSS)
     cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
     cache = tmp_path / "cache"
     args = ["expect", "--potential", path, "--class", cls, "--poly", "2", "--tol", "1e-10"]
-    monkeypatch.delenv("LOOPEQ_CACHE", raising=False)
     assert main(args + ["--out", str(tmp_path / "o1.json")]) == 0
     assert not cache.exists()
-    monkeypatch.setenv("LOOPEQ_CACHE", str(cache))
-    assert main(args + ["--out", str(tmp_path / "o2.json")]) == 0
+    assert main(args + ["--cache", str(cache), "--out", str(tmp_path / "o2.json")]) == 0
     assert os.listdir(cache) == ["moments.json"]
     assert (tmp_path / "o2.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
+
+
+def test_cache_is_named_by_the_flag_only(pot, tmp_path, monkeypatch):
+    path = pot("gauss.json", GAUSS)
+    cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("LOOPEQ_CACHE", str(cache))
+    assert main(["expect", "--potential", path, "--class", cls, "--poly", "2", "--tol", "1e-10",
+                 "--out", str(tmp_path / "o.json")]) == 0
+    assert not cache.exists()
 
 
 def test_cache_file_bytes_are_json_dump_bytes(pot, tmp_path):
@@ -268,7 +276,20 @@ def test_large_box_basis_is_checked_quickly(pot, capsys):
     code = main(["solve", "--potential", path, "--N", "40", "--basis", basis, "--targets", "1"])
     assert time.perf_counter() - start < 2.0
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: basis keys must be exactly the box partitions")
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis keys must be exactly the box partitions")
+    # a count and the first few keys, not all 860 missing partitions (a 70,674-byte line)
+    assert len(err.encode()) < 1000 and "860 missing" in err
+
+
+def test_iso_past_the_assembly_cap_exits_before_enumerating(pot, capsys):
+    # the basis grid was enumerated first: --N 24 on x + x^7 took 25 s to exit 2
+    path = pot("deg7.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]] + [["0", "0"]] * 5 + [["1", "0"]]})
+    start = time.perf_counter()
+    code = main(["iso", "--potential", path, "--N", "24"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceeds the assembly cap" in capsys.readouterr().err
 
 
 def test_long_partition_is_usage_error(pot, capsys):

@@ -156,7 +156,7 @@ def test_reduction_linear_form_weights(cubic):
 
 
 def test_residuals_zero_functional(gauss):
-    oracle = {Partition(tuple(mu)): 0j for mu in _all_partitions(8)}
+    oracle = {Partition(tuple(mu)): (0j, 0.0) for mu in _all_partitions(8)}
     rep = residuals(oracle, gauss, 2, 4)
     assert rep.max_relative == 0.0
 
@@ -166,12 +166,13 @@ def test_residuals_detect_perturbation(gauss):
     from loopeq import gaussian_trace_moment
 
     oracle = {
-        Partition(tuple(mu)): complex(gaussian_trace_moment(tuple(mu)).eval({"N": 2}))
+        Partition(tuple(mu)): (complex(gaussian_trace_moment(tuple(mu)).eval({"N": 2})), 0.0)
         for mu in _all_partitions(8)
     }
     rep0 = residuals(oracle, gauss, 2, 4)
     assert rep0.max_relative < 1e-14
-    oracle[Partition((2,))] += 1.0
+    value, err = oracle[Partition((2,))]
+    oracle[Partition((2,))] = (value + 1.0, err)
     rep1 = residuals(oracle, gauss, 2, 4)
     bad = {mu: rel for (mu, _, _, rel) in rep1.entries if rel > 1e-12}
     assert (1,) in bad
@@ -179,7 +180,7 @@ def test_residuals_detect_perturbation(gauss):
 
 def test_residuals_missing_values_error(gauss):
     with pytest.raises(KeyError) as exc:
-        residuals({Partition(()): 1.0}, gauss, 2, 2)
+        residuals({Partition(()): (1.0, 0.0)}, gauss, 2, 2)
     assert "missing" in str(exc.value)
 
 
