@@ -4,9 +4,10 @@ the loop equations.
 Trace moments of the unit Gaussian matrix weight are sums over perfect
 matchings of half-edges, each contributing N^(number of index loops); they are
 taken by a walk over partial matchings that tracks the open index paths, with
-no loop-equation recursion, and one process-wide memo of its states is the
-only cache.  Vertex insertions from
-exp(N sum_k t_k Tr M^k / k) with propagator weight t/N turn these into
+no loop-equation recursion.  The face counts of a walk state depend only on
+its cycle type, since renaming half-edges permutes the matchings, so one
+process-wide memo keyed by cycle type is the only cache.  Vertex insertions
+from exp(N sum_k t_k Tr M^k / k) with propagator weight t/N turn these into
 generating series counting (non-connected) maps graded by edge count, with
 coefficients that are Laurent polynomials in N times monomials in the
 couplings.  The recursion structure of those series is exactly the loop
@@ -24,40 +25,38 @@ from math import factorial
 from .exact import CRational, MPoly
 from .loopgen import Potential, q_polynomial
 
-HALF_EDGE_CAP = 16
+HALF_EDGE_CAP = 24
 
 NVARS = ("N",)
 
 
-def _face_counts(gamma: list[int]) -> dict[int, int]:
-    """{faces: matchings}: how many perfect matchings pi of the half-edges give
-    gamma.pi that many cycles (faces).
-
-    Depth-first over partial matchings.  A state maps each free half-edge x
-    to the free y such that the open path of gamma.pi ending at x starts at
-    gamma[y] (no arcs yet: gamma^-1), with the free half-edges renumbered
-    0..k-1 in order.
-    Pairing 0 with b adds the arcs 0 -> gamma[b] and b -> gamma[0]; an arc
-    closes a face when it joins a path to its own start, otherwise it joins
-    two paths.  Partial matchings that leave equal states share their
-    completions, so each state is counted once.  A state fixes its face
-    counts whatever gamma it came from, so ``_count_faces``'s cache lives
-    for the process and every trace moment shares it.
-    """
-    start = [0] * len(gamma)
-    for x, y in enumerate(gamma):
-        start[y] = x
-    return {c: n for c, n in enumerate(_count_faces(tuple(start))) if n}
-
-
 @cache
-def _count_faces(f: tuple[int, ...]) -> tuple[int, ...]:
-    # entry c: the matchings of the free half-edges that close c faces
-    if not f:
+def _count_faces(cycles: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry c: how many perfect matchings of the free half-edges close c faces,
+    from a face-path state of the sorted cycle type ``cycles``.
+
+    A state maps each free half-edge x to the free y such that the open path
+    of gamma.pi ending at x starts at gamma[y]; with no arcs yet it is
+    gamma^-1.  Pairing 0 with b adds the arcs 0 -> gamma[b] and b -> gamma[0];
+    an arc closes a face when it joins a path to its own start, otherwise it
+    joins two paths.  Renaming the free half-edges conjugates the state and
+    permutes the matchings, so the counts depend only on the state's cycle
+    type: each type is walked once, from the state with its cycles on
+    consecutive labels, shortest first (pairing half-edge 0 of a shortest
+    cycle meets fewer types), and every trace moment shares this
+    process-wide memo.  The walk stays a walk over matchings: a recursion on
+    cycle lengths would be the Gaussian loop equation itself, which
+    ``tutte_residual`` checks.
+    """
+    if not cycles:
         return (1,)
+    f, pos = [], 0
+    for k in cycles:
+        f += [pos + (i + 1) % k for i in range(k)]
+        pos += k
     out = [0] * (len(f) + 1)
     for b in range(1, len(f)):
-        g = list(f)
+        g = f.copy()
         closed = 0
         for x, y in ((0, b), (b, 0)):
             if g[x] == y:
@@ -65,8 +64,15 @@ def _count_faces(f: tuple[int, ...]) -> tuple[int, ...]:
             else:
                 g[g.index(y)] = g[x]
             g[x] = -1
-        rest = tuple(y - 1 - (y > b) for y in g[1:b] + g[b + 1:])
-        for c, n in enumerate(_count_faces(rest), closed):
+        lengths = []
+        for x in range(len(g)):
+            n = 0
+            while g[x] >= 0:  # clear x and step along its cycle
+                g[x], x = -1, g[x]
+                n += 1
+            if n:
+                lengths.append(n)
+        for c, n in enumerate(_count_faces(tuple(sorted(lengths))), closed):
             out[c] += n
     while not out[-1]:
         out.pop()
@@ -78,13 +84,12 @@ def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
 
     Sums N^(cycles of gamma.pi) over perfect matchings pi of the half-edges,
     gamma being the product of the trace cycles; exact polynomial in N.  The
-    sum is taken by ``_face_counts``, a memoized walk over partial matchings
+    sum is taken by ``_count_faces``, a memoized walk over partial matchings
     that uses no loop-equation recursion, so it stays an independent check of
-    ``tutte_residual``.  Gamma is built from the sorted powers, so the same
-    multiset in any order starts from the same face-path state, and the
-    process-wide cache of ``_count_faces`` is the only one.
+    ``tutte_residual``.  The walk starts from gamma^-1, whose cycle type is
+    the sorted powers, so the same multiset in any order is one memo key.
     """
-    powers = sorted(int(k) for k in powers)
+    powers = tuple(sorted(int(k) for k in powers))
     if any(k < 1 for k in powers):
         raise ValueError("trace powers must be positive")
     total = sum(powers)
@@ -94,13 +99,8 @@ def gaussian_trace_moment(powers: tuple[int, ...]) -> MPoly:
         raise ValueError(
             f"half-edge count {total} exceeds the enumeration cap {HALF_EDGE_CAP}"
         )
-    gamma = list(range(total))
-    pos = 0
-    for k in powers:
-        for i in range(k):
-            gamma[pos + i] = pos + (i + 1) % k
-        pos += k
-    return MPoly(NVARS, {(c,): CRational(n) for c, n in _face_counts(gamma).items()})
+    counts = _count_faces(powers)
+    return MPoly(NVARS, {(c,): CRational(n) for c, n in enumerate(counts) if n})
 
 
 @dataclass
@@ -143,8 +143,8 @@ def _series_vars(degrees: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def _check_order(e_max: int) -> None:
-    if not 0 <= e_max <= 6:
-        raise ValueError(f"edge order {e_max} outside 0..6 (6 is the complexity cap)")
+    if not 0 <= e_max <= 11:
+        raise ValueError(f"edge order {e_max} outside 0..11 (11 is the complexity cap)")
 
 
 def map_series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) -> MapSeries:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import loopeq
-from loopeq import Potential, real_axis_contour
+from loopeq import Potential, real_axis_contour, wick
 from loopeq.cli import CachedMomentTable, main
 
 GAUSS = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]]}
@@ -766,6 +766,16 @@ def test_map_commands_reject_bad_input(args, capsys):
     code, data = run(args, capsys)
     assert code == 2
     assert data is None
+
+
+def test_tutte_at_the_order_cap_is_quick(capsys):
+    # order 11 runs its series at order 12: 24 half-edges, the Wick cap
+    wick._count_faces.cache_clear()
+    start = time.perf_counter()
+    code, data = run(["tutte", "--t3", "1", "--t4", "1", "--mu", "2", "--order", "11"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert data["identically_zero"] is True
 
 
 def test_tutte_mu_zero_is_a_loop_equation(capsys):

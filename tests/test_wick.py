@@ -73,15 +73,18 @@ def _matchings(h):
     return tuple(out)
 
 
-@functools.cache
-def _brute_face_counts(powers):
-    """{faces: matchings} by listing every perfect matching and walking gamma.pi;
-    kept per multiset, since the counts depend on nothing else."""
-    h = sum(powers)
+def _gamma(powers):
+    """The product of the trace cycles, each on consecutive half-edges."""
     gamma, pos = [], 0
     for k in powers:
         gamma += [pos + (i + 1) % k for i in range(k)]
         pos += k
+    return gamma
+
+
+def _brute_counts_of(gamma):
+    """{faces: matchings} by listing every perfect matching and walking gamma.pi."""
+    h = len(gamma)
     counts = Counter()
     for pi in _matchings(h):
         seen, faces = [False] * h, 0
@@ -94,41 +97,70 @@ def _brute_face_counts(powers):
     return dict(counts)
 
 
+def _poly(counts):
+    """{faces: matchings} as the polynomial sum of matchings * N^faces."""
+    return MPoly(("N",), {(c,): CRational(n) for c, n in counts.items()})
+
+
+@functools.cache
+def _brute_face_counts(powers):
+    """The brute-force counts of a multiset, kept, since they depend on nothing else."""
+    return _brute_counts_of(_gamma(powers))
+
+
 def test_gtm_matches_brute_force_matchings():
     for h in range(2, 11, 2):
         for powers in _multisets(h):
-            counts = _brute_face_counts(powers)
-            expect = MPoly(("N",), {(c,): CRational(n) for c, n in counts.items()})
-            assert gaussian_trace_moment(powers) == expect, powers
+            assert gaussian_trace_moment(powers) == _poly(_brute_face_counts(powers)), powers
 
 
 def test_shared_face_memo_matches_brute_force_in_any_order():
-    # one memo serves every gamma: states met first under one key must give
+    # one memo serves every multiset: states met first under one key must give
     # the same counts under another, whichever key is walked first
     keys = [powers for h in range(2, 13, 2) for powers in _multisets(h)]
     for order in (keys, keys[::-1]):
         wick._count_faces.cache_clear()
         for powers in order:
-            gamma, pos = [], 0
-            for k in powers:
-                gamma += [pos + (i + 1) % k for i in range(k)]
-                pos += k
-            assert wick._face_counts(gamma) == _brute_face_counts(powers), powers
+            assert gaussian_trace_moment(powers) == _poly(_brute_face_counts(powers)), powers
+
+
+def test_face_counts_depend_only_on_the_cycle_type():
+    # the memo key: relabelling the half-edges by sigma conjugates gamma, and
+    # the matchings of sigma gamma sigma^-1 close the faces gamma's do
+    rng = random.Random(5)
+    for h in range(2, 9, 2):
+        for powers in _multisets(h):
+            gamma = _gamma(powers)
+            for _ in range(3):
+                sigma = list(range(h))
+                rng.shuffle(sigma)
+                conj = [0] * h
+                for x in range(h):
+                    conj[sigma[x]] = sigma[gamma[x]]
+                assert gaussian_trace_moment(powers) == _poly(_brute_counts_of(conj)), (powers, sigma)
 
 
 def test_reordered_key_adds_no_memo_state():
-    # gamma is built from the sorted powers, so (4, 3, 3) starts from the state of (3, 3, 4)
+    # (4, 3, 3) has the cycle type of (3, 3, 4), so it is the same memo key
     first = gaussian_trace_moment((3, 3, 4))
     states = wick._count_faces.cache_info().currsize
     assert gaussian_trace_moment((4, 3, 3)) == first
     assert wick._count_faces.cache_info().currsize == states
 
 
+def test_tutte_order6_memo_size():
+    # the 17 trace moments of tutte --t3 1 --t4 1 --mu 2 --order 6 leave one
+    # memo entry per cycle type the walk meets
+    wick._count_faces.cache_clear()
+    assert tutte_residual({3: 1, 4: 1}, (2,), 6).is_zero()
+    assert wick._count_faces.cache_info().currsize == 40
+
+
 def test_gtm_single_trace_is_harer_zagier():
     # (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2), e_0(0) = 1,
     # and <Tr M^{2n}> = sum_g e_g(n) N^{n+1-2g} (Harer-Zagier 1986)
     eps = {(0, 0): 1}
-    for n in range(1, 9):
+    for n in range(1, 13):
         for g in range(n // 2 + 1):
             rec = 2 * (2 * n - 1) * eps.get((g, n - 1), 0)
             rec += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps.get((g - 1, n - 2), 0)
@@ -142,7 +174,7 @@ def test_gtm_single_trace_is_harer_zagier():
 def test_gtm_scalar_specialization():
     # at N = 1 every matching weighs 1: (h-1)!! for every multiset up to the cap
     dfact = 1
-    for h in range(2, 17, 2):
+    for h in range(2, wick.HALF_EDGE_CAP + 1, 2):
         dfact *= h - 1
         for powers in _multisets(h):
             assert gaussian_trace_moment(powers).eval({"N": 1}) == CRational(dfact), powers
@@ -150,7 +182,7 @@ def test_gtm_scalar_specialization():
 
 def test_gtm_cap():
     with pytest.raises(ValueError):
-        gaussian_trace_moment((18,))
+        gaussian_trace_moment((26,))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -234,18 +266,18 @@ def test_tutte_residual_detects_mismatched_weights():
 
 
 def test_apply_functional_past_the_half_edge_cap():
-    # map_series stops at order 6; only a direct call reaches 18 half-edges
+    # map_series stops at order 11; only a direct call reaches 26 half-edges
     from loopeq import q_polynomial
     from loopeq.wick import apply_functional
 
     V, qvars, N = map_potential({3: 1})
     Q = q_polynomial((1,), V, nvars=N)
-    with pytest.raises(ValueError, match="cap 16"):
-        apply_functional(Q, qvars, {3: 1}, 8)
+    with pytest.raises(ValueError, match="cap 24"):
+        apply_functional(Q, qvars, {3: 1}, 12)
 
 
 def test_tutte_order_cap():
     with pytest.raises(ValueError):
-        tutte_residual({3: 1}, (1,), 7)
+        tutte_residual({3: 1}, (1,), 12)
     with pytest.raises(ValueError):
-        map_series({3: 1}, (1,), 9)
+        map_series({3: 1}, (1,), 12)
