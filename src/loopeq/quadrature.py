@@ -14,9 +14,15 @@ functionals and the saddle discriminator alike: one moment at N = 1, the
 permutation-pair sum written out at N = 2, and from N = 3 on a Laplace
 expansion of the Andreief determinant (Forrester, *Log-gases and Random
 Matrices*, ch. 1), about 2^N N A prod binom(c_i + 2, 2) ring products for A
-distinct bodies and part multiplicities c_i of mu.  The kernel indexes a
-``MomentMap``, a dict that computes a missing moment through its owner, so a
-tabulated moment costs one dict lookup and only a miss runs Python code.
+distinct bodies and part multiplicities c_i of mu.  The expansion's ring
+coefficient k is the cell of the sub-partition with part multiplicities k, so
+from N = 3 on one expansion over the ring of all box multiplicities gives a
+whole moment-matrix row (``_laplace_row``): with the moments tabulated,
+``moment_matrix`` takes 7-9 ms on cubic N = 5 and 26-32 ms on quartic N = 4,
+against 25-37 ms and 100-117 ms with one expansion per cell (2-core VM).  The
+kernel indexes a ``MomentMap``, a dict that computes a missing moment through
+its owner, so a tabulated moment costs one dict lookup and only a miss runs
+Python code.
 Everything downstream is exact bookkeeping plus worst-case error propagation.
 
 A ``MomentTable`` is the one owner of the arcs (refused unless admissible), the
@@ -24,8 +30,9 @@ potential and the tolerance.  Its two ``MomentMap``s are its only memos:
 ``data`` keeps each 1-D moment, ``cells`` each N-body (arc word, mu) sum, for
 the table's lifetime, which is one command, so loop equations that share
 moments after length reduction share their assembly too.  Their miss methods
-``moment`` and ``cell`` only compute; ``cli.CachedMomentTable``'s ``moment``
-only reads and records its disk store.  The N-body entry points
+``moment`` and ``cell`` only compute, and ``moment_matrix`` stores a row's
+cells at once; ``cli.CachedMomentTable``'s ``moment`` only reads and records
+its disk store.  The N-body entry points
 ``expectation``, ``oracle_from_quadrature`` and ``moment_matrix`` take a table
 and read all three from it; ``expectation`` refuses a table whose arcs are not
 the class's arc basis.  ``expectation`` returns a (value, error bound) pair,
@@ -238,7 +245,8 @@ class MomentTable:
     from them, each with an error estimate: the one owner of the arcs, the
     potential and the quadrature tolerance that every N-body assembly over it
     uses.  ``data`` and ``cells`` are ``MomentMap``s, the only memos; their
-    misses call ``moment`` and ``cell``, which compute and store nothing."""
+    misses call ``moment`` and ``cell``, which compute and store nothing, and
+    ``moment_matrix`` from N = 3 on stores its cells a row at a time."""
 
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = tuple(arcs)
@@ -279,22 +287,27 @@ def _splits(mu, N: int):
 
 
 @functools.cache
-def _ring_plan(mu):
-    """C[s_1..s_l]/(s_j^2) folded onto the multiplicities c of mu's distinct
-    parts v: coefficient k <= c stands for the product over the parts of e_{k_i},
-    the elementary symmetric sum of degree k_i in the s_j of part v_i, and
-    e_i e_j = binom(i+j, i) e_{i+j} (Macdonald, ch. I).  Returns (the shift
-    k.v of each coefficient, the products (U, T, U - T, prod binom(U_i, T_i))),
-    with the top coefficient c last."""
-    parts = Counter(mu)
-    index = list(itertools.product(*(range(c + 1) for c in parts.values())))
+def _ring_plan(values, caps, total):
+    """C[s_1..s_l]/(s_j^2) folded onto the multiplicities of the distinct part
+    values ``values``: coefficient k stands for the product over i of e_{k_i},
+    the elementary symmetric sum of degree k_i in the s_j of the parts
+    values[i], and e_i e_j = binom(i+j, i) e_{i+j} (Macdonald, ch. I).  The
+    ring runs on the down-closed set of k <= caps with |k| <= total, in
+    ``itertools.product`` order: one partition's box k <= c (caps c, total |c|,
+    top coefficient last) or a moment-matrix row's box ring.  A coefficient's
+    products read only coefficients below it, so coefficient k is the top of
+    the ring of the partition with k_i parts values[i], bit for bit.  Returns
+    (that partition of each coefficient, its shift k.v, the products
+    (U, T, U - T, prod binom(U_i, T_i)), T in product order below each U)."""
+    index = [k for k in itertools.product(*(range(c + 1) for c in caps)) if sum(k) <= total]
     at = {k: i for i, k in enumerate(index)}
-    shifts = tuple(sum(map(operator.mul, k, parts)) for k in index)
+    keys = tuple(Partition.of(v for v, n in zip(values, k) for _ in range(n)) for k in index)
+    shifts = tuple(sum(map(operator.mul, k, values)) for k in index)
     products = tuple(
         (at[u], at[t], at[tuple(map(operator.sub, u, t))], float(math.prod(map(math.comb, u, t))))
         for u in index for t in itertools.product(*(range(n + 1) for n in u))
     )
-    return shifts, products
+    return keys, shifts, products
 
 
 @functools.cache
@@ -330,9 +343,12 @@ def vandermonde_sum(moments, word, mu=()):
     carries variable x_i, and bodies are any hashables.  Returns (value,
     first-order error bound), where the bound is sum over products of N
     moments of prod(|v| + e) - prod |v|.  Up to N = 2 the written-out
-    permutation-pair sum runs, from N = 3 on the determinant recursion: each
-    is the faster of the two where it runs, and the recursion would move the
-    N <= 2 bits that must stay fixed (see the module docstring).
+    permutation-pair sum runs, from N = 3 on the determinant recursion.  The
+    recursion would move the N <= 2 bits that must stay fixed (see the module
+    docstring), and it is slower than the written-out sum at N = 2; at N = 3
+    it is still slower than a generic permutation loop on the smallest cells
+    (3.0x at mu = (), README "Caps"), which a moment-matrix row avoids by
+    taking all its cells from one expansion (``_laplace_row``).
     """
     if len(word) <= 2:
         return _permutation_sum(moments, word, mu)
@@ -383,25 +399,45 @@ def _laplace_sum(moments, word, mu):
                    of [s_1...s_l] det( W_{c(j)}(j + k) )_{j,k < N},
         W_b(q) = sum over T within the parts of s^T m_b(q + |mu_T|),  s_j^2 = 0,
 
-    since p_mu = [s_1...s_l] prod_i prod_j (1 + s_j x_i^{mu_j}).  A coefficient
-    depends only on how many parts of each value T holds, so the ring runs on
-    ``_ring_plan``'s multi-indices k <= c, W_b(q)'s coefficient k being
-    m_b(q + k.v).  The sum and the determinants are one division-free Laplace
-    expansion along the rows over ``_laplace_plan``'s states.  Each state
-    holds three ring elements: the signed value, the majorant P (|m|, no
-    signs) and the error E, updated as E (|W| + e_W) + P e_W, so the top
-    coefficient of E is the permutation sum's bound with no cancellation,
-    regrouped by nonnegative binomial weights.  Cost: about
-    2^N N A prod binom(c_i + 2, 2) ring coefficient products for A distinct
-    bodies.
+    since p_mu = [s_1...s_l] prod_i prod_j (1 + s_j x_i^{mu_j}): the top
+    coefficient of ``_laplace_ring`` over mu's box k <= c.
+    """
+    parts = Counter(mu)
+    _, vals, errs = _laplace_ring(moments, word, tuple(parts), tuple(parts.values()), len(mu))
+    return vals[-1], errs[-1]
+
+
+def _laplace_row(moments, word, maxpart: int):
+    """{nu: ``_laplace_sum(moments, word, nu)``, bit for bit} over the box
+    partitions nu of a moment-matrix row (at most N = len(word) parts, none
+    above ``maxpart``), all from one ``_laplace_ring`` over the box ring
+    {k over the part values maxpart..1 : |k| <= N}."""
+    N = len(word)
+    keys, vals, errs = _laplace_ring(moments, word, tuple(range(maxpart, 0, -1)), (N,) * maxpart, N)
+    return dict(zip(keys, zip(vals, errs)))
+
+
+def _laplace_ring(moments, word, values, caps, total):
+    """The coefficients of the Andreief/Laplace expansion (``_laplace_sum``)
+    over ``_ring_plan(values, caps, total)``, as (their partitions, values,
+    bounds).  A coefficient depends only on how many parts of each value T
+    holds, so W_b(q)'s coefficient k is m_b(q + k.v).  The sum and the
+    determinants are one division-free Laplace expansion along the rows over
+    ``_laplace_plan``'s states.  Each state holds three ring elements: the
+    signed value, the majorant P (|m|, no signs) and the error E, updated as
+    E (|W| + e_W) + P e_W, so each coefficient of E is its permutation sum's
+    bound with no cancellation, regrouped by nonnegative binomial weights.
+    Cost: about 2^N N A R ring coefficient products for A distinct bodies
+    and R products in the plan (prod binom(c_i + 2, 2) over one partition's
+    box).
     """
     N = len(word)
-    caps = Counter(word)
-    shifts, products = _ring_plan(mu)
+    need = Counter(word)
+    keys, shifts, products = _ring_plan(values, caps, total)
     size = len(shifts)
     # W[b][q] = (values, |values|, errors, |values| + errors) over the coefficients
     W = []
-    for body in caps:
+    for body in need:
         row = []
         for q in range(2 * N - 1):
             vals, errs = zip(*(moments[body, q + s] for s in shifts))
@@ -410,7 +446,7 @@ def _laplace_sum(moments, word, mu):
         W.append(row)
     unit = [1.0] + [0.0] * (size - 1)
     layer = [([complex(x) for x in unit], unit, [0.0] * size)]
-    for count, moves in _laplace_plan(tuple(caps.values())):
+    for count, moves in _laplace_plan(tuple(need.values())):
         nxt = [([0j] * size, [0.0] * size, [0.0] * size) for _ in range(count)]
         for src, dst, neg, b, q in moves:
             av, ap, ae = layer[src]
@@ -423,13 +459,18 @@ def _laplace_sum(moments, word, mu):
                 te[u] += c * (ae[t] * wme[r] + ap[t] * we[r])
         layer = nxt
     ((av, _, ae),) = layer
-    scale = math.prod(math.factorial(n) for n in caps.values())
-    return scale * av[-1], scale * ae[-1]
+    scale = math.prod(math.factorial(n) for n in need.values())
+    return keys, [scale * v for v in av], [scale * e for e in ae]
 
 
 def _check_cap(N: int):
     if N > MAX_VARS:
         raise ValueError(f"N={N} exceeds the assembly cap N <= {MAX_VARS}")
+
+
+def _word(comp) -> tuple[int, ...]:
+    """The arc word of a composition: arc i repeated comp[i] times."""
+    return tuple(arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt))
 
 
 def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
@@ -461,7 +502,7 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
     for comp, ccoef in G.terms:
         if not ccoef:
             continue
-        word = tuple(arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt))
+        word = _word(comp)
         comp_val = 0j
         comp_err = 0.0
         for mu, cval, cabs in terms:
@@ -517,6 +558,11 @@ class MomentMatrix:
 def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
     """Fill E_{gamma^n}(p_nu) over the full basis x box grid, rows over
     ``table.arcs``, and report the singular values of the column-scaled matrix.
+    From N = 3 on a row costs one Laplace expansion: the cells of its arc word
+    that ``table.cells`` lacks come from one ``_laplace_row``, bit for bit
+    as one expansion per cell would give them, and ``oracle_from_quadrature``
+    reads them (cubic N = 5 in 7-9 ms, quartic N = 4 in 26-32 ms over
+    tabulated moments).
     ``N`` above the assembly cap is refused before the grid is enumerated."""
     _check_cap(N)
     d = table.V.d
@@ -527,6 +573,10 @@ def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
     entries = []
     errors = []
     for comp in rows:
+        word = _word(comp)
+        if N >= 3 and any((word, nu) not in table.cells for nu in cols):
+            for nu, cell in _laplace_row(table.data, word, d - 1).items():
+                table.cells.setdefault((word, nu), cell)
         G = HomologyClass.make(N, table.arcs, {comp: 1.0})
         row = oracle_from_quadrature(G, cols, table).values()
         entries.append([val for val, _ in row])

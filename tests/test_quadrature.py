@@ -16,14 +16,16 @@ from loopeq import (
     arc_moment,
     basis_arcs,
     circle_contour,
+    compositions,
     deform,
     expectation,
     hn_dimension,
     moment_matrix,
+    partitions_in_box,
     real_axis_contour,
     real_power_class,
 )
-from loopeq.quadrature import _ring_plan, vandermonde_sum
+from loopeq.quadrature import _laplace_row, _laplace_sum, _ring_plan, vandermonde_sum
 
 from test_bit_identity import _reference_permutation_sum
 
@@ -315,10 +317,51 @@ def test_vandermonde_sum_from_three_bodies_is_permutation_sum(word, mu):
     ((2, 2, 1), 6, 18),
 ])
 def test_ring_plan_folds_repeated_parts(mu, coefficients, products):
-    shifts, plan = _ring_plan(mu)
+    parts = Counter(mu)
+    keys, shifts, plan = _ring_plan(tuple(parts), tuple(parts.values()), len(mu))
     assert (len(shifts), len(plan)) == (coefficients, products)
     # the top coefficient, last, takes every part
     assert shifts[-1] == sum(mu)
+    assert keys[-1] == Partition.of(mu)
+
+
+# (d, N, word): d = 1 is the one-coefficient ring; most words repeat a body,
+# and (0, 0, 0, 0, 0) at d = 2 is one body five times
+ROW_CASES = [
+    (1, 3, (0, 0, 0)), (1, 5, (0, 0, 0, 0, 0)),
+    (2, 3, (0, 1, 1)), (2, 4, (1, 0, 1, 0)), (2, 5, (0, 0, 0, 0, 0)),
+    (3, 3, (2, 0, 1)), (3, 4, (0, 0, 2, 2)), (3, 5, (1, 1, 1, 2, 2)),
+    (4, 3, (3, 3, 3)), (4, 4, (0, 1, 2, 3)), (4, 5, (0, 1, 1, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("d,N,word", ROW_CASES)
+def test_row_expansion_is_each_cells_expansion(d, N, word):
+    # one expansion over the box ring gives every box cell of the row with the
+    # per-cell expansion's value and bound, bit for bit
+    rng = random.Random(repr((d, N, word)))
+    table = {(b, k): (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 1e-9))
+             for b in range(d) for k in range(2 * N - 1 + N * (d - 1))}
+    row = _laplace_row(table, word, d - 1)
+    assert sorted(row) == sorted(partitions_in_box(N, d - 1))
+    for nu, cell in row.items():
+        assert _laplace_sum(table, word, nu) == cell
+
+
+@pytest.mark.parametrize("name,N", [("cubic", 4), ("quartic", 3)])
+def test_row_fill_reads_the_moments_cells_read(request, name, N):
+    # the row fill tabulates exactly the moments per-cell assembly does, so the
+    # benchmark's arc_moment and integrand counts cannot move with it
+    V = request.getfixturevalue(name)
+    by_rows = MomentTable(basis_arcs(V), V, 1e-12)
+    moment_matrix(by_rows, N)
+    by_cells = MomentTable(by_rows.arcs, V, 1e-12)
+    for comp in compositions(N, V.d):
+        word = tuple(i for i, n in enumerate(comp) for _ in range(n))
+        for nu in partitions_in_box(N, V.d - 1):
+            by_cells.cells[word, nu]
+    assert set(by_rows.data) == set(by_cells.data)
+    assert by_rows.cells == by_cells.cells
 
 
 def test_moment_matrix_cubic_N5(cubic):
@@ -409,11 +452,22 @@ def _counted(monkeypatch, owner, name):
 def test_each_moment_goes_through_the_miss_path_once(monkeypatch, cubic, case):
     # the kernels index the table's moment map; only a missing key calls
     # MomentTable.moment, and it calls arc_moment: the benchmark counts both.
-    # Likewise only a missing cell calls MomentTable.cell
+    # Likewise each cell is filled once, by a miss that calls MomentTable.cell
+    # or, in moment_matrix from N = 3 on, by its row's one expansion
     from loopeq import quadrature
 
     moments = _counted(monkeypatch, MomentTable, "moment")
     cells = _counted(monkeypatch, MomentTable, "cell")
+    rows = []
+    row = quadrature._laplace_row
+
+    def counted_row(data, word, maxpart):
+        out = row(data, word, maxpart)
+        cells.update((word, nu) for nu in out)
+        rows.append(word)
+        return out
+
+    monkeypatch.setattr(quadrature, "_laplace_row", counted_row)
     integrals = _counted(monkeypatch, quadrature, "arc_moment")
     if case == "residuals-rational-w6":
         table, _ = _rational_w6_oracle(MomentTable)
@@ -425,6 +479,7 @@ def test_each_moment_goes_through_the_miss_path_once(monkeypatch, cubic, case):
     assert sum(integrals.values()) == len(table.data)
     assert set(cells) == set(table.cells)
     assert set(cells.values()) == {1}
+    assert bool(rows) == (case == "cubic N=4")
 
 
 def test_warm_cache_answers_each_stored_key_from_disk_once(monkeypatch, tmp_path):
