@@ -332,43 +332,28 @@ def _neg_one_like(sample):
 def q_twomatrix(mu: Sequence[int], W: TwoPotential, nvars) -> PowerSumPoly:
     """Pure-X loop-equation polynomial of the two-matrix model.
 
-    Eliminates the mixed quantities p^(l)_k by descending the level recursion
-    to l = 0 (where p^(0)_k = p_k) and substituting into the tilde-potential
-    relation; the sign is fixed so the highest-weight coefficient on
-    p_{(mu_1 + d*dt, rest)} is tt_{dt+1} * t_{d+1}^{dt}, with the single
-    degenerate interference from p_{mu_1+1} when d*dt = 1.
+    Eliminates the mixed quantities p^(l)_k from the top level down to l = 0
+    (where p^(0)_k = p_k): each level holds its terms in one dict, and each
+    nonzero term goes once through Q_(k, spect) of V into the level below.
+    The result is substituted into the tilde-potential relation; the sign is
+    fixed so the highest-weight coefficient on p_{(mu_1 + d*dt, rest)} is
+    tt_{dt+1} * t_{d+1}^{dt}, with the single degenerate interference from
+    p_{mu_1+1} when d*dt = 1.
     """
     mu = _check_mu(mu)
     m0, rest = mu[0], tuple(sorted(mu[1:], reverse=True))
-    t = W.V.R
-    tt = W.Vt.R
-
-    # work terms: (level l, index k, spectator multiset) -> coefficient
-    work: dict[tuple[int, int, tuple[int, ...]], object] = {}
-
-    def add(key, c):
-        if key in work:
-            work[key] = work[key] + c
-        else:
-            work[key] = c
-
-    for l, ttl in enumerate(tt):
-        add((l, m0, rest), ttl)
-
-    items: list[tuple[tuple[int, ...], object]] = []
-    while work:
-        (l, k, spect), coeff = max(work.items(), key=lambda kv: kv[0][0])
-        del work[(l, k, spect)]
-        if not coeff:
-            continue
-        if l == 0:
-            items.append(((k,) + spect, coeff))
-            continue
-        # one level down: Q_(k, spect) of V, scaled by coeff
-        for (first, *others), c in _q_items(k, spect, W.V):
-            add((l - 1, first, tuple(sorted(others, reverse=True))), coeff * c)
-
-    items.append(((m0 + 1,) + rest, _neg_one_like(t[0])))
+    # levels[l]: (index k, spectator multiset) -> coefficient of p^(l)_k p_spect
+    levels = [{(m0, rest): ttl} for ttl in W.Vt.R]
+    for l in range(len(levels) - 1, 0, -1):
+        below = levels[l - 1]
+        for (k, spect), coeff in levels[l].items():
+            if not coeff:
+                continue
+            for (first, *others), c in _q_items(k, spect, W.V):
+                key = (first, tuple(sorted(others, reverse=True)))
+                below[key] = below[key] + coeff * c if key in below else coeff * c
+    items = [((k,) + spect, c) for (k, spect), c in levels[0].items() if c]
+    items.append(((m0 + 1,) + rest, _neg_one_like(W.V.R[0])))
     return PowerSumPoly.build(items, nvars)
 
 

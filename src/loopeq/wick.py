@@ -11,7 +11,11 @@ from exp(N sum_k t_k Tr M^k / k) with propagator weight t/N turn these into
 generating series counting (non-connected) maps graded by edge count, with
 coefficients that are Laurent polynomials in N times monomials in the
 couplings.  The recursion structure of those series is exactly the loop
-equations, which is checked here with exact rational arithmetic.
+equations, which is checked here with exact rational arithmetic.  One cap
+bounds the enumeration: trace moments stop at ``HALF_EDGE_CAP`` half-edges,
+and the edge-order cap of the series follows from it, since ``tutte_residual``
+runs its series one edge order past the requested one.  Each entry point reads
+the vertex weights once, through ``_weights``.
 """
 
 from __future__ import annotations
@@ -143,8 +147,18 @@ def _series_vars(degrees: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def _check_order(e_max: int) -> None:
-    if not 0 <= e_max <= 11:
-        raise ValueError(f"edge order {e_max} outside 0..11 (11 is the complexity cap)")
+    # tutte runs its series to e_max + 1 edges, and e edges have 2e half-edges
+    cap = HALF_EDGE_CAP // 2 - 1
+    if not 0 <= e_max <= cap:
+        raise ValueError(f"edge order {e_max} outside 0..{cap} ({cap} is the complexity cap)")
+
+
+def _weights(tweights: dict[int, object]) -> dict[int, CRational]:
+    """Vertex weights as int degree -> CRational, in ascending degree."""
+    weights = {int(k): CRational.coerce(v) for k, v in sorted(tweights.items())}
+    if any(k < 3 for k in weights):
+        raise ValueError("vertex weights start at degree 3")
+    return weights
 
 
 def map_series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) -> MapSeries:
@@ -155,17 +169,15 @@ def map_series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int)
     marked sizes) / 2.
     """
     _check_order(e_max)
-    return _series(tweights, marked, e_max)
+    return _series(_weights(tweights), marked, e_max)
 
 
-def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) -> MapSeries:
+def _series(weights: dict[int, CRational], marked: tuple[int, ...], e_max: int) -> MapSeries:
+    """``map_series`` on weights parsed by ``_weights``, with no order check."""
     marked = tuple(int(k) for k in marked)
     if any(k < 1 for k in marked):
         raise ValueError("marked face sizes must be >= 1")
-    weights = {int(k): CRational.coerce(v) for k, v in tweights.items()}
-    if any(k < 3 for k in weights):
-        raise ValueError("vertex weights start at degree 3")
-    degrees = tuple(sorted(weights))
+    degrees = tuple(weights)
     svars = _series_vars(degrees)
     base = sum(marked)
     # distinct configurations give distinct monomials (N^(nshift + c), mvec),
@@ -195,18 +207,15 @@ def _series(tweights: dict[int, object], marked: tuple[int, ...], e_max: int) ->
 def map_potential(tweights: dict[int, object]) -> tuple[Potential, tuple[str, ...], MPoly]:
     """The map-model potential V(x) = N (x^2/2t - sum_k t_k x^k / k) as a
     symbolic Potential, together with its generator tuple and the symbol N."""
-    weights = {int(k): CRational.coerce(v) for k, v in tweights.items()}
-    degrees = tuple(sorted(weights))
-    if degrees and degrees[0] < 3:
-        raise ValueError("vertex weights start at degree 3")
-    top = max(degrees) if degrees else 2
-    qvars = ("N", "t") + tuple(f"t{k}" for k in degrees)
+    weights = _weights(tweights)
+    top = max(weights, default=2)
+    qvars = ("N", "t") + tuple(f"t{k}" for k in weights)
     N = MPoly.gen("N", qvars)
     zero = MPoly.zero(qvars)
     tau = [zero] * top
     tau[1] = N * MPoly.gen("t", qvars, power=-1)
-    for k in degrees:
-        tau[k - 1] = -(N * MPoly.gen(f"t{k}", qvars) * weights[k])
+    for k, w in weights.items():
+        tau[k - 1] = -(N * MPoly.gen(f"t{k}", qvars) * w)
     return Potential.polynomial(tau), qvars, N
 
 
@@ -217,15 +226,15 @@ def apply_functional(Q, qvars: tuple[str, ...], tweights: dict[int, object], e_m
     q_polynomial on a map_potential); the internal series run one edge order
     past e_max so the 1/t propagator coefficient stays complete.
     """
-    degrees = tuple(sorted(int(k) for k in tweights))
-    svars = _series_vars(degrees)
+    weights = _weights(tweights)
+    svars = _series_vars(tuple(weights))
     order = e_max + 1
     n_idx = qvars.index("N")
     t_idx = qvars.index("t")
-    coup_idx = [qvars.index(f"t{k}") for k in degrees]
+    coup_idx = [qvars.index(f"t{k}") for k in weights]
     out: dict[int, MPoly] = {}
     for nu, coeff in Q.terms.items():
-        T = _series(tweights, tuple(nu), order)
+        T = _series(weights, tuple(nu), order)
         for exps, q in coeff.terms.items():
             mono = (exps[n_idx],) + tuple(exps[i] for i in coup_idx)
             factor = MPoly(svars, {mono: q})

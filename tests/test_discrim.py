@@ -32,6 +32,22 @@ def test_saddle_residuals_small(cubic):
             assert abs(z * cubic.dV(z) - r) < 1e-9 * r
 
 
+def test_saddles_newton_polish_corrects_perturbed_roots(cubic, monkeypatch):
+    from loopeq import discriminator
+
+    r = 60
+    exact = saddle_points(cubic, r)
+    perturbed = [z * (1 + 1e-8) for z in exact.xi]
+    # the stubbed roots miss x V'(x) = r by far more than the polish's 1e-13 test
+    assert all(abs(z * cubic.dV(z) - r) > 1e-6 for z in perturbed)
+    monkeypatch.setattr(discriminator.np, "roots", lambda _coeffs: perturbed)
+    polished = saddle_points(cubic, r)
+    for got, want in zip(polished.xi, exact.xi):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    for got, want in zip(polished.Vr_values, exact.Vr_values):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_saddles_quartic_asymptotic_directions():
     V = Potential.polynomial([0, 0, 0, 1])  # x^4/4, xV' = x^4
     r = 10000

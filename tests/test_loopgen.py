@@ -176,6 +176,15 @@ def test_exp_neg_V_is_the_polynomial_sum_bitwise():
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+def test_V_pole_term_matches_exp_neg_V():
+    # V' = x^2 + 2/x: V = x^3/3 + 2 log x, so e^{-V} = e^{-x^3/3} x^{-2}
+    V = Potential.rational([2, 0, 0, 1], [0, 1])
+    for z in (0.7 + 0.2j, -1.3 + 0.5j, 0.4 - 1.1j, 2.0 + 0j, -0.9 - 0.8j):
+        want = V.exp_neg_V(z)
+        assert want == pytest.approx(cmath.exp(-z ** 3 / 3) / z ** 2, rel=1e-13)
+        assert abs(cmath.exp(-V.V(z)) - want) <= 1e-13 * abs(want)
+
+
 def test_polynomial_potential_does_not_call_np_roots(monkeypatch):
     # a constant D has no poles, so partial_fractions, V and exp_neg_V never need np.roots
     import numpy

@@ -6,8 +6,8 @@ emits the same terms in another order moves the last bits of residual scales.
 The three generator bodies below are the written-out forms ``q_polynomial``,
 ``q_rational`` and ``q_twomatrix`` had before they shared one term generator;
 the library must give the same ``Q.terms`` items, order and coefficient type
-included (``q_twomatrix`` by ``PowerSumPoly`` equality: its work queue
-skips zero coefficients either way).
+included (``q_twomatrix`` by ``PowerSumPoly`` equality: its level-by-level
+elimination skips zero coefficients either way).
 """
 
 from fractions import Fraction

@@ -277,7 +277,29 @@ def test_apply_functional_past_the_half_edge_cap():
 
 
 def test_tutte_order_cap():
-    with pytest.raises(ValueError):
+    # tutte runs its series one edge order past --order, so the order cap is
+    # the half-edge cap's edge count less one
+    message = r"edge order 12 outside 0\.\.11 \(11 is the complexity cap\)"
+    with pytest.raises(ValueError, match=message):
         tutte_residual({3: 1}, (1,), 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         map_series({3: 1}, (1,), 12)
+    assert tutte_residual({3: 1}, (1,), 0).e_max == 0
+
+
+def test_vertex_weights_start_at_degree_three():
+    from loopeq import q_polynomial
+    from loopeq.wick import apply_functional
+
+    V, qvars, N = map_potential({3: 1})
+    Q = q_polynomial((1,), V, nvars=N)
+    calls = [
+        lambda w: map_series(w, (1,), 2),
+        map_potential,
+        lambda w: apply_functional(Q, qvars, w, 2),
+        lambda w: tutte_residual(w, (1,), 2),
+    ]
+    for call in calls:
+        for weights in ({2: 1}, {2: 1, 3: 1}):
+            with pytest.raises(ValueError, match="^vertex weights start at degree 3$"):
+                call(weights)
