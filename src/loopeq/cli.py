@@ -88,7 +88,7 @@ def _parse_mu(text: str, flag: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise ValueError(f"bad {flag} {text!r}; expected comma-separated integers, no empty field")
 

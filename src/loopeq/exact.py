@@ -37,18 +37,16 @@ def _gauss(n: int, m: int, d: int) -> "CRational":
     return z
 
 
-def _ring_operand(op):
-    """``op`` with an int or Fraction operand lifted to CRational.  Any other type
-    gets NotImplemented, so Python asks it (an MPoly, say) or raises TypeError."""
-
-    def lifted(self, other):
-        if isinstance(other, CRational):
-            return op(self, other)
-        if isinstance(other, (int, Fraction)):
-            return op(self, CRational(other))
-        return NotImplemented
-
-    return lifted
+def _operand(x):
+    """A ring operator's non-CRational operand lifted to CRational: an int goes
+    straight to ``_gauss``, a Fraction or bool through the constructor.  Any
+    other type gives None, and the operator returns NotImplemented, so Python
+    asks that type (an MPoly, say) or raises TypeError."""
+    if type(x) is int:
+        return _gauss(x, 0, 1)
+    if isinstance(x, (int, Fraction)):
+        return CRational(x)
+    return None
 
 
 class CRational:
@@ -88,8 +86,9 @@ class CRational:
 
     # -- ring operations ---------------------------------------------------
 
-    @_ring_operand
     def __add__(self, other):
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _gauss(self.n + other.n, self.m + other.m, d)
@@ -97,26 +96,30 @@ class CRational:
 
     __radd__ = __add__
 
-    @_ring_operand
     def __sub__(self, other):
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _gauss(self.n - other.n, self.m - other.m, d)
         return _gauss(self.n * e - other.n * d, self.m * e - other.m * d, d * e)
 
-    @_ring_operand
     def __rsub__(self, other):
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
         return other - self
 
-    @_ring_operand
     def __mul__(self, other):
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
         n, m, p, q = self.n, self.m, other.n, other.m
         return _gauss(n * p - m * q, n * q + m * p, self.d * other.d)
 
     __rmul__ = __mul__
 
-    @_ring_operand
     def __truediv__(self, other):
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
         n, m, p, q, e = self.n, self.m, other.n, other.m, other.d
         den = p * p + q * q
         if not den:
@@ -124,8 +127,9 @@ class CRational:
         # (n + i m)/d * e/(p + i q) = (n + i m)(p - i q) e / (d (p^2 + q^2))
         return _gauss((n * p + m * q) * e, (m * p - n * q) * e, self.d * den)
 
-    @_ring_operand
     def __rtruediv__(self, other):
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
         return other / self
 
     def __neg__(self):

@@ -14,10 +14,11 @@ integer triples, which the forms read and build directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
-from .exact import CRational
+from .exact import ONE, CRational
 from .loopgen import Potential, q_polynomial, q_rational
 from .symfunc import (
     Partition,
@@ -69,9 +70,10 @@ def _combine(terms: Sequence[tuple[CRational, Form]]) -> Form:
 
     Every term is put over the lcm of the term denominators, and each basis
     element's numerator is accumulated as one ``[re, im]`` pair of ints; a
-    real c_j (``c.m == 0``) skips the cross products.  The result is divided
-    by one gcd.  Basis elements keep their order of first appearance across
-    the terms; entries that cancel to zero are dropped.
+    real c_j (``c.m == 0``) skips the cross products, and a real entry of a
+    form (``y == 0``) its imaginary sum.  The result is divided by one gcd.
+    Basis elements keep their order of first appearance across the terms;
+    entries that cancel to zero are dropped.
     """
     dens = [c.d * fden for c, (fden, _) in terms]
     den = lcm(*dens)
@@ -96,8 +98,9 @@ def _combine(terms: Sequence[tuple[CRational, Form]]) -> Form:
                     acc[b] = [cre * x, cre * y]
                 else:
                     pair[0] += cre * x
-                    pair[1] += cre * y
-    g = gcd(den, *(v for pair in acc.values() for v in pair))
+                    if y:
+                        pair[1] += cre * y
+    g = gcd(den, *chain.from_iterable(acc.values()))
     if g > 1:
         den //= g
         return den, {b: (re // g, im // g) for b, (re, im) in acc.items() if re or im}
@@ -115,9 +118,10 @@ class LoopReducer:
     both the length and the substitution step; ``reduce`` hands out
     ``CRational`` coefficients.  The memo ``_memo`` is a plain dict filled by
     ``_reduce``: a self-filling map would add a frame per reduction step and
-    lower the recursion cap.  ``max_abs_coeff`` is read from it: the largest
-    modulus of any memoized coefficient, a growth diagnostic for conditioning
-    reports.
+    lower the recursion cap.  Where ``_reduce`` combines forms it reads the
+    memo inline, so only a miss makes a call.  ``max_abs_coeff`` is read
+    from the memo: the largest modulus of any memoized coefficient, a growth
+    diagnostic for conditioning reports.
     """
 
     def __init__(self, V: Potential, N: int, strategy: str = "largest"):
@@ -144,17 +148,22 @@ class LoopReducer:
                     for re, im in coeffs.values()), default=0.0)
 
     def _reduce(self, mu: Partition) -> Form:
-        form = self._memo.get(mu)
+        get = self._memo.get
+        form = get(mu)
         if form is not None:
             return form
+        # below, ``get(nu) or`` is safe: a Form is a non-empty tuple
         if len(mu) > self.N:
-            poly = reduce_length(PowerSumPoly({mu: CRational(1)}, self.N), self.N)
-            form = _combine([(c, self._reduce(nu)) for nu, c in poly.terms.items()])
-        elif all(p <= self.d - 1 for p in mu):
+            poly = reduce_length(PowerSumPoly({mu: ONE}, self.N), self.N)
+            form = _combine([(c, get(nu) or self._reduce(nu)) for nu, c in poly.terms.items()])
+        elif not mu or mu[0] < self.d:  # mu is sorted: no part of it is d or more
             form = (1, {mu: (1, 0)})
         else:
-            over = [i for i, p in enumerate(mu) if p >= self.d]
-            idx = over[0] if self.strategy == "largest" else over[-1]
+            # the parts >= d come first: eliminate the first, or the last of them
+            idx = 0
+            if self.strategy == "smallest":
+                while idx + 1 < len(mu) and mu[idx + 1] >= self.d:
+                    idx += 1
             rest = mu[:idx] + mu[idx + 1:]
             qmu = (mu[idx] - self.d,) + tuple(rest)
             if self.V.kind == "polynomial":
@@ -164,7 +173,7 @@ class LoopReducer:
             lead = Q.terms.get(mu)  # mu is the sorted Partition: Q's top term
             if lead is None or not lead:
                 raise RuntimeError(f"expected top term p_{tuple(mu)} in Q_{qmu}")
-            form = _combine([(-c / lead, self._reduce(nu))
+            form = _combine([(-c / lead, get(nu) or self._reduce(nu))
                              for nu, c in Q.terms.items() if nu != mu])
         self._memo[mu] = form
         return form

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import comb, factorial
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 from .exact import CRational
@@ -23,12 +25,11 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts not sorted non-increasing: {parts}")
+        if any(map(lt, parts, parts[1:])):
+            raise ValueError(f"parts not sorted non-increasing: {parts}")
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be >= 1: {parts}")
-        if any(not isinstance(p, int) for p in parts):
+        if not all(map(isinstance, parts, repeat(int))):
             raise ValueError(f"parts must be integers: {parts}")
         return super().__new__(cls, parts)
 
@@ -272,8 +273,9 @@ def _mono_times_pk(mono: Mapping[Partition, int], k: int, N: int) -> dict[Partit
     """
     out: dict[Partition, int] = {}
     get = out.get
+    moves = _times_pk_moves
     for lam, c in mono.items():
-        for new, m in _times_pk_moves(lam, k, N):
+        for new, m in moves(lam, k, N):
             out[new] = get(new, 0) + c * m
     return out
 
@@ -304,6 +306,20 @@ def _set_partitions(n: int):
 
 
 @cache
+def _moebius_rows(n: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(blocks, Moebius weight) for every set partition of range(n), in the
+    order of ``_set_partitions``; the weight is prod_blocks (-1)^(|B|-1) (|B|-1)!.
+    Cached per n: it does not depend on the parts that fill the positions."""
+    rows = []
+    for pi in _set_partitions(n):
+        weight = 1
+        for block in pi:
+            weight *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+        rows.append((pi, weight))
+    return rows
+
+
+@cache
 def _mono_to_p(lam: Partition, N: int) -> dict[Partition, int]:
     """N! * m_lam in power sums, via Moebius inversion over set partitions.
 
@@ -312,19 +328,17 @@ def _mono_to_p(lam: Partition, N: int) -> dict[Partition, int]:
     prod_blocks (-1)^(|B|-1) (|B|-1)!, of p indexed by the block sums.  For
     ell(lam) <= N the product of multiplicities! divides N!, so N! * m_lam
     has integer coefficients: the expansion of M_lam times N! / (that
-    product).  Every partition appearing has at most ell(lam) parts.  Cached
-    per (lam, N); the returned dict is shared, callers must not modify it.
+    product).  Every partition appearing has at most ell(lam) parts.  The set
+    partitions and their weights come from ``_moebius_rows``.  Cached per
+    (lam, N); the returned dict is shared, callers must not modify it.
     """
     acc: dict[Partition, int] = {}
-    for pi in _set_partitions(len(lam)):
-        coeff = 1
-        sums = []
-        for block in pi:
-            size = len(block)
-            coeff *= (-1) ** (size - 1) * factorial(size - 1)
-            sums.append(sum(lam[i] for i in block))
-        nu = Partition.of(sums)
-        acc[nu] = acc.get(nu, 0) + coeff
+    get = acc.get
+    part = lam.__getitem__
+    trusted = tuple.__new__  # a Partition of block sums sorted here, not re-checked
+    for blocks, weight in _moebius_rows(len(lam)):
+        nu = trusted(Partition, sorted([sum(map(part, block)) for block in blocks], reverse=True))
+        acc[nu] = get(nu, 0) + weight
     mult = 1
     for v in set(lam):
         mult *= factorial(lam.count(v))
@@ -340,7 +354,8 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
     step reading the moves cached per (lam, k, N) by ``_times_pk_moves``),
     monomials needing more than N variables are dropped (they vanish
     identically), and the remainder is converted back through the N!-scaled
-    rows of ``_mono_to_p``.  These three tables are the exact layer's only
+    rows of ``_mono_to_p``, each a sum over the set partitions of
+    ``_moebius_rows``.  These four tables are the exact layer's only
     process-wide caches.  Each long term's expansion is summed in integers
     over the denominator N! and multiplied by the term's coefficient once;
     output terms keep their order of first appearance.  The result is the
@@ -350,6 +365,7 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
         raise ValueError("N must be positive")
     out: dict[Partition, object] = {}
     den = factorial(N)
+    row, make = _mono_to_p, CRational.from_ints
     for mu, c in p.terms.items():
         if len(mu) <= N:
             out[mu] = out[mu] + c if mu in out else c
@@ -357,14 +373,17 @@ def reduce_length(p: PowerSumPoly, N: int) -> PowerSumPoly:
         expansion: dict[Partition, int] = {}
         get = expansion.get
         for lam, q in _p_to_mono(mu, N).items():
-            for nu, a in _mono_to_p(lam, N).items():
+            for nu, a in row(lam, N).items():
                 expansion[nu] = get(nu, 0) + q * a
         if type(c) is CRational:
             cn, cm, cd = c.n, c.m, c.d * den
-            terms = ((nu, CRational.from_ints(cn * a, cm * a, cd)) for nu, a in expansion.items())
+            scaled = [make(cn * a, cm * a, cd) for a in expansion.values()]
         else:
-            terms = ((nu, c * CRational.from_ints(a, 0, den)) for nu, a in expansion.items())
-        for nu, v in terms:
+            scaled = [c * make(a, 0, den) for a in expansion.values()]
+        if not out:  # the first term's partitions are all new
+            out.update(zip(expansion, scaled))
+            continue
+        for nu, v in zip(expansion, scaled):
             out[nu] = out[nu] + v if nu in out else v
     return PowerSumPoly(out, p.nvars)
 

@@ -121,6 +121,34 @@ def test_combine_matches_fraction_arithmetic():
         assert den > 0 and gcd(den, *(v for pair in coeffs.values() for v in pair)) == 1
 
 
+def test_reducer_work_on_the_exact_workload(quartic, monkeypatch):
+    # every partition of weight 1..14 on quartic N = 3, the exact benchmark's
+    # targets: each form is built once, so a memo hit that turned into a
+    # recomputation would raise these counts
+    from loopeq import momsolve
+
+    counts = {"combine": 0, "reduce_length": 0, "q": 0}
+
+    def counted(name, key):
+        fn = getattr(momsolve, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(momsolve, name, wrapper)
+
+    counted("_combine", "combine")
+    counted("reduce_length", "reduce_length")
+    counted("q_polynomial", "q")
+    targets = [mu for w in range(1, 15) for mu in partitions_of_weight(w)]
+    assert len(targets) == 507
+    F = MomentFunctional(3, 3, {mu: 1.0 for mu in partitions_in_box(3, 2)})
+    _, red = solve_moments(F, quartic, targets)
+    assert len(red._memo) == 508
+    assert counts == {"combine": 498, "reduce_length": 361, "q": 137}
+
+
 def test_solve_requires_consistent_d(gauss):
     F = MomentFunctional(N=2, d=2, basis_values={
         mu: CRational(1) for mu in partitions_in_box(2, 1)
