@@ -29,6 +29,12 @@ from .symfunc import (
 )
 
 
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: the relative rounding
+    bound of n floating-point operations in sequence (Higham 2002)."""
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+
 def hn_dimension(N: int, d: int) -> int:
     """Dimension of the admissible homology space: binom(N+d-1, N)."""
     if N < 1 or d < 1:
@@ -231,6 +237,9 @@ class ResidualReport:
     entries: list  # (mu tuple, |E(Q_mu)|, term scale, relative residual)
     max_relative: float
     weight_max: int
+    # the verdict, not part of the JSON: (mu tuple, |E(Q_mu)|, error budget)
+    # of every equation whose residual exceeds its budget
+    outside: list
 
     def to_json(self) -> dict:
         return {
@@ -258,6 +267,10 @@ def residuals(
     count as vacuously satisfied (otherwise the ratio would be noise over
     noise).  Raises with the list of missing partitions if the oracle is not
     defined on everything needed.
+
+    The verdict ``outside`` lists each equation with ``|E(Q_mu)|`` above its
+    error budget ``sum |c| e_nu + gamma_{n+2} scale``: the oracle's bars
+    carried through the n terms, plus the rounding of their complex sum.
     """
     table = {Partition(tuple(k)): (complex(v), float(e)) for k, (v, e) in oracle.items()}
     tuples = loop_tuples(weight_max)
@@ -271,6 +284,7 @@ def residuals(
     if missing:
         raise KeyError(f"oracle missing values for partitions: {[tuple(m) for m in missing]}")
     entries = []
+    outside = []
     max_rel = 0.0
     for mu in tuples:
         total = 0j
@@ -283,10 +297,12 @@ def residuals(
             total += term
             scale += abs(term)
             budget += abs(cval) * err
-        if scale <= 10.0 * budget:
-            rel = 0.0
-        else:
-            rel = abs(total) / scale if scale > 0 else 0.0
+        # noise equations (scale <= 10 budget, scale == 0 among them) read 0
+        rel = abs(total) / scale if scale > 10.0 * budget else 0.0
         entries.append((mu, abs(total), scale, rel))
         max_rel = max(max_rel, rel)
-    return ResidualReport(entries=entries, max_relative=max_rel, weight_max=weight_max)
+        bound = budget + gamma(len(qs[mu].terms) + 2) * scale
+        if not abs(total) <= bound:  # a NaN residual is outside too
+            outside.append((mu, abs(total), bound))
+    return ResidualReport(entries=entries, max_relative=max_rel, weight_max=weight_max,
+                          outside=outside)

@@ -63,7 +63,7 @@ import numpy as np
 from .contours import CircleSeg, Contour, HomologyClass, RaySeg, admissibility_check
 from .exact import CRational
 from .loopgen import Potential
-from .momsolve import hn_dimension
+from .momsolve import gamma, hn_dimension
 from .symfunc import Partition, PowerSumPoly, compositions, partitions_in_box, reduce_length
 
 MAX_VARS = 5
@@ -534,8 +534,9 @@ class MomentMatrix:
     entries: list  # row-major complex values
     errors: list
     singular_values: list  # of the column-scaled matrix, descending
-    # ||errors / column scale||_F: by Weyl's inequality no singular value of
-    # the scaled matrix is off by more than this (not part of the JSON)
+    # ||errors / column scale||_F + gamma_n sigma_max: by Weyl's inequality no
+    # singular value of the scaled matrix is off by more than the first term,
+    # and the second covers the SVD's own rounding (not part of the JSON)
     scaled_error_bound: float
 
     @property
@@ -585,7 +586,7 @@ def moment_matrix(table: MomentTable, N: int) -> MomentMatrix:
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0] = 1.0
     svals = np.linalg.svd(A / scale, compute_uv=False)
-    bound = np.linalg.norm(np.array(errors) / scale)
+    bound = np.linalg.norm(np.array(errors) / scale) + gamma(size) * svals[0]
     return MomentMatrix(
         N=N,
         d=d,

@@ -145,9 +145,8 @@ class PowerSumPoly:
         return cls(terms, nvars)
 
     @classmethod
-    def monomial(cls, mu: Sequence[int], nvars, coeff=None) -> "PowerSumPoly":
-        coeff = CRational(1) if coeff is None else coeff
-        return cls.build([(tuple(mu), coeff)], nvars)
+    def monomial(cls, mu: Sequence[int], nvars) -> "PowerSumPoly":
+        return cls.build([(tuple(mu), CRational(1))], nvars)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: _grevlex_key(kv[0]))

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -356,12 +357,6 @@ def test_iso_pass_and_shape(pot, capsys):
     assert data["min_scaled_singular"] > 1e-8
 
 
-def test_iso_fails_when_threshold_unreachable(pot, capsys):
-    path = pot("cubic.json", CUBIC)
-    code, _ = run(["iso", "--potential", path, "--N", "1", "--min-singular", "10.0"], capsys)
-    assert code == 1
-
-
 def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys):
     # at --tol 0.5 the witness used to pass: min scaled singular value about
     # 0.145 against a propagated error bound ||E / scale||_F of about 1.04
@@ -372,8 +367,8 @@ def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys
     data = json.loads(captured.out)
     assert set(data) == {"N", "d", "rows", "cols", "entries", "errors", "singular_values",
                          "min_scaled_singular"}
-    found = re.fullmatch(r"not verified: min scaled singular value (\S+) is within its"
-                         r" error bound \|\|errors / scale\|\|_F = (\S+)\n", captured.err)
+    found = re.fullmatch(r"not verified: min scaled singular value (\S+) is within its error bound"
+                         r" \|\|errors / scale\|\|_F \+ gamma_n sigma_max = (\S+)\n", captured.err)
     assert found and found[1] == f"{data['min_scaled_singular']:.3e}"
     assert float(found[2]) >= data["min_scaled_singular"]
     # the default tolerance leaves the same witness verified
@@ -390,10 +385,6 @@ def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys
     ("expect", "--tol", "inf"),
     ("residuals", "--tol", "0"),
     ("discrim", "--tol", "2"),
-    ("iso", "--min-singular", "nan"),
-    ("iso", "--min-singular", "inf"),
-    ("residuals", "--fail-above", "nan"),
-    ("residuals", "--fail-above", "inf"),
     ("discrim", "--delta-tol", "nan"),
 ])
 def test_bad_tolerance_or_threshold_is_usage_error(pot, capsys, command, flag, value):
@@ -425,10 +416,49 @@ def test_residuals_circle_haar(pot, capsys):
     path = pot("haar.json", HAAR2)
     code, data = run(
         ["residuals", "--potential", path, "--N", "2", "--weight-max", "4",
-         "--gamma", "circle", "--tol", "1e-12", "--fail-above", "1e-10"],
+         "--gamma", "circle", "--tol", "1e-12"],
         capsys,
     )
     assert code == 0
+    assert data["max_relative"] < 1e-10
+
+
+def test_residuals_verdict_is_the_error_budget(pot, tmp_path, capsys):
+    # one real-axis moment moved by 100x its bar: max_relative stays near 1e-12,
+    # under any fixed threshold such as the old --fail-above 1e-8, but the
+    # residuals it touches exceed their own error budgets
+    path = pot("quartic.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]})
+    cache = tmp_path / "cache"
+    out = tmp_path / "out.json"
+    args = ["residuals", "--potential", path, "--gamma", "real", "--N", "2", "--weight-max", "4",
+            "--cache", str(cache), "--out", str(out)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    store = json.loads((cache / "moments.json").read_text())
+    (key,) = [k for k in store if k.split(":")[1] == "4"]  # the one arc's moment of x^4
+    store[key][0] += 100 * store[key][2]
+    (cache / "moments.json").write_text(json.dumps(store))
+    assert main(args) == 1
+    data = json.loads(out.read_text())
+    assert data["max_relative"] < 1e-8
+    found = re.fullmatch(r"not verified: \|E\(Q(\(.*?\))\)\| = (\S+) exceeds its error budget (\S+)"
+                         r" \((\d+) of (\d+) equations do\)\n", capsys.readouterr().err)
+    assert found
+    entry = {tuple(e["mu"]): e for e in data["entries"]}[ast.literal_eval(found[1])]
+    assert found[2] == f"{entry['abs']:.3e}"
+    assert float(found[2]) > float(found[3])
+    assert 1 <= int(found[4]) <= int(found[5]) == len(data["entries"])
+
+
+@pytest.mark.parametrize("command,flag", [("iso", "--min-singular"), ("residuals", "--fail-above")])
+def test_threshold_flags_are_gone(pot, capsys, command, flag):
+    # the verdicts come from the error bars alone
+    path = pot("cubic.json", CUBIC)
+    needs = {"iso": ["--N", "1"], "residuals": ["--gamma", "real"]}
+    assert main([command, "--potential", path, *needs[command], flag, "1e-8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 @pytest.mark.parametrize("extra,flag", [(["--gamma", "real"], "--gamma"), (["--N", "5"], "--N"),

@@ -11,6 +11,13 @@ s = 0, and Jacobi's formula gives the exponent.  The unit eps_d is measured,
 not derived.  The sum of V over the critical points is exact: Newton's
 identities give the power sums of the roots of V' from its coefficients, as
 ``CRational``s, so no root is found.
+
+The ``iso`` matrix A at N bodies (``moment_matrix``) follows with
+
+    det A = det(M1)^binom(N+d-1, d) c(d, N) t_{d+1}^(-e),  e = d binom(N+d-1, d+1),
+
+where the integer c(d, N) is measured (ROADMAP finding (d)) and, on the
+potentials below, does not depend on the lower coefficients.
 """
 
 import cmath
@@ -19,9 +26,11 @@ import math
 import numpy as np
 import pytest
 
-from loopeq import CRational, MomentTable, Potential, basis_arcs
+from loopeq import CRational, MomentTable, Potential, basis_arcs, moment_matrix
 
 EPS = {1: -1, 2: -1j, 3: -1j, 4: -1, 5: 1, 6: 1j, 7: 1j}  # eps_d, measured
+# c(d, N), measured
+C = {2: {2: -8, 3: 2 ** 8 * 3 ** 3, 4: 2 ** 21 * 3 ** 8}, 3: {2: -32, 3: 2 ** 18 * 3 ** 5}}
 U = 2.0 ** -53
 
 
@@ -93,6 +102,17 @@ def arc_matrix(V: Potential):
     return [[v for v, _ in row] for row in cells], [[e for _, e in row] for row in cells]
 
 
+def _moved_fails(M, E, det, bar, want, slack):
+    """Whether moving the entry of largest cofactor so that the determinant
+    moves by 10x its bar puts it outside the check."""
+    cof = det * np.linalg.inv(np.array(M, dtype=complex)).T
+    a, i = np.unravel_index(np.argmax(np.abs(cof)), cof.shape)
+    moved = [row[:] for row in M]
+    moved[a][i] += 10 * (bar + slack) / abs(cof[a, i])
+    det2, bar2 = det_with_bar(moved, E)
+    return abs(det2 - want) > bar2 + slack
+
+
 POTENTIALS = {
     "x": [0, 1],
     "cubic": [1, 0, 1],
@@ -123,9 +143,28 @@ def test_arc_determinant_matches_the_closed_form(name):
     slack = abs(want) * 64 * U * (1 + abs(critical_value_sum(V.R).to_complex()))  # the closed form's rounding
     assert abs(det - want) <= bar + slack, (det, want, bar)
     # one moment moved so that the determinant moves by 10x its bar fails
-    cof = det * np.linalg.inv(np.array(M, dtype=complex)).T
-    a, i = np.unravel_index(np.argmax(np.abs(cof)), cof.shape)
-    moved = [row[:] for row in M]
-    moved[a][i] += 10 * (bar + slack) / abs(cof[a, i])
-    det2, bar2 = det_with_bar(moved, E)
-    assert abs(det2 - want) > bar2 + slack
+    assert _moved_fails(M, E, det, bar, want, slack)
+
+
+DET_A = {
+    "1 + x^2": [1, 0, 1],
+    "2 + x + x^2": [2, 1, 1],
+    "1 + 2 x^2": [1, 0, 2],
+    "x + x^3": [0, 1, 0, 1],
+    "1/2 - x/3 + x^2 + x^3": [CRational("1/2"), CRational("-1/3"), 1, 1],
+}
+
+
+@pytest.mark.parametrize("name, N", [(name, N) for name, t in DET_A.items()
+                                     for N in range(2, {3: 5, 4: 4}[len(t)])])
+def test_iso_determinant_matches_the_closed_form(name, N):
+    V = Potential.polynomial(DET_A[name])
+    d = V.d
+    A = moment_matrix(MomentTable(basis_arcs(V), V), N)
+    det, bar = det_with_bar(A.entries, A.errors)
+    power = math.comb(N + d - 1, d)
+    lead = V.R[-1].to_complex().real
+    want = closed_form(V) ** power * C[d][N] * lead ** (-d * math.comb(N + d - 1, d + 1))
+    slack = abs(want) * power * 64 * U * (1 + abs(critical_value_sum(V.R).to_complex()))
+    assert abs(det - want) <= bar + slack, (det, want, bar)
+    assert _moved_fails(A.entries, A.errors, det, bar, want, slack)

@@ -199,11 +199,14 @@ def test_residuals_detect_perturbation(gauss):
     }
     rep0 = residuals(oracle, gauss, 2, 4)
     assert rep0.max_relative < 1e-14
+    assert rep0.outside == []  # exact values: every residual is within its rounding
     value, err = oracle[Partition((2,))]
     oracle[Partition((2,))] = (value + 1.0, err)
     rep1 = residuals(oracle, gauss, 2, 4)
     bad = {mu: rel for (mu, _, _, rel) in rep1.entries if rel > 1e-12}
     assert (1,) in bad
+    assert (1,) in [mu for mu, _, _ in rep1.outside]
+    assert {mu for mu, _, _ in rep1.outside} <= set(bad)
 
 
 def test_residuals_missing_values_error(gauss):

@@ -6,7 +6,8 @@ residue there is nonzero only if k(k-1) <= k(r-1), so every arc word with
 more than r bodies on the pole's circle integrates to zero and gives a zero
 row of the ``iso`` matrix.  At N = r + 1 that row is present, the smallest
 scaled singular value falls to rounding level, and ``iso`` exits 1 with its
-error-bound message; at N = r both potentials verify.
+error-bound message, which names the residue bound; at N = r both potentials
+verify.
 """
 
 import json
@@ -38,9 +39,10 @@ def _circle_index(r):
 
 
 @pytest.mark.parametrize("r, min_sv", [(1, 0.79), (2, 0.196)])
-def test_iso_verifies_at_n_equal_to_the_residue(tmp_path, r, min_sv):
+def test_iso_verifies_at_n_equal_to_the_residue(tmp_path, capsys, r, min_sv):
     code, data = _iso(tmp_path, r, r)
     assert code == 0
+    assert capsys.readouterr().err == ""
     assert data["min_scaled_singular"] == pytest.approx(min_sv, abs=0.005)
     circle = _circle_index(r)
     # the words with all r bodies on the circle are not zero rows
@@ -52,7 +54,11 @@ def test_iso_verifies_at_n_equal_to_the_residue(tmp_path, r, min_sv):
 def test_iso_past_the_residue_is_singular_and_says_so(tmp_path, capsys, r):
     code, data = _iso(tmp_path, r, r + 1)
     assert code == 1
-    assert "within its error bound" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "within its error bound" in err
+    assert err.endswith(f"; arc words with more than {r} bodies on the circle about the pole 0+0j"
+                        " integrate to zero (README \"Caps\")\n")
+    assert err.count("\n") == 1
     assert data["min_scaled_singular"] < 1e-15
     circle = _circle_index(r)
     rows = [(comp, row, err) for comp, row, err in zip(data["rows"], data["entries"], data["errors"])

@@ -227,7 +227,7 @@ def test_reduce_length_scales_any_ring_coefficient():
     for mu, N in (((1, 1, 1), 2), ((3, 2, 2, 1), 3), ((2, 1, 1, 1, 1), 2)):
         unit = reduce_length(PowerSumPoly.monomial(mu, N), N).terms
         for coeff in (c, 3, t * c):
-            red = reduce_length(PowerSumPoly.monomial(mu, N, coeff=coeff), N)
+            red = reduce_length(PowerSumPoly.build([(mu, coeff)], N), N)
             assert red.terms == {nu: coeff * v for nu, v in unit.items()}
 
 
