@@ -16,7 +16,7 @@ from .symfunc import (
     partitions_of_weight,
     reduce_length,
 )
-from .loopgen import Potential, TwoPotential, q_polynomial, q_rational, q_twomatrix, symbolic_two_potential
+from .loopgen import Potential, q_polynomial, q_rational, q_twomatrix, symbolic_two_potential
 from .momsolve import (
     LoopReducer,
     MomentFunctional,

@@ -1,16 +1,20 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 mathematical verification failure, 2 usage or
-configuration error: a bad file or flag raises ``ValueError``, printed as one
-``error:`` line.  The verdicts of ``iso`` and ``residuals`` come from the
-error bars they compute, with no threshold flag: ``iso`` exits 1 when its
-bound ``||errors / scale||_F + gamma_n sigma_max`` reaches the smallest
-scaled singular value (Weyl), and ``residuals`` when some ``|E(Q_mu)|``
-exceeds its budget ``sum |c| e_nu + gamma_{n+2} scale``; each then prints
-one ``not verified:`` line naming the quantity that failed.  ``tutte``
-exits 1 on a nonzero residual series, ``discrim`` when its max deviation
-reaches ``--delta-tol``.  All outputs are JSON; quadrature results can be
-cached across subcommands with --cache DIR.
+Each ``cmd_*`` handler computes and returns ``(payload, failure)``: its
+JSON-ready result, and ``None`` or a one-line reason why the check it runs
+failed.  ``main`` alone writes the payload (to ``--out`` or stdout) and picks
+the exit code: 0 success; 1 mathematical verification failure, after one
+``not verified: <reason>`` line on stderr; 2 usage or configuration error: a
+bad file or flag raises ``ValueError``, printed as one ``error:`` line.  The
+verdicts of ``iso`` and ``residuals`` come from the error bars they compute,
+with no threshold flag: ``iso`` fails when its bound
+``||errors / scale||_F + gamma_n sigma_max`` reaches the smallest scaled
+singular value (Weyl), and ``residuals`` when some ``|E(Q_mu)|`` exceeds its
+budget ``sum |c| e_nu + gamma_{n+2} scale``; the reason names the quantity
+that failed.  ``tutte`` fails on a nonzero residual series and names its
+lowest nonzero edge order, ``discrim`` when its max deviation reaches
+``--delta-tol`` and names both.  All outputs are JSON; quadrature results
+can be cached across subcommands with --cache DIR.
 """
 
 from __future__ import annotations
@@ -262,7 +266,7 @@ def _tol_arg(text: str) -> float:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[dict, str | None]:
     if args.N < 1:
         raise ValueError(f"--N must be >= 1, got {args.N}")
     V = _load_potential(args.potential)
@@ -271,11 +275,10 @@ def cmd_gen(args) -> int:
         Q = q_polynomial(mu, V, args.N)
     else:
         Q = q_rational(mu, V, args.N)
-    _emit({"mu": list(mu), "N": args.N, "Q": Q.to_json(), "pretty": str(Q)}, args.out)
-    return 0
+    return {"mu": list(mu), "N": args.N, "Q": Q.to_json(), "pretty": str(Q)}, None
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     where = f"bad basis file {args.basis}"
     data = _read_json(args.basis, where, ("values",))
@@ -288,19 +291,11 @@ def cmd_solve(args) -> int:
                          " no empty target")
     targets = [_parse_mu(t, "--targets") for t in fields]
     out, red = solve_moments(F, V, targets)
-    _emit(
-        {
-            "values": [
-                {"mu": list(mu), "value": [v.real, v.imag]} for mu, v in sorted(out.items())
-            ],
-            "coefficient_growth": red.max_abs_coeff,
-        },
-        args.out,
-    )
-    return 0
+    values = [{"mu": list(mu), "value": [v.real, v.imag]} for mu, v in sorted(out.items())]
+    return {"values": values, "coefficient_growth": red.max_abs_coeff}, None
 
 
-def cmd_residuals(args) -> int:
+def cmd_residuals(args) -> tuple[dict, str | None]:
     if args.weight_max < 0:
         raise ValueError(f"--weight-max must be >= 0, got {args.weight_max}")
     V = _load_potential(args.potential)
@@ -312,13 +307,11 @@ def cmd_residuals(args) -> int:
     with _moment_table(G.arc_basis, V, args) as table:
         oracle = oracle_from_quadrature(G, sorted(needed), table)
     report = residuals(oracle, V, G.N, args.weight_max)
-    _emit(report.to_json(), args.out)
     if not report.outside:
-        return 0
+        return report.to_json(), None
     mu, residual, budget = max(report.outside, key=lambda e: e[1] / e[2])  # the worst equation
-    print(f"not verified: |E(Q{mu})| = {residual:.3e} exceeds its error budget {budget:.3e}"
-          f" ({len(report.outside)} of {len(report.entries)} equations do)", file=sys.stderr)
-    return VERIFY_ERROR
+    return report.to_json(), (f"|E(Q{mu})| = {residual:.3e} exceeds its error budget {budget:.3e}"
+                              f" ({len(report.outside)} of {len(report.entries)} equations do)")
 
 
 def _class_from_flag(args, V) -> HomologyClass:
@@ -334,7 +327,7 @@ def _class_from_flag(args, V) -> HomologyClass:
     raise ValueError("provide --class FILE or --gamma real|circle")
 
 
-def cmd_contours(args) -> int:
+def cmd_contours(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     arcs = basis_arcs(V)
     data = {
@@ -353,62 +346,56 @@ def cmd_contours(args) -> int:
             {"index": i, "center_angle": s.center_angle, "half_width": s.half_width}
             for i, s in enumerate(sectors(V))
         ]
-    _emit(data, args.out)
-    return 0
+    return data, None
 
 
-def cmd_expect(args) -> int:
+def cmd_expect(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     G = _load_class(args.cls, V)
     mu = _parse_mu(args.poly, "--poly")
     p = PowerSumPoly.monomial(Partition.of(mu), G.N)
     with _moment_table(G.arc_basis, V, args) as table:
         val, err = expectation(G, p, table)
-    _emit({"re": val.real, "im": val.imag, "err": err}, args.out)
-    return 0
+    return {"re": val.real, "im": val.imag, "err": err}, None
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     with _moment_table(basis_arcs(V), V, args) as table:
         M = moment_matrix(table, args.N)
-    _emit(M.to_json(), args.out)
     if M.scaled_error_bound < M.min_scaled_singular:
-        return 0
+        return M.to_json(), None
     # the error bars allow a singular matrix: no witness
     why = "".join(f"; arc words with more than {r} bodies on the circle about the pole {p:.3g}"
                   ' integrate to zero (README "Caps")'
                   for p, r in V.partial_fractions[1] if 0 < r < args.N)
-    print(f"not verified: min scaled singular value {M.min_scaled_singular:.3e} is within its error"
-          f" bound ||errors / scale||_F + gamma_n sigma_max = {M.scaled_error_bound:.3e}{why}",
-          file=sys.stderr)
-    return VERIFY_ERROR
+    return M.to_json(), (f"min scaled singular value {M.min_scaled_singular:.3e} is within its error bound"
+                         f" ||errors / scale||_F + gamma_n sigma_max = {M.scaled_error_bound:.3e}{why}")
 
 
-def cmd_maps(args) -> int:
+def cmd_maps(args) -> tuple[dict, str | None]:
     weights = _couplings(args)
     marked = _parse_mu(args.marked, "--marked")
-    series = map_series(weights, marked, args.order)
-    _emit(series.to_json(), args.out)
-    return 0
+    return map_series(weights, marked, args.order).to_json(), None
 
 
-def cmd_tutte(args) -> int:
+def cmd_tutte(args) -> tuple[dict, str | None]:
     weights = _couplings(args)
     mu = _parse_mu(args.mu, "--mu")
     series = tutte_residual(weights, mu, args.order)
-    ok = series.is_zero()
-    out = series.to_json()
-    out["identically_zero"] = ok
-    _emit(out, args.out)
-    return 0 if ok else VERIFY_ERROR
+    out = {**series.to_json(), "identically_zero": series.is_zero()}
+    if out["identically_zero"]:
+        return out, None
+    lowest = min(e for e, p in series.coeffs.items() if not p.is_zero())
+    return out, f"the residual series of E(Q{mu}) is nonzero from edge order {lowest} on"
 
 
-def cmd_discrim(args) -> int:
+def cmd_discrim(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     report = discriminator_report(V, args.r, args.N, args.tol)
-    _emit(report.to_json(), args.out)
-    return 0 if report.max_deviation < args.delta_tol else VERIFY_ERROR
+    failure = (f"max deviation {report.max_deviation:.3e} of the ratios from their delta limit"
+               f" reaches --delta-tol {args.delta_tol}")
+    return report.to_json(), None if report.max_deviation < args.delta_tol else failure
 
 
 @functools.cache
@@ -497,7 +484,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         # looked up when the command runs, so a rebound cmd_* is the one called
-        return globals()[f"cmd_{args.command}"](args)
+        payload, failure = globals()[f"cmd_{args.command}"](args)
+        _emit(payload, args.out)
     except QuadratureError as e:
         # unreachable tolerance is a configuration problem, not a falsified check
         print(f"quadrature error: {e}", file=sys.stderr)
@@ -509,6 +497,9 @@ def main(argv=None) -> int:
         print("error: input nests too deeply: the exact recursion exceeds Python's recursion limit;"
               " use fewer parts or a lower weight", file=sys.stderr)
         return USAGE_ERROR
+    if failure is not None:
+        print(f"not verified: {failure}", file=sys.stderr)
+    return 0 if failure is None else VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -243,18 +243,6 @@ def _coerce_coeff(c):
     return c
 
 
-@dataclass(frozen=True)
-class TwoPotential:
-    """Pair of polynomial potentials for the two-matrix measure."""
-
-    V: Potential
-    Vt: Potential
-
-    def __post_init__(self):
-        if self.V.kind != "polynomial" or self.Vt.kind != "polynomial":
-            raise ValueError("two-matrix potentials must both be polynomial")
-
-
 # ---------------------------------------------------------------------------
 # Q_mu generators
 # ---------------------------------------------------------------------------
@@ -329,8 +317,9 @@ def _neg_one_like(sample):
     return -1
 
 
-def q_twomatrix(mu: Sequence[int], W: TwoPotential, nvars) -> PowerSumPoly:
-    """Pure-X loop-equation polynomial of the two-matrix model.
+def q_twomatrix(mu: Sequence[int], V: Potential, Vt: Potential, nvars) -> PowerSumPoly:
+    """Pure-X loop-equation polynomial of the two-matrix model with the
+    polynomial potentials V (of X) and Vt (of the tilde matrix).
 
     Eliminates the mixed quantities p^(l)_k from the top level down to l = 0
     (where p^(0)_k = p_k): each level holds its terms in one dict, and each
@@ -340,33 +329,34 @@ def q_twomatrix(mu: Sequence[int], W: TwoPotential, nvars) -> PowerSumPoly:
     tt_{dt+1} * t_{d+1}^{dt}, with the single degenerate interference from
     p_{mu_1+1} when d*dt = 1.
     """
+    if V.kind != "polynomial" or Vt.kind != "polynomial":
+        raise ValueError("two-matrix potentials must both be polynomial")
     mu = _check_mu(mu)
     m0, rest = mu[0], tuple(sorted(mu[1:], reverse=True))
     # levels[l]: (index k, spectator multiset) -> coefficient of p^(l)_k p_spect
-    levels = [{(m0, rest): ttl} for ttl in W.Vt.R]
+    levels = [{(m0, rest): ttl} for ttl in Vt.R]
     for l in range(len(levels) - 1, 0, -1):
         below = levels[l - 1]
         for (k, spect), coeff in levels[l].items():
             if not coeff:
                 continue
-            for (first, *others), c in _q_items(k, spect, W.V):
+            for (first, *others), c in _q_items(k, spect, V):
                 key = (first, tuple(sorted(others, reverse=True)))
                 below[key] = below[key] + coeff * c if key in below else coeff * c
     items = [((k,) + spect, c) for (k, spect), c in levels[0].items() if c]
-    items.append(((m0 + 1,) + rest, _neg_one_like(W.V.R[0])))
+    items.append(((m0 + 1,) + rest, _neg_one_like(V.R[0])))
     return PowerSumPoly.build(items, nvars)
 
 
-def symbolic_two_potential(d: int, dt: int) -> tuple[TwoPotential, tuple[str, ...], object]:
+def symbolic_two_potential(d: int, dt: int) -> tuple[Potential, Potential, tuple[str, ...], object]:
     """Two polynomial potentials with fully symbolic coefficients.
 
-    Returns (W, vars, N_symbol); coefficients are MPoly generators t1..t{d+1},
-    s1..s{dt+1} plus the symbol N for p_0 folding.
+    Returns (V, Vt, vars, N_symbol); coefficients are MPoly generators
+    t1..t{d+1} of V, s1..s{dt+1} of Vt, plus the symbol N for p_0 folding.
     """
     vars = tuple(f"t{k}" for k in range(1, d + 2)) + tuple(
         f"s{k}" for k in range(1, dt + 2)
     ) + ("N",)
     tV = [MPoly.gen(f"t{k}", vars) for k in range(1, d + 2)]
     tVt = [MPoly.gen(f"s{k}", vars) for k in range(1, dt + 2)]
-    W = TwoPotential(Potential.polynomial(tV), Potential.polynomial(tVt))
-    return W, vars, MPoly.gen("N", vars)
+    return Potential.polynomial(tV), Potential.polynomial(tVt), vars, MPoly.gen("N", vars)

@@ -206,7 +206,7 @@ def _segment_moment(seg, V: Potential, k: int, tol: float):
     return (-val if seg.inward else val), e
 
 
-def arc_moment(c: Contour, V: Potential, k: int, tol: float = 1e-12):
+def arc_moment(c: Contour, V: Potential, k: int, tol: float):
     """integral over the contour of x^k e^{-V(x)} dx, with an error estimate:
     the sum of its segments' ``_segment_moment``s."""
     total = 0j

@@ -64,9 +64,9 @@ def partitions_in_box(N: int, maxpart: int) -> list[Partition]:
     return out
 
 
-def partitions_of_weight(w: int, max_length: int | None = None) -> list[Partition]:
-    """All partitions of w, optionally bounded in length."""
-    return _partitions(w, max_length, w)
+def partitions_of_weight(w: int) -> list[Partition]:
+    """All partitions of w."""
+    return _partitions(w, None, w)
 
 
 def _partitions(w: int, max_length: int | None, maxpart: int) -> list[Partition]:

@@ -206,11 +206,11 @@ def test_criterion_8_two_matrix_leading_coefficient():
     t0 = time.time()
     bad = []
     for d, dt_ in [(1, 2), (2, 1), (2, 2)]:
-        W, vars, N = symbolic_two_potential(d, dt_)
+        V, Vt, vars, N = symbolic_two_potential(d, dt_)
         expect = MPoly.gen(f"s{dt_+1}", vars) * MPoly.gen(f"t{d+1}", vars) ** dt_
         for m0 in (0, 1, 2):
             for rest in [(), (2,)]:
-                Q = q_twomatrix((m0,) + rest, W, N)
+                Q = q_twomatrix((m0,) + rest, V, Vt, N)
                 top = Partition.of((m0 + d * dt_,) + rest)
                 if Q.terms.get(top) != expect:
                     bad.append((d, dt_, m0, rest))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import loopeq
-from loopeq import Potential, real_axis_contour, wick
+from loopeq import MapSeries, MPoly, Potential, cli, real_axis_contour, wick
 from loopeq.cli import CachedMomentTable, main
 
 GAUSS = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]]}
@@ -651,6 +651,19 @@ def test_elbow_join_through_an_anti_sector_fails_cleanly(pot, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rational_elbow_verifies_with_a_looser_tol(pot, capsys):
+    # V' = x^2 + 2/(x - 1): at the default --tol 1e-12 QAGS stops at roundoff
+    # (achieved error 9.0e-11); at 1e-10 the witness verifies.  At p = 2 and 3
+    # no --tol up to 1e-6 helps (README "Caps")
+    path = pot("elbow.json", {"kind": "rational", "R": [["2", "0"], ["0", "0"], ["-1", "0"], ["1", "0"]],
+                              "D": [["-1", "0"], ["1", "0"]]})
+    assert main(["iso", "--potential", path, "--N", "1"]) == 2
+    assert capsys.readouterr().err.startswith("quadrature error: quadrature tolerance 1e-12 unreachable")
+    code, data = run(["iso", "--potential", path, "--N", "1", "--tol", "1e-10"], capsys)
+    assert code == 0
+    assert data["min_scaled_singular"] > 0
+
+
 @pytest.mark.parametrize("t0,code", [("1e5000", 2), ("1e100000000", 2), ("-2.5e-100000000", 2),
                                      ("0e100000000", 0)])
 def test_coefficients_beyond_the_digit_limit_name_the_file(tmp_path, t0, code):
@@ -815,6 +828,51 @@ def test_tutte_mu_zero_is_a_loop_equation(capsys):
     assert data["identically_zero"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["tutte", "--t5", "1", "--t6", "1", "--mu", "1", "--order", "5"],
+    ["tutte", "--t3", "1", "--t5", "1/2", "--t6", "-1", "--mu", "2,1", "--order", "6"],
+])
+def test_tutte_with_degree_5_and_6_vertices(args, capsys):
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["identically_zero"] is True
+    assert captured.err == ""
+
+
+def test_maps_with_degree_5_and_6_vertices(capsys):
+    code, data = run(["maps", "--t5", "1", "--t6", "1", "--marked", "2", "--order", "6"], capsys)
+    assert code == 0
+    monomials = [term["exponents"] for terms in data["coeffs"].values() for term in terms]
+    for var in ("t5", "t6"):
+        assert any(ex[data["vars"].index(var)] > 0 for ex in monomials), var
+
+
+def test_tutte_verdict_names_the_lowest_nonzero_edge_order(monkeypatch, capsys):
+    # a residual series that is zero at edge order 1 and nonzero from order 3 on
+    names = ("N", "t3")
+    series = MapSeries(marked=(2,), e_max=4, vars=names,
+                       coeffs={1: MPoly.zero(names), 4: MPoly.gen("N", names), 3: MPoly.const(5, names)})
+    monkeypatch.setattr(cli, "tutte_residual", lambda weights, mu, order: series)
+    assert main(["tutte", "--t3", "1", "--mu", "2", "--order", "4"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["identically_zero"] is False
+    assert captured.err == "not verified: the residual series of E(Q(2,)) is nonzero from edge order 3 on\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--potential", "{cubic}", "--mu", "1", "--N", "2"],
+    ["iso", "--potential", "{cubic}", "--N", "1"],
+    ["maps", "--t3", "1", "--marked", "3", "--order", "3"],
+    ["tutte", "--t3", "1", "--mu", "1", "--order", "4"],
+    ["discrim", "--potential", "{cubic}", "--r", "60", "--N", "1"],
+], ids=["gen", "iso", "maps", "tutte", "discrim"])
+def test_exit_0_writes_nothing_to_stderr(pot, capsys, args):
+    path = pot("cubic.json", CUBIC)
+    assert main([path if a == "{cubic}" else a for a in args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 def test_discrim_cli(pot, capsys):
     path = pot("cubic.json", CUBIC)
     code, data = run(
@@ -824,6 +882,18 @@ def test_discrim_cli(pot, capsys):
     assert code == 0
     assert data["max_deviation"] < 0.2
     assert len(data["ratios"]) == 4
+
+
+def test_discrim_verdict_names_the_deviation_and_the_tolerance(pot, capsys):
+    # cubic at N = 2: the test factors vanish only to first order at the other
+    # saddles (README "Caps"), so the ratios miss their delta limit
+    path = pot("cubic.json", CUBIC)
+    assert main(["discrim", "--potential", path, "--r", "60", "--N", "2"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["max_deviation"] >= 0.2
+    (line,) = captured.err.splitlines()
+    assert line.startswith("not verified: ")
+    assert "1.334e+00" in line and "--delta-tol 0.2" in line
 
 
 def test_discrim_range_guard_keeps_the_ray_integrands_finite(pot, capsys):

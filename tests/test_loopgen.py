@@ -219,12 +219,12 @@ def test_haar_loop_polynomials(haar2):
 def test_q_twomatrix_bilinear_case():
     # d = dt = 1 with V = t2 x^2/2, Vt = s2 y^2/2:
     # Q_(k) = (t2 s2 - 1) p_{k+1} - s2 sum_{j<k} p_j p_{k-1-j}
-    W, vars, N = symbolic_two_potential(1, 1)
+    V, Vt, vars, N = symbolic_two_potential(1, 1)
     t2 = MPoly.gen("t2", vars)
     s2 = MPoly.gen("s2", vars)
     zero = {"t1": 0, "s1": 0, "t2": 3, "s2": 5, "N": 2}
     for k in (1, 2, 3):
-        Q = q_twomatrix((k,), W, N)
+        Q = q_twomatrix((k,), V, Vt, N)
         expect = PowerSumPoly.build(
             [((k + 1,), t2 * s2 - 1)]
             + [((j, k - 1 - j), -s2) for j in range(k)],
@@ -238,19 +238,26 @@ def test_q_twomatrix_bilinear_case():
 
 @pytest.mark.parametrize("d,dt", [(1, 2), (2, 1), (2, 2)])
 def test_q_twomatrix_leading_coefficient(d, dt):
-    W, vars, N = symbolic_two_potential(d, dt)
+    V, Vt, vars, N = symbolic_two_potential(d, dt)
     expect = MPoly.gen(f"s{dt+1}", vars) * MPoly.gen(f"t{d+1}", vars) ** dt
     for m0 in (0, 1, 2):
         for rest in [(), (1,), (2,)]:
-            Q = q_twomatrix((m0,) + rest, W, N)
+            Q = q_twomatrix((m0,) + rest, V, Vt, N)
             top = Partition.of((m0 + d * dt,) + rest)
             assert Q.terms[top] == expect
 
 
+def test_q_twomatrix_needs_two_polynomial_potentials(haar2):
+    V = Potential.polynomial([0, 1])
+    for pair in ((V, haar2), (haar2, V)):
+        with pytest.raises(ValueError, match="must both be polynomial"):
+            q_twomatrix((1,), *pair, 2)
+
+
 def test_q_twomatrix_weight_bookkeeping():
     # d=1, dt=2: highest part is mu_1 + 2
-    W, vars, N = symbolic_two_potential(1, 2)
-    Q = q_twomatrix((0,), W, N)
+    V, Vt, vars, N = symbolic_two_potential(1, 2)
+    Q = q_twomatrix((0,), V, Vt, N)
     assert Q.max_part() == 2
 
 

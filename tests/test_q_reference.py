@@ -19,7 +19,6 @@ from loopeq import (
     MPoly,
     Potential,
     PowerSumPoly,
-    TwoPotential,
     q_polynomial,
     q_rational,
     q_twomatrix,
@@ -66,10 +65,10 @@ def _reference_q_rational(mu, V, nvars):
     return PowerSumPoly.build(items, nvars)
 
 
-def _reference_q_twomatrix(mu, W, nvars):
+def _reference_q_twomatrix(mu, V, Vt, nvars):
     mu = _check_mu(mu)
     m0, rest = mu[0], tuple(sorted(mu[1:], reverse=True))
-    t, tt = W.V.R, W.Vt.R
+    t, tt = V.R, Vt.R
     work = {}
 
     def add(key, c):
@@ -162,8 +161,8 @@ def _symbolic_potentials():
     V, _, N = map_potential({3: 1, 4: 1})
     yield pytest.param(V, N, id="maps_t3_t4")
     for d in (1, 2, 3):
-        W, _, N = symbolic_two_potential(d, 1)
-        yield pytest.param(W.V, N, id=f"two_matrix_V_d{d}")
+        V, _, _, N = symbolic_two_potential(d, 1)
+        yield pytest.param(V, N, id=f"two_matrix_V_d{d}")
 
 
 @pytest.mark.parametrize("V,N", list(_symbolic_potentials()))
@@ -178,14 +177,14 @@ def test_symbolic_q_polynomial_is_reference_in_order(V, N):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("dt", [1, 2, 3])
 def test_q_twomatrix_is_reference(d, dt):
-    W, _, N = symbolic_two_potential(d, dt)
+    V, Vt, _, N = symbolic_two_potential(d, dt)
     for mu in _mus(3):
-        assert q_twomatrix(mu, W, N) == _reference_q_twomatrix(mu, W, N)
+        assert q_twomatrix(mu, V, Vt, N) == _reference_q_twomatrix(mu, V, Vt, N)
 
 
 def test_numeric_q_twomatrix_is_reference():
     # zero t_2 and s_1, s_3: the zero filter drops level-step items here
-    W = TwoPotential(Potential.polynomial([1, 0, 1]), Potential.polynomial([0, 1, 0, _C(2, 1)]))
+    V, Vt = Potential.polynomial([1, 0, 1]), Potential.polynomial([0, 1, 0, _C(2, 1)])
     for nvars in (1, 2, 3):
         for mu in _mus(5):
-            assert q_twomatrix(mu, W, nvars) == _reference_q_twomatrix(mu, W, nvars)
+            assert q_twomatrix(mu, V, Vt, nvars) == _reference_q_twomatrix(mu, V, Vt, nvars)

@@ -506,8 +506,8 @@ def test_reversed_arc_is_the_negated_forward_arc(cubic):
         return Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=a0, a1=a1),), start=("point",), end=("point",))
 
     for k in range(3):
-        forward, forward_err = arc_moment(arc(0.0, 1.0), cubic, k)
-        backward, backward_err = arc_moment(arc(1.0, 0.0), cubic, k)
+        forward, forward_err = arc_moment(arc(0.0, 1.0), cubic, k, 1e-12)
+        backward, backward_err = arc_moment(arc(1.0, 0.0), cubic, k, 1e-12)
         assert (backward.real.hex(), backward.imag.hex()) == ((-forward.real).hex(), (-forward.imag).hex())
         assert backward_err == forward_err
 
@@ -520,7 +520,7 @@ def test_empty_interval_is_zero_with_zero_error(cubic):
     assert _quad_complex(lambda x: 1.0, lambda x: 2.0 * x, 1.0, 1.0, 1e-12) == (0, 0)
     point = Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=0.5, a1=0.5),), start=("point",), end=("point",))
     for k in range(3):
-        assert arc_moment(point, cubic, k) == (0, 0)
+        assert arc_moment(point, cubic, k, 1e-12) == (0, 0)
 
 
 @pytest.mark.parametrize("tol, reason", [
