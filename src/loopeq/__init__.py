@@ -20,18 +20,14 @@ from .loopgen import Potential, q_polynomial, q_rational, q_twomatrix, symbolic_
 from .momsolve import (
     LoopReducer,
     MomentFunctional,
-    ResidualReport,
     hn_dimension,
     loop_tuples,
     residuals,
     solve_moments,
 )
 from .contours import (
-    AdmissibilityReport,
-    Contour,
     Deformation,
     HomologyClass,
-    Sector,
     admissibility_check,
     basis_arcs,
     circle_contour,
@@ -43,7 +39,6 @@ from .contours import (
     sectors,
 )
 from .quadrature import (
-    MomentMatrix,
     MomentTable,
     QuadratureError,
     arc_moment,
@@ -54,8 +49,6 @@ from .quadrature import (
 from .wick import MapSeries, gaussian_trace_moment, map_series, tutte_residual
 from .discriminator import (
     DiscriminatorEngine,
-    DiscriminatorReport,
-    SaddleSet,
     discriminator_report,
     lagrange_f,
     saddle_points,

@@ -6,15 +6,17 @@ failed.  ``main`` alone writes the payload (to ``--out`` or stdout) and picks
 the exit code: 0 success; 1 mathematical verification failure, after one
 ``not verified: <reason>`` line on stderr; 2 usage or configuration error: a
 bad file or flag raises ``ValueError``, printed as one ``error:`` line.  The
-verdicts of ``iso`` and ``residuals`` come from the error bars they compute,
-with no threshold flag: ``iso`` fails when its bound
+verdicts of ``iso``, ``residuals`` and ``discrim`` come from the error bars
+they compute, with no threshold flag: ``iso`` fails when its bound
 ``||errors / scale||_F + gamma_n sigma_max`` reaches the smallest scaled
-singular value (Weyl), and ``residuals`` when some ``|E(Q_mu)|`` exceeds its
-budget ``sum |c| e_nu + gamma_{n+2} scale``; the reason names the quantity
-that failed.  ``tutte`` fails on a nonzero residual series and names its
-lowest nonzero edge order, ``discrim`` when its max deviation reaches
-``--delta-tol`` and names both.  All outputs are JSON; quadrature results
-can be cached across subcommands with --cache DIR.
+singular value (Weyl), ``residuals`` when some ``|E(Q_mu)|`` exceeds its
+budget ``sum |c| e_nu + gamma_{n+2} scale``, and ``discrim`` when the distance
+``||R - I||_2`` of its ratio matrix from the delta limit plus that distance's
+bound ``||bars||_F + gamma_n ||R - I||_2`` reaches 1, the distance from ``I``
+to the nearest singular matrix; the reason names the quantities that failed.
+A closed stdout loses the JSON but not the exit code.  ``tutte`` fails on a
+nonzero residual series and names its lowest nonzero edge order.  All outputs
+are JSON; quadrature results can be cached across subcommands with --cache DIR.
 """
 
 from __future__ import annotations
@@ -108,7 +110,11 @@ def _emit(data, path: str | None):
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left: point stdout at devnull, so the flush at exit is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _read_moment_cache(path: str) -> dict:
@@ -244,20 +250,13 @@ def _couplings(args) -> dict[int, Fraction]:
     return out
 
 
-def _finite_arg(text: str) -> float:
-    """A finite float flag value; argparse names the flag in the error."""
+def _tol_arg(text: str) -> float:
+    """A quadrature tolerance: 0 < tol < 1, which refuses nan and inf too;
+    argparse names the flag in the error."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _tol_arg(text: str) -> float:
-    """A quadrature tolerance: finite with 0 < tol < 1."""
-    value = _finite_arg(text)
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"must satisfy 0 < tol < 1, got {text!r}")
     return value
@@ -393,9 +392,11 @@ def cmd_tutte(args) -> tuple[dict, str | None]:
 def cmd_discrim(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     report = discriminator_report(V, args.r, args.N, args.tol)
-    failure = (f"max deviation {report.max_deviation:.3e} of the ratios from their delta limit"
-               f" reaches --delta-tol {args.delta_tol}")
-    return report.to_json(), None if report.max_deviation < args.delta_tol else failure
+    if report.verified:
+        return report.to_json(), None
+    # within 1 of I lies a singular matrix: the ratios may not tell the classes apart
+    return report.to_json(), (f"distance ||R - I||_2 = {report.distance:.3e} of the ratio matrix from"
+                              f" its delta limit plus its error bound {report.bound:.3e} reaches 1")
 
 
 @functools.cache
@@ -472,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--tol", type=_tol_arg, default=1e-9)
-    p.add_argument("--delta-tol", type=_finite_arg, default=0.2)
 
     return ap
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .contours import RaySeg
 from .loopgen import Potential
+from .momsolve import gamma
 from .quadrature import MomentMap, _segment_moment, vandermonde_sum
 from .symfunc import compositions
 
@@ -186,18 +187,19 @@ class DiscriminatorEngine:
             err += abs(a) * (e_other + e_anchor)
         return total, err
 
-    def expectation(self, n: tuple[int, ...], m_hat: tuple[int, ...]) -> complex:
+    def expectation(self, n: tuple[int, ...], m_hat: tuple[int, ...]) -> tuple[complex, float]:
         """E over the product domain of arcs (composition n) of p_{r, m_hat}:
         the sum over level maps s of the Vandermonde assembly of the bodies
-        (arc, s(i)), not their mean."""
+        (arc, s(i)), not their mean, with the sum of the assembly's bounds."""
         N = sum(n)
         if N > MAX_BODIES:
             raise ValueError(f"N={N} beyond the discriminator cap {MAX_BODIES}")
         word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
-        total = 0j
+        total, err = 0j, 0.0
         for s in _level_maps(m_hat, N):
-            total += vandermonde_sum(self.moments, tuple(zip(word, s)))[0]
-        return total
+            v, e = vandermonde_sum(self.moments, tuple(zip(word, s)))
+            total, err = total + v, err + e
+        return total, err
 
     def amplitude(self, m_hat: tuple[int, ...]) -> complex:
         """The saddle-product normalization A(m): the Vandermonde of the saddles
@@ -222,8 +224,9 @@ class DiscriminatorEngine:
             )
         return out
 
-    def ratio(self, n: tuple[int, ...], m: tuple[int, ...]) -> complex:
-        """The normalized pairing for the single class gamma^n; -> delta_{n,m}."""
+    def ratio(self, n: tuple[int, ...], m: tuple[int, ...]) -> tuple[complex, float]:
+        """The normalized pairing for the single class gamma^n, -> delta_{n,m},
+        with its error bar."""
         d = len(self.others)
         if len(n) != d or len(m) != d:
             raise ValueError(f"compositions must have length d={d}")
@@ -231,14 +234,17 @@ class DiscriminatorEngine:
             raise ValueError("compositions n and m must have equal size")
         return self.ratio_for_class({tuple(n): 1}, m)
 
-    def ratio_for_class(self, coeffs: dict, m: tuple[int, ...]) -> complex:
+    def ratio_for_class(self, coeffs: dict, m: tuple[int, ...]) -> tuple[complex, float]:
         """E_Gamma(p_{r,m}) / A(m) for Gamma = sum_n coeffs[n] gamma^n, E being
-        the sum over the N!/prod m_j! level maps of ``expectation``."""
+        the sum over the N!/prod m_j! level maps of ``expectation``, with the
+        bar sum_n |coeffs[n]| e_n / |A(m)| from the expectations' bars e_n."""
         m_hat = self._lift(m)
-        E = 0j
+        E, err = 0j, 0.0
         for n, c in coeffs.items():
-            E += complex(c) * self.expectation(tuple(n), m_hat)
-        return E / self.amplitude(m_hat)
+            v, e = self.expectation(tuple(n), m_hat)
+            E, err = E + complex(c) * v, err + abs(complex(c)) * e
+        A = self.amplitude(m_hat)
+        return E / A, err / abs(A)
 
     def _lift(self, m: tuple[int, ...]) -> tuple[int, ...]:
         m_hat = [0] * len(self.S.xi)
@@ -255,18 +261,32 @@ def _level_maps(m_hat: tuple[int, ...], N: int):
 
 @dataclass
 class DiscriminatorReport:
+    """The ratio matrix R[n, m], each entry a (value, bar) pair.  ``distance``
+    is ||R - I||_2 and ``bound`` its error bound ||bars||_F + gamma_n distance
+    over the n ratios (the second term covers the norm's own rounding).  A
+    pass, distance + bound < 1, certifies sigma_min(R) > 0 for the exact
+    ratios, since sigma_min(R) >= 1 - ||R - I||_2 (Neumann series; Horn &
+    Johnson, Matrix Analysis, 5.6): the classes gamma^n are told apart at
+    this r.  The JSON carries ``max_deviation``, the largest
+    |R[n, m] - delta_nm|, and leaves the bars out."""
+
     r: int
     N: int
     tol: float
-    ratios: dict  # (n, m) -> complex
+    ratios: dict  # (n, m) -> (complex value, error bar)
     max_deviation: float = field(init=False)
+    distance: float = field(init=False)
+    bound: float = field(init=False)
+    verified: bool = field(init=False)  # distance + bound < 1
 
     def __post_init__(self):
-        dev = 0.0
-        for (n, m), v in self.ratios.items():
-            target = 1.0 if n == m else 0.0
-            dev = max(dev, abs(v - target))
-        self.max_deviation = dev
+        comps = sorted({n for n, _ in self.ratios})
+        dev = np.array([[self.ratios[n, m][0] - (n == m) for m in comps] for n in comps])
+        self.max_deviation = max(0.0, *(abs(v - (n == m)) for (n, m), (v, _) in self.ratios.items()))
+        self.distance = float(np.linalg.norm(dev, 2))
+        bars = [e for _, e in self.ratios.values()]
+        self.bound = float(np.linalg.norm(bars) + gamma(len(bars)) * self.distance)
+        self.verified = self.distance + self.bound < 1
 
     def to_json(self) -> dict:
         return {
@@ -276,7 +296,7 @@ class DiscriminatorReport:
             "max_deviation": self.max_deviation,
             "ratios": [
                 {"n": list(n), "m": list(m), "value": [v.real, v.imag]}
-                for (n, m), v in sorted(self.ratios.items())
+                for (n, m), (v, _) in sorted(self.ratios.items())
             ],
         }
 
@@ -287,8 +307,5 @@ def discriminator_report(V: Potential, r: int, N: int, tol: float = 1e-9) -> Dis
     engine = DiscriminatorEngine(V, r, tol)
     d = len(engine.others)
     comps = compositions(N, d)
-    ratios = {}
-    for n in comps:
-        for m in comps:
-            ratios[(n, m)] = engine.ratio(n, m)
+    ratios = {(n, m): engine.ratio(n, m) for n in comps for m in comps}
     return DiscriminatorReport(r=r, N=N, tol=tol, ratios=ratios)

@@ -116,9 +116,9 @@ def _combine(terms: Sequence[tuple[CRational, Form]]) -> Form:
 class LoopReducer:
     """Rewrites E(p_mu) as an exact linear form over the box basis.
 
-    ``strategy`` picks which over-sized part to eliminate: 'largest' (the
-    paper-style choice, ties leftmost) or 'smallest' (used to check that the
-    answer is order-independent).
+    The substitution step eliminates the largest part (ties leftmost), the
+    paper's choice; any other order gives the same forms, since two orders
+    differ by a combination of loop equations, all of which reduce to zero.
 
     Memoized forms are ``Form``s in lowest terms, built by ``_combine`` in
     both the length and the substitution step; ``reduce`` hands out
@@ -130,9 +130,7 @@ class LoopReducer:
     diagnostic for conditioning reports.
     """
 
-    def __init__(self, V: Potential, N: int, strategy: str = "largest"):
-        if strategy not in ("largest", "smallest"):
-            raise ValueError("strategy must be 'largest' or 'smallest'")
+    def __init__(self, V: Potential, N: int):
         if not V.reducible:
             raise ValueError(
                 "moment reduction needs deg R > deg D; the substitution step does"
@@ -141,7 +139,6 @@ class LoopReducer:
         self.V = V
         self.N = N
         self.d = V.d
-        self.strategy = strategy
         self._memo: dict[Partition, Form] = {}
 
     def reduce(self, mu: Sequence[int]) -> dict[Partition, CRational]:
@@ -165,13 +162,7 @@ class LoopReducer:
         elif not mu or mu[0] < self.d:  # mu is sorted: no part of it is d or more
             form = (1, {mu: (1, 0)})
         else:
-            # the parts >= d come first: eliminate the first, or the last of them
-            idx = 0
-            if self.strategy == "smallest":
-                while idx + 1 < len(mu) and mu[idx + 1] >= self.d:
-                    idx += 1
-            rest = mu[:idx] + mu[idx + 1:]
-            qmu = (mu[idx] - self.d,) + tuple(rest)
+            qmu = (mu[0] - self.d, *mu[1:])  # mu is sorted: eliminate its largest part
             if self.V.kind == "polynomial":
                 Q = q_polynomial(qmu, self.V, self.N)
             else:

@@ -182,15 +182,15 @@ def test_criterion_7_discriminator():
     for n in comps:
         for m in comps:
             target = 1.0 if n == m else 0.0
-            worst = max(worst, abs(eng60.ratio(n, m) - target))
+            worst = max(worst, abs(eng60.ratio(n, m)[0] - target))
     eng25 = DiscriminatorEngine(V, 25, 1e-9)
     eng100 = DiscriminatorEngine(V, 100, 1e-9)
     trend_ok = True
     for n in comps:
         for m in comps:
             target = 1.0 if n == m else 0.0
-            d100 = abs(eng100.ratio(n, m) - target)
-            d25 = abs(eng25.ratio(n, m) - target)
+            d100 = abs(eng100.ratio(n, m)[0] - target)
+            d25 = abs(eng25.ratio(n, m)[0] - target)
             trend_ok = trend_ok and d100 <= d25 + 0.1
     dt = time.time() - t0
     ok = worst < 0.2 and trend_ok and dt < 60.0

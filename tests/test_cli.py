@@ -16,6 +16,7 @@ from loopeq.cli import CachedMomentTable, main
 
 GAUSS = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]]}
 CUBIC = {"kind": "polynomial", "t": [["1", "0"], ["0", "0"], ["1", "0"]]}
+QUARTIC = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]}  # V' = x + x^3
 HAAR2 = {"kind": "rational", "R": [["2", "0"]], "D": [["0", "0"], ["1", "0"]]}
 
 
@@ -258,7 +259,7 @@ DEEP = "error: input nests too deeply: the exact recursion exceeds Python's recu
 
 def test_deep_reduction_is_usage_error(pot, capsys):
     # LoopReducer recursed once per reduction step and died with a RecursionError traceback, exit 1
-    path = pot("quartic.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]})
+    path = pot("quartic.json", QUARTIC)
     box = [[], [1], [1, 1], [1, 1, 1], [2], [2, 1], [2, 1, 1], [2, 2], [2, 2, 1], [2, 2, 2]]
     basis = pot("basis.json", {"N": 3, "d": 3, "values": [{"mu": mu, "value": [1.0, 0.0]} for mu in box]})
     code = main(["solve", "--potential", path, "--N", "3", "--basis", basis, "--targets", "1000"])
@@ -271,7 +272,7 @@ def test_deep_reduction_is_usage_error(pot, capsys):
 def test_large_box_basis_is_checked_quickly(pot, capsys):
     # the box check listed every partition of each weight up to N(d-1) and then
     # dropped those with a large part: N = 30 took 43 s, N = 40 over 10 min
-    path = pot("quartic.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]})
+    path = pot("quartic.json", QUARTIC)
     basis = pot("basis.json", {"N": 40, "d": 3, "values": [{"mu": [], "value": [1.0, 0.0]}]})
     start = time.perf_counter()
     code = main(["solve", "--potential", path, "--N", "40", "--basis", basis, "--targets", "1"])
@@ -385,11 +386,10 @@ def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys
     ("expect", "--tol", "inf"),
     ("residuals", "--tol", "0"),
     ("discrim", "--tol", "2"),
-    ("discrim", "--delta-tol", "nan"),
 ])
 def test_bad_tolerance_or_threshold_is_usage_error(pot, capsys, command, flag, value):
     # --tol inf reported a witness with error bars larger than its entries as
-    # verified, and a NaN threshold failed every check with exit 1
+    # verified
     path = pot("cubic.json", CUBIC)
     cls = pot("class.json", {"N": 2, "arcs": "basis", "terms": [{"n": [2, 0], "c": [1, 0]}]})
     needs = {"iso": ["--N", "2"], "expect": ["--class", cls], "residuals": ["--class", cls],
@@ -427,7 +427,7 @@ def test_residuals_verdict_is_the_error_budget(pot, tmp_path, capsys):
     # one real-axis moment moved by 100x its bar: max_relative stays near 1e-12,
     # under any fixed threshold such as the old --fail-above 1e-8, but the
     # residuals it touches exceed their own error budgets
-    path = pot("quartic.json", {"kind": "polynomial", "t": [["0", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]})
+    path = pot("quartic.json", QUARTIC)
     cache = tmp_path / "cache"
     out = tmp_path / "out.json"
     args = ["residuals", "--potential", path, "--gamma", "real", "--N", "2", "--weight-max", "4",
@@ -450,11 +450,12 @@ def test_residuals_verdict_is_the_error_budget(pot, tmp_path, capsys):
     assert 1 <= int(found[4]) <= int(found[5]) == len(data["entries"])
 
 
-@pytest.mark.parametrize("command,flag", [("iso", "--min-singular"), ("residuals", "--fail-above")])
+@pytest.mark.parametrize("command,flag", [("iso", "--min-singular"), ("residuals", "--fail-above"),
+                                          ("discrim", "--delta-tol")])
 def test_threshold_flags_are_gone(pot, capsys, command, flag):
     # the verdicts come from the error bars alone
     path = pot("cubic.json", CUBIC)
-    needs = {"iso": ["--N", "1"], "residuals": ["--gamma", "real"]}
+    needs = {"iso": ["--N", "1"], "residuals": ["--gamma", "real"], "discrim": ["--r", "60"]}
     assert main([command, "--potential", path, *needs[command], flag, "1e-8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -886,14 +887,53 @@ def test_discrim_cli(pot, capsys):
 
 def test_discrim_verdict_names_the_deviation_and_the_tolerance(pot, capsys):
     # cubic at N = 2: the test factors vanish only to first order at the other
-    # saddles (README "Caps"), so the ratios miss their delta limit
+    # saddles (README "Caps"), so the ratio matrix is farther than 1 from I
     path = pot("cubic.json", CUBIC)
     assert main(["discrim", "--potential", path, "--r", "60", "--N", "2"]) == 1
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["max_deviation"] >= 0.2
-    (line,) = captured.err.splitlines()
-    assert line.startswith("not verified: ")
-    assert "1.334e+00" in line and "--delta-tol 0.2" in line
+    assert json.loads(captured.out)["max_deviation"] == pytest.approx(1.334, abs=1e-3)
+    found = re.fullmatch(r"not verified: distance \|\|R - I\|\|_2 = (\S+) of the ratio matrix from its"
+                         r" delta limit plus its error bound (\S+) reaches 1\n", captured.err)
+    assert found and found[1] == "1.886e+00"
+    assert 0 < float(found[2]) < 1e-6
+
+
+@pytest.mark.parametrize("r,code,distance", [(10, 0, None), (50, 1, "4.180e+00")])
+def test_discrim_quartic_verdict_follows_the_distance(pot, capsys, r, code, distance):
+    # V' = x + x^3 at N = 1: ||R - I||_2 stays below 1 through r = 24 (README
+    # "Caps"); at r = 10 max_deviation 0.30 failed the old 0.2 threshold
+    path = pot("quartic.json", QUARTIC)
+    assert main(["discrim", "--potential", path, "--r", str(r), "--N", "1"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert 0.2 < json.loads(captured.out)["max_deviation"] < 0.31
+    else:
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"not verified: distance ||R - I||_2 = {distance} ")
+
+
+@pytest.mark.parametrize("argv,code", [(["iso", "--N", "1"], 0),
+                                       (["discrim", "--N", "2", "--r", "60"], 1)])
+def test_closed_stdout_keeps_the_verdict(tmp_path, argv, code):
+    # a reader that left before the JSON was written turned the verdict into
+    # exit 2 with "error: [Errno 32] Broken pipe"
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(CUBIC))
+    src = str(Path(loopeq.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, loopeq.cli; sys.exit(loopeq.cli.main(sys.argv[1:]))"
+    with subprocess.Popen([sys.executable, "-c", script, argv[0], "--potential", str(path), *argv[1:]],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()  # before the child has imported numpy, let alone written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == code
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.fullmatch(r"not verified: distance \|\|R - I\|\|_2 = 1\.886e\+00 of the ratio matrix"
+                            r" from its delta limit plus its error bound \S+ reaches 1\n", err)
 
 
 def test_discrim_range_guard_keeps_the_ray_integrands_finite(pot, capsys):

@@ -11,7 +11,8 @@ from loopeq import (
     lagrange_f,
     saddle_points,
 )
-from loopeq.discriminator import _level_maps
+from loopeq.discriminator import DiscriminatorReport, _level_maps
+from loopeq.momsolve import gamma
 from loopeq.quadrature import vandermonde_sum
 from loopeq.symfunc import compositions
 
@@ -105,7 +106,7 @@ def test_lagrange_two_nodes(gauss):
 
 
 def test_gaussian_ratio_converges(gauss):
-    v = DiscriminatorEngine(gauss, 60, 1e-9).ratio((1,), (1,))
+    v, _ = DiscriminatorEngine(gauss, 60, 1e-9).ratio((1,), (1,))
     assert abs(v - 1) < 0.05
 
 
@@ -115,7 +116,7 @@ def test_cubic_delta_matrix(cubic):
     for n in comps:
         for m in comps:
             target = 1.0 if n == m else 0.0
-            assert abs(eng.ratio(n, m) - target) < 0.2
+            assert abs(eng.ratio(n, m)[0] - target) < 0.2
 
 
 def test_cubic_trend_improves(cubic):
@@ -124,7 +125,7 @@ def test_cubic_trend_improves(cubic):
     for n in [(1, 0), (0, 1)]:
         for m in [(1, 0), (0, 1)]:
             target = 1.0 if n == m else 0.0
-            assert abs(e100.ratio(n, m) - target) <= abs(e25.ratio(n, m) - target) + 0.1
+            assert abs(e100.ratio(n, m)[0] - target) <= abs(e25.ratio(n, m)[0] - target) + 0.1
 
 
 @pytest.mark.parametrize("r", [60, 100])
@@ -139,7 +140,7 @@ def test_cubic_two_body_diagonal(cubic):
     # multiplicity-2 blocks exercise the full amplitude (C_2, Vandermonde)
     eng = DiscriminatorEngine(cubic, 100, 1e-9)
     for n in [(2, 0), (1, 1)]:
-        assert abs(eng.ratio(n, n) - 1) < 0.1
+        assert abs(eng.ratio(n, n)[0] - 1) < 0.1
 
 
 def test_injectivity_witness(cubic):
@@ -152,7 +153,7 @@ def test_injectivity_witness(cubic):
         }
         if all(abs(v) < 1e-12 for v in c.values()):
             c[(1, 0)] = 1.0
-        got = max(abs(eng.ratio_for_class(c, m)) for m in [(1, 0), (0, 1)])
+        got = max(abs(eng.ratio_for_class(c, m)[0]) for m in [(1, 0), (0, 1)])
         assert got >= 0.5 * max(abs(v) for v in c.values())
 
 
@@ -188,7 +189,7 @@ def test_two_body_expectation_is_hand_expanded_vandermonde(cubic, r):
                 + A(word[0], s[0], 0) * A(word[1], s[1], 2)
                 for s in maps
             )
-            got = eng.expectation(n, m_hat)
+            got, _ = eng.expectation(n, m_hat)
             assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -196,3 +197,31 @@ def test_two_body_kernel_bound_carries_quadrature_error(cubic):
     eng = DiscriminatorEngine(cubic, 60, 1e-9)
     value, err = vandermonde_sum(eng.moments, ((0, 0), (1, 1)))
     assert 0 < err < 1e-6 * abs(value)
+
+
+@pytest.mark.parametrize("bar,verified", [(0.0, True), (0.06, False)])
+def test_report_verdict_adds_the_bound_to_the_distance(bar, verified):
+    # R - I = diag(0.9, -0.5): ||R - I||_2 = 0.9, and four bars of 0.06 give
+    # ||bars||_F = 0.12, which lifts the sum past 1
+    n, m = (1, 0), (0, 1)
+    values = {(n, n): 1.9 + 0j, (n, m): 0j, (m, n): 0j, (m, m): 0.5 + 0j}
+    rep = DiscriminatorReport(r=60, N=1, tol=1e-9, ratios={k: (v, bar) for k, v in values.items()})
+    assert rep.distance == pytest.approx(0.9, rel=1e-15)
+    assert rep.max_deviation == pytest.approx(0.9, rel=1e-15)
+    assert rep.bound == pytest.approx(2 * bar + gamma(4) * 0.9, rel=1e-15)
+    assert rep.verified is verified
+    assert rep.to_json()["ratios"][0] == {"n": [0, 1], "m": [0, 1], "value": [0.5, 0.0]}  # no bar
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_ratio_bar_is_the_level_map_bounds_over_the_amplitude(cubic, N):
+    eng = DiscriminatorEngine(cubic, 60, 1e-9)
+    for n in compositions(N, 2):
+        for m in compositions(N, 2):
+            m_hat = eng._lift(m)
+            word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
+            bounds = [vandermonde_sum(eng.moments, tuple(zip(word, s)))[1]
+                      for s in _level_maps(m_hat, N)]
+            value, bar = eng.ratio(n, m)
+            assert bar == pytest.approx(sum(bounds) / abs(eng.amplitude(m_hat)), rel=1e-15)
+            assert 0 < bar < 1e-6 * max(1.0, abs(value))
