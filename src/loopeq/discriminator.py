@@ -277,7 +277,7 @@ class DiscriminatorReport:
     max_deviation: float = field(init=False)
     distance: float = field(init=False)
     bound: float = field(init=False)
-    verified: bool = field(init=False)  # distance + bound < 1
+    verified: bool = field(init=False)
 
     def __post_init__(self):
         comps = sorted({n for n, _ in self.ratios})
