@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
@@ -43,6 +42,7 @@ from .contours import (
     sample_polyline,
     sectors,
 )
+from .exact import _printable_fraction
 from .loopgen import Potential, q_polynomial, q_rational
 from .momsolve import MomentFunctional, loop_tuples, residuals, solve_moments
 from .quadrature import (
@@ -134,6 +134,8 @@ class CachedMomentTable(MomentTable):
     and the quadrature rule's ``RULE_TAG``."""
 
     def __init__(self, arcs, V, tol, cache_dir):
+        import hashlib  # loads OpenSSL (about 3.4 MB), so only commands given --cache pay it
+
         super().__init__(arcs, V, tol)
         self.cache_dir = cache_dir
         self.path = os.path.join(cache_dir, "moments.json")
@@ -244,9 +246,9 @@ def _couplings(args) -> dict[int, Fraction]:
         v = getattr(args, f"t{k}", None)
         if v is not None:
             try:
-                out[k] = Fraction(v)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad --t{k} weight {v!r}; expected a rational such as 1/2")
+                out[k] = _printable_fraction(v)
+            except (ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"bad --t{k} weight {v!r}; expected a rational such as 1/2 ({e})")
     return out
 
 

@@ -207,8 +207,12 @@ def _printable_fraction(text: str) -> Fraction:
     limit = sys.get_int_max_str_digits() or inf
     try:
         _, digits, exp = Decimal(text).as_tuple()  # the exponent stays unexpanded
-    except InvalidOperation:  # "n/d" or malformed: Fraction parses or refuses it
-        digits, exp = (), 0
+    except InvalidOperation:  # "n/d", malformed, or an exponent of over 18 digits
+        head, _, tail = text.lower().rpartition("e")
+        try:  # Fraction checks the mantissa; int() reads the exponent without expanding 10^exp
+            digits, exp = (Fraction(head + "e0") != 0,), int(tail)
+        except ValueError:  # "n/d" or malformed: Fraction parses or refuses it
+            digits, exp = (), 0
     # a nonzero m 10^exp, m of len(digits) digits, has a part of over |exp| - len(digits) digits
     if type(exp) is int and abs(exp) - len(digits) >= limit:  # finite and beyond the limit
         if not any(digits):

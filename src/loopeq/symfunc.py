@@ -102,7 +102,8 @@ class PowerSumPoly:
     __slots__ = ("terms", "nvars")
 
     def __init__(self, terms: Mapping[Partition, object], nvars):
-        self.terms = {mu: c for mu, c in terms.items() if c}
+        # a CRational's parts are read in place: its __bool__ is a Python frame per term
+        self.terms = {mu: c for mu, c in terms.items() if (c.n or c.m if type(c) is CRational else c)}
         self.nvars = nvars
 
     @classmethod

@@ -146,6 +146,47 @@ def test_parser_keeps_no_command_state(pot, tmp_path):
     assert (tmp_path / "o2.json").read_bytes() == (tmp_path / "o1.json").read_bytes()
 
 
+OPENSSL_PROBE = """
+import json, sys
+import loopeq.cli, loopeq.quadrature
+if sys.argv[1] == "no-quadrature":  # every moment must then come from the disk cache
+    def refuse(*args):
+        raise ArithmeticError("computed a moment")
+    loopeq.quadrature.MomentTable.moment = refuse
+codes = [loopeq.cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "_hashlib": "_hashlib" in sys.modules}))
+"""
+
+
+def test_only_the_moment_cache_loads_openssl(pot, tmp_path):
+    # hashlib loads OpenSSL's libcrypto (about 3.4 MB of peak RSS) and only the
+    # --cache keys use it; each run is a fresh interpreter, so no import leaks in
+    cubic = pot("cubic.json", CUBIC)
+    basis = pot("basis.json", {"N": 1, "d": 2, "values": [
+        {"mu": [], "value": [1.0, 0.0]}, {"mu": [1], "value": [0.5, 0.0]}]})
+    src = str(Path(loopeq.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def probe(mode, *commands):
+        done = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, mode, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    iso = ["iso", "--potential", cubic, "--N", "1", "--out", str(tmp_path / "iso.json")]
+    cold = probe("quadrature",
+                 ["solve", "--potential", cubic, "--N", "1", "--basis", basis, "--targets", "3;2,1",
+                  "--out", str(tmp_path / "solve.json")],
+                 ["tutte", "--t3", "1", "--mu", "1", "--order", "3", "--out", str(tmp_path / "tutte.json")],
+                 iso)
+    assert cold == {"codes": [0, 0, 0], "_hashlib": False}
+    cache = ["--cache", str(tmp_path / "cache")]
+    assert probe("quadrature", iso + cache) == {"codes": [0], "_hashlib": True}
+    assert probe("no-quadrature", iso + cache) == {"codes": [0], "_hashlib": True}
+    assert probe("no-quadrature", iso) == {"codes": [2], "_hashlib": False}  # the probe bites
+
+
 def test_cache_is_named_by_the_flag_only(pot, tmp_path, monkeypatch):
     path = pot("gauss.json", GAUSS)
     cls = pot("class.json", {"N": 2, "arcs": "real", "terms": [{"n": [2], "c": [1, 0]}]})
@@ -666,11 +707,13 @@ def test_rational_elbow_verifies_with_a_looser_tol(pot, capsys):
 
 
 @pytest.mark.parametrize("t0,code", [("1e5000", 2), ("1e100000000", 2), ("-2.5e-100000000", 2),
-                                     ("0e100000000", 0)])
+                                     ("0e100000000", 0), ("1e99999999999999999999999", 2),
+                                     ("0e99999999999999999999999", 0)])
 def test_coefficients_beyond_the_digit_limit_name_the_file(tmp_path, t0, code):
     # Fraction("1e100000000") expands 10^(10^8), which ran for minutes; "1e5000"
     # failed only when its Q was printed, with no file named.  A zero prints as
-    # "0", whatever its exponent.
+    # "0", whatever its exponent; Decimal refuses an exponent of over 18 digits,
+    # which must not reach Fraction either.
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"kind": "polynomial", "t": [[t0, "0"], ["1", "0"]]}))
     src = str(Path(loopeq.__file__).resolve().parents[1])
@@ -803,13 +846,24 @@ def test_tutte_zero_and_exit_codes(capsys):
         ["maps", "--t3", "1/0", "--marked", "2", "--order", "3"],
         ["maps", "--t3", "1", "--marked", "0", "--order", "2"],
         ["maps", "--t3", "1", "--marked", "2", "--order", "-1"],
+        ["maps", "--t3", "1e999999999", "--order", "2"],
+        ["tutte", "--t3", "1e999999999", "--mu", "1", "--order", "2"],
     ],
 )
 def test_map_commands_reject_bad_input(args, capsys):
-    # a usage error, never "verified" (0) or "nonzero residual" (1)
-    code, data = run(args, capsys)
+    # a usage error, never "verified" (0) or "nonzero residual" (1); a weight
+    # such as 1e999999999 is refused before Fraction expands 10^999999999,
+    # which ran for minutes
+    start = time.perf_counter()
+    code = main(args)
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
     assert code == 2
-    assert data is None
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    if "1e999999999" in args:
+        assert captured.err.startswith("error: bad --t3 weight '1e999999999'")
+        assert "more than" in captured.err and "digits" in captured.err
 
 
 def test_tutte_at_the_order_cap_is_quick(capsys):
