@@ -26,7 +26,6 @@ from .momsolve import (
     solve_moments,
 )
 from .contours import (
-    Deformation,
     HomologyClass,
     admissibility_check,
     basis_arcs,

@@ -337,7 +337,7 @@ def cmd_contours(args) -> tuple[dict, str | None]:
             {
                 "label": arc.label,
                 "polyline": sample_polyline(arc),
-                "admissible": admissibility_check(arc, V).ok,
+                "admissible": admissibility_check(arc, V) is None,
             }
             for arc in arcs
         ],

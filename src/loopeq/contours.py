@@ -117,6 +117,9 @@ class CircleSeg(_OnCircle):
 Segment = Union[RaySeg, ArcSeg, CircleSeg]
 
 
+# Every field stays, though only ``closed`` reads ``start`` and nothing reads
+# ``end``: together they make up ``repr(arc)``, which ``cli.CachedMomentTable``
+# hashes into every moment-cache key and ``test_bit_identity`` pins.
 @dataclass(frozen=True)
 class Contour:
     segments: tuple[Segment, ...]
@@ -254,83 +257,66 @@ def _passes_through(seg: Segment, p: complex) -> bool:
     return dist <= _ON_SEGMENT * (1.0 + abs(p))
 
 
-@dataclass
-class AdmissibilityReport:
-    ok: bool
-    worst_location: complex | None
-    detail: str = ""
-
-
-def admissibility_check(c: Contour, V: Potential) -> AdmissibilityReport:
-    """Whether ``c`` is admissible for e^{-V}.
+def admissibility_check(c: Contour, V: Potential) -> str | None:
+    """Why ``c`` is not admissible for e^{-V}, or None when it is.
 
     It is when every ray runs out strictly inside one of ``sectors(V)`` and no
     segment passes through a pole of e^{-V} (a pole of V' with positive
-    residue).  On failure ``worst_location`` is the base of the first ray that
-    leaves the sectors, or the pole hit.
+    residue).  The reason names the first ray that leaves the sectors, or the
+    pole hit.
     """
     secs = sectors(V)
     poles = [p for p, r in V.partial_fractions[1] if r > 0]
     for seg in c.segments:
         if isinstance(seg, RaySeg) and not any(s.contains(seg.angle) for s in secs):
-            return AdmissibilityReport(
-                False, seg.base, f"ray angle {seg.angle:.4f} lies in no sector where Re V -> +inf"
-            )
+            return f"ray angle {seg.angle:.4f} lies in no sector where Re V -> +inf"
         for p in poles:
             if _passes_through(seg, p):
-                return AdmissibilityReport(False, p, f"contour passes through the pole {p:.6g}")
-    return AdmissibilityReport(True, None)
+                return f"contour passes through the pole {p:.6g}"
+    return None
 
 
 # -- homotopic deformation ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Deformation:
-    """Bounded homotopy: translate, scale radially about arc centers, rotate."""
+def deform(c: Contour, *, shift: complex = 0j, radius_factor: float = 1.0, rotate: float = 0.0,
+           V: Potential | None = None) -> Contour:
+    """Move ``c`` by a bounded homotopy: translate by ``shift``, scale radially
+    about arc centers by ``radius_factor``, rotate by ``rotate``.
 
-    shift: complex = 0j
-    radius_factor: float = 1.0
-    rotate: float = 0.0
-
-
-def deform(c: Contour, bump: Deformation, V: Potential | None = None) -> Contour:
-    """Apply a deformation, refusing ones that leave the admissible contours.
-
-    Scaled/shifted circles must keep their pole strictly inside; when a
-    potential is supplied the result must pass ``admissibility_check``.
+    Moves that leave the admissible contours are refused: scaled/shifted
+    circles must keep their pole strictly inside, and when a potential is
+    supplied the result must pass ``admissibility_check``.
     """
-    rot = cmath.exp(1j * bump.rotate)
+    rot = cmath.exp(1j * rotate)
     segs: list[Segment] = []
     for seg in c.segments:
         if isinstance(seg, RaySeg):
             segs.append(
                 RaySeg(
-                    base=seg.base * rot * bump.radius_factor + bump.shift,
-                    angle=seg.angle + bump.rotate,
+                    base=seg.base * rot * radius_factor + shift,
+                    angle=seg.angle + rotate,
                     inward=seg.inward,
                 )
             )
         elif isinstance(seg, ArcSeg):
             segs.append(
                 ArcSeg(
-                    center=seg.center * rot + bump.shift,
-                    radius=seg.radius * bump.radius_factor,
-                    a0=seg.a0 + bump.rotate,
-                    a1=seg.a1 + bump.rotate,
+                    center=seg.center * rot + shift,
+                    radius=seg.radius * radius_factor,
+                    a0=seg.a0 + rotate,
+                    a1=seg.a1 + rotate,
                 )
             )
         elif isinstance(seg, CircleSeg):
-            new_center = seg.center * rot + bump.shift
-            new_radius = seg.radius * bump.radius_factor
+            new_center = seg.center * rot + shift
+            new_radius = seg.radius * radius_factor
             if abs(new_center - seg.center) >= new_radius:
                 raise ValueError("deformation would push the circle off its pole")
             segs.append(CircleSeg(center=new_center, radius=new_radius))
     out = Contour(segments=tuple(segs), start=c.start, end=c.end, label=c.label + "~")
-    if V is not None:
-        report = admissibility_check(out, V)
-        if not report.ok:
-            raise ValueError(f"deformation leaves the admissible contours: {report.detail}")
+    if V is not None and (reason := admissibility_check(out, V)) is not None:
+        raise ValueError(f"deformation leaves the admissible contours: {reason}")
     return out
 
 

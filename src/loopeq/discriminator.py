@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, zip_longest
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -43,7 +43,6 @@ MAX_DEGREE = 3
 class SaddleSet:
     """Critical-point data of V_r = V - r log x (all saddles at infinity)."""
 
-    r: int
     xi: list  # complex saddle locations, sorted by phase
     Q_prime: list  # prod_{k != j} (xi_j - xi_k)
     Vr_values: list  # V_r(xi_j), principal log
@@ -60,13 +59,8 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
         raise ValueError("the discriminator supports polynomial potentials")
     if r < 1:
         raise ValueError("r must be a positive integer")
-    # numerator of x V'(x) - r: x R(x) - r D(x)
-    R, D = V.complex_coeffs
-    coeffs = [a - r * b for a, b in zip_longest((0j, *R), D, fillvalue=0j)]
-    while coeffs and abs(coeffs[-1]) == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        raise ValueError("x V'(x) = r is degenerate for this potential")
+    # x V'(x) - r = x R(x) - r, since D = 1 for polynomial V
+    coeffs = [complex(-r), *V.complex_coeffs[0]]
     roots = np.roots(list(reversed(coeffs)))
 
     polished = []
@@ -97,7 +91,6 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
     vr_second = [_second_derivative(V, z) + r / z ** 2 for z in polished]
     anchor = max(range(len(polished)), key=lambda j: (vr_vals[j].real, -abs(polished[j].imag)))
     return SaddleSet(
-        r=r,
         xi=polished,
         Q_prime=qprime,
         Vr_values=vr_vals,

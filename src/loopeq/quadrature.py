@@ -251,9 +251,8 @@ class MomentTable:
     def __init__(self, arcs, V: Potential, tol: float = 1e-12):
         self.arcs = tuple(arcs)
         for arc in self.arcs:
-            report = admissibility_check(arc, V)
-            if not report.ok:
-                raise ValueError(f"inadmissible contour {arc.label}: {report.detail}")
+            if (reason := admissibility_check(arc, V)) is not None:
+                raise ValueError(f"inadmissible contour {arc.label}: {reason}")
         self.V = V
         self.tol = tol
         self.data: dict[tuple[int, int], tuple[complex, float]] = MomentMap(self, "moment")

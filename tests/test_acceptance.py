@@ -10,7 +10,6 @@ import time
 
 from loopeq import (
     CRational,
-    Deformation,
     DiscriminatorEngine,
     HomologyClass,
     MomentFunctional,
@@ -246,11 +245,12 @@ def test_criterion_9_property_suites():
     rng = random.Random(77)
     checked = 0
     for i in range(10):
-        bump = Deformation(
+        moved = deform(
+            base,
             shift=complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4)),
             rotate=rng.uniform(-0.15, 0.15),
+            V=V,
         )
-        moved = deform(base, bump, V)
         for k in range(5):
             v0, e0 = arc_moment(base, V, k, 1e-12)
             v1, e1 = arc_moment(moved, V, k, 1e-12)

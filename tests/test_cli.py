@@ -693,6 +693,22 @@ def test_elbow_join_through_an_anti_sector_fails_cleanly(pot, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_elbow_ray_from_the_join_radius_underflows(pot, tmp_path, capsys):
+    # V' = x^3 + 3x^2 + 2/x: basis_arcs starts the elbow rays at the join
+    # radius 7, where |e^{-V}| is about e^-947, below double precision.  ROADMAP
+    # item 13 asks for exit 0 here: move this test when elbow routing improves.
+    path = pot("under.json", {"kind": "rational",
+                              "R": [["2", "0"], ["0", "0"], ["0", "0"], ["3", "0"], ["1", "0"]],
+                              "D": [["0", "0"], ["1", "0"]]})
+    out = tmp_path / "iso.json"
+    assert main(["iso", "--potential", path, "--N", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("quadrature error: e^{-V} underflows double precision"
+                            " along ray angle 0.0000 from its base 7+0j\n")
+    assert not out.exists()
+
+
 def test_rational_elbow_verifies_with_a_looser_tol(pot, capsys):
     # V' = x^2 + 2/(x - 1): at the default --tol 1e-12 QAGS stops at roundoff
     # (achieved error 9.0e-11); at 1e-10 the witness verifies.  At p = 2 and 3

@@ -5,7 +5,6 @@ import pytest
 
 from loopeq import (
     CRational,
-    Deformation,
     Potential,
     admissibility_check,
     basis_arcs,
@@ -71,23 +70,21 @@ def test_basis_arcs_reject_negative_residue():
 
 
 def test_admissibility_examples(gauss):
-    assert admissibility_check(real_axis_contour(), gauss).ok
+    assert admissibility_check(real_axis_contour(), gauss) is None
     V3 = Potential.polynomial([0, 0, 1])  # x^3/3: real axis blows up at -inf
-    rep = admissibility_check(real_axis_contour(), V3)
-    assert not rep.ok
-    assert rep.worst_location is not None
+    assert admissibility_check(real_axis_contour(), V3) is not None
     V4 = Potential.polynomial([0, 0, 0, 1])
-    assert admissibility_check(imaginary_axis_contour(), V4).ok
+    assert admissibility_check(imaginary_axis_contour(), V4) is None
 
 
 def test_admissibility_quartic_sector_edge(quartic):
     # quartic sectors: half-width pi/8 about 0, pi/2, pi, 3pi/2
-    inside = deform(real_axis_contour(), Deformation(rotate=math.pi / 8 - 0.005))
-    outside = deform(real_axis_contour(), Deformation(rotate=math.pi / 8 + 0.005))
-    assert admissibility_check(inside, quartic).ok
+    inside = deform(real_axis_contour(), rotate=math.pi / 8 - 0.005)
+    outside = deform(real_axis_contour(), rotate=math.pi / 8 + 0.005)
+    assert admissibility_check(inside, quartic) is None
     rep = admissibility_check(outside, quartic)
-    assert not rep.ok
-    assert "ray angle" in rep.detail
+    assert rep is not None
+    assert "ray angle" in rep
 
 
 def test_sectors_of_rational_potentials(haar2):
@@ -99,49 +96,48 @@ def test_sectors_of_rational_potentials(haar2):
 def test_circle_through_a_pole_is_refused(haar2):
     # e^{-V} = x^-2 for V' = 2/x: the circle of radius 1 about 1 runs through its pole
     rep = admissibility_check(circle_contour(1.0 + 0j, 1.0), haar2)
-    assert not rep.ok
-    assert rep.worst_location == 0
-    assert admissibility_check(circle_contour(), haar2).ok
+    assert rep is not None
+    assert "passes through the pole" in rep
+    assert admissibility_check(circle_contour(), haar2) is None
 
 
 def test_rays_are_refused_without_a_polynomial_part(haar2):
     # the line Im x = 1 misses the pole at 0, but 2/x has no sector at infinity
-    line = deform(real_axis_contour(), Deformation(shift=1j))
+    line = deform(real_axis_contour(), shift=1j)
     rep = admissibility_check(line, haar2)
-    assert not rep.ok
-    assert rep.worst_location == 1j
-    assert "ray angle" in rep.detail
+    assert rep is not None
+    assert "ray angle" in rep
 
 
 def test_deform_checks_rays_of_rational_potentials():
     V = Potential.rational([2, 0, 0, 1], [0, 1])  # V' = x^2 + 2/x: sector half-width pi/6
     elbow = next(arc for arc in basis_arcs(V) if not arc.closed)
-    assert admissibility_check(deform(elbow, Deformation(rotate=0.1), V), V).ok
+    assert admissibility_check(deform(elbow, rotate=0.1, V=V), V) is None
     with pytest.raises(ValueError):
-        deform(elbow, Deformation(rotate=0.6), V)
+        deform(elbow, rotate=0.6, V=V)
 
 
 def test_basis_arcs_are_admissible(cubic, quartic):
     for V in (cubic, quartic):
         for arc in basis_arcs(V):
-            assert admissibility_check(arc, V).ok
+            assert admissibility_check(arc, V) is None
 
 
 def test_deform_shift_and_scale(gauss, haar2):
-    shifted = deform(real_axis_contour(), Deformation(shift=0.3j), gauss)
-    assert admissibility_check(shifted, gauss).ok
-    grown = deform(circle_contour(), Deformation(radius_factor=1.5), haar2)
+    shifted = deform(real_axis_contour(), shift=0.3j, V=gauss)
+    assert admissibility_check(shifted, gauss) is None
+    grown = deform(circle_contour(), radius_factor=1.5, V=haar2)
     assert grown.segments[0].radius == pytest.approx(1.5)
 
 
 def test_deform_rejects_forbidden_rotation(gauss):
     with pytest.raises(ValueError):
-        deform(real_axis_contour(), Deformation(rotate=math.pi / 2), gauss)
+        deform(real_axis_contour(), rotate=math.pi / 2, V=gauss)
 
 
 def test_deform_rejects_circle_off_pole(haar2):
     with pytest.raises(ValueError):
-        deform(circle_contour(), Deformation(shift=2.0 + 0j), haar2)
+        deform(circle_contour(), shift=2.0 + 0j, V=haar2)
 
 
 def test_closing_arc_relation_quartic():
@@ -163,7 +159,7 @@ def test_basis_arc_deformation_invariance(cubic):
     from loopeq import arc_moment
 
     for arc in basis_arcs(cubic):
-        moved = deform(arc, Deformation(shift=0.2 - 0.1j, rotate=0.05), cubic)
+        moved = deform(arc, shift=0.2 - 0.1j, rotate=0.05, V=cubic)
         for k in range(9):
             v0, e0 = arc_moment(arc, cubic, k, 1e-12)
             v1, e1 = arc_moment(moved, cubic, k, 1e-12)

@@ -16,8 +16,13 @@ The ``iso`` matrix A at N bodies (``moment_matrix``) follows with
 
     det A = det(M1)^binom(N+d-1, d) c(d, N) t_{d+1}^(-e),  e = d binom(N+d-1, d+1),
 
-where the integer c(d, N) is measured (ROADMAP finding (d)) and, on the
-potentials below, does not depend on the lower coefficients.
+where the integer c(d, N) has the product form of ROADMAP finding (g),
+
+    |c(d, N)| = prod_{k=2}^{N} k^e(d, N+1-k),
+    e(d, m) = d binom(m+d-1, d) + (d-1) binom(m+d-2, d-1),
+
+and a measured sign; on the potentials below it does not depend on the
+lower coefficients.
 """
 
 import cmath
@@ -29,8 +34,6 @@ import pytest
 from loopeq import CRational, MomentTable, Potential, basis_arcs, moment_matrix
 
 EPS = {1: -1, 2: -1j, 3: -1j, 4: -1, 5: 1, 6: 1j, 7: 1j}  # eps_d, measured
-# c(d, N), measured
-C = {2: {2: -8, 3: 2 ** 8 * 3 ** 3, 4: 2 ** 21 * 3 ** 8}, 3: {2: -32, 3: 2 ** 18 * 3 ** 5}}
 U = 2.0 ** -53
 
 
@@ -49,6 +52,17 @@ def critical_value_sum(t) -> CRational:
     for k in range(1, d + 2):
         total = total + t[k - 1] / k * power[k]
     return total
+
+
+NEGATIVE = {(2, 2), (3, 2)}  # the (d, N) tested here with c(d, N) < 0, measured
+
+
+def c(d: int, N: int) -> int:
+    """c(d, N): the product form of |c| times the measured sign."""
+    def e(m):
+        return d * math.comb(m + d - 1, d) + (d - 1) * math.comb(m + d - 2, d - 1)
+
+    return (-1 if (d, N) in NEGATIVE else 1) * math.prod(k ** e(N + 1 - k) for k in range(2, N + 1))
 
 
 def closed_form(V: Potential) -> complex:
@@ -164,7 +178,7 @@ def test_iso_determinant_matches_the_closed_form(name, N):
     det, bar = det_with_bar(A.entries, A.errors)
     power = math.comb(N + d - 1, d)
     lead = V.R[-1].to_complex().real
-    want = closed_form(V) ** power * C[d][N] * lead ** (-d * math.comb(N + d - 1, d + 1))
+    want = closed_form(V) ** power * c(d, N) * lead ** (-d * math.comb(N + d - 1, d + 1))
     slack = abs(want) * power * 64 * U * (1 + abs(critical_value_sum(V.R).to_complex()))
     assert abs(det - want) <= bar + slack, (det, want, bar)
     assert _moved_fails(A.entries, A.errors, det, bar, want, slack)
