@@ -252,6 +252,15 @@ def _couplings(args) -> dict[int, Fraction]:
     return out
 
 
+def _check_counts(args):
+    """Refuse an integer flag below its minimum, naming the flag: every --N,
+    --weight-max and --r, before a command reads any file."""
+    for name, minimum in (("N", 1), ("weight_max", 0), ("r", 1)):
+        value = getattr(args, name, None)  # None: not a flag of this command, or not given
+        if value is not None and value < minimum:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
+
+
 def _tol_arg(text: str) -> float:
     """A quadrature tolerance: 0 < tol < 1, which refuses nan and inf too;
     argparse names the flag in the error."""
@@ -268,8 +277,6 @@ def _tol_arg(text: str) -> float:
 
 
 def cmd_gen(args) -> tuple[dict, str | None]:
-    if args.N < 1:
-        raise ValueError(f"--N must be >= 1, got {args.N}")
     V = _load_potential(args.potential)
     mu = _parse_mu(args.mu, "--mu")
     if V.kind == "polynomial":
@@ -297,8 +304,6 @@ def cmd_solve(args) -> tuple[dict, str | None]:
 
 
 def cmd_residuals(args) -> tuple[dict, str | None]:
-    if args.weight_max < 0:
-        raise ValueError(f"--weight-max must be >= 0, got {args.weight_max}")
     V = _load_potential(args.potential)
     G = _class_from_flag(args, V)
     needed = set()
@@ -485,6 +490,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
+        _check_counts(args)
         # looked up when the command runs, so a rebound cmd_* is the one called
         payload, failure = globals()[f"cmd_{args.command}"](args)
         _emit(payload, args.out)

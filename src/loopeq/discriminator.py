@@ -32,11 +32,10 @@ import numpy as np
 from .contours import RaySeg
 from .loopgen import Potential
 from .momsolve import gamma
-from .quadrature import MomentMap, _segment_moment, vandermonde_sum
+from .quadrature import MomentMap, _segment_moment, _word, vandermonde_sum
 from .symfunc import compositions
 
 MAX_BODIES = 2
-MAX_DEGREE = 3
 
 
 @dataclass
@@ -44,7 +43,6 @@ class SaddleSet:
     """Critical-point data of V_r = V - r log x (all saddles at infinity)."""
 
     xi: list  # complex saddle locations, sorted by phase
-    Q_prime: list  # prod_{k != j} (xi_j - xi_k)
     Vr_values: list  # V_r(xi_j), principal log
     Vr_second: list  # V_r''(xi_j)
     anchor_index: int
@@ -80,19 +78,11 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
                     f"coincident saddle points at r={r}; increase r for distinct saddles"
                 )
     polished.sort(key=lambda z: cmath.phase(z) % (2 * math.pi))
-    qprime = []
-    for j, zj in enumerate(polished):
-        prod = 1.0 + 0j
-        for k, zk in enumerate(polished):
-            if k != j:
-                prod *= zj - zk
-        qprime.append(prod)
     vr_vals = [V.V(z) - r * cmath.log(z) for z in polished]
     vr_second = [_second_derivative(V, z) + r / z ** 2 for z in polished]
     anchor = max(range(len(polished)), key=lambda j: (vr_vals[j].real, -abs(polished[j].imag)))
     return SaddleSet(
         xi=polished,
-        Q_prime=qprime,
         Vr_values=vr_vals,
         Vr_second=vr_second,
         anchor_index=anchor,
@@ -112,11 +102,12 @@ def lagrange_f(S: SaddleSet) -> list[list[complex]]:
     """Ascending monomial coefficients of the Lagrange polynomials f_j,
     f_j(x) = prod_{k != j} (x - xi_k) / Q'(xi_j), so f_j(xi_i) = delta_ij."""
     out = []
-    for j, qp in enumerate(S.Q_prime):
-        coeffs = [1.0 + 0j]
+    for j, zj in enumerate(S.xi):
+        coeffs, qp = [1.0 + 0j], 1.0 + 0j
         for k, zk in enumerate(S.xi):
-            if k != j:  # multiply by (x - zk)
+            if k != j:  # multiply by (x - zk), and Q'(xi_j) by (xi_j - zk)
                 coeffs = [a - zk * b for a, b in zip([0j, *coeffs], [*coeffs, 0j])]
+                qp *= zj - zk
         out.append([a / qp for a in coeffs])
     return out
 
@@ -142,8 +133,6 @@ class DiscriminatorEngine:
     """
 
     def __init__(self, V: Potential, r: int, tol: float = 1e-9):
-        if V.d > MAX_DEGREE:
-            raise ValueError(f"d={V.d} beyond the discriminator cap {MAX_DEGREE}")
         self.V = V
         self.r = r
         self.tol = tol
@@ -187,10 +176,9 @@ class DiscriminatorEngine:
         N = sum(n)
         if N > MAX_BODIES:
             raise ValueError(f"N={N} beyond the discriminator cap {MAX_BODIES}")
-        word = [arc for arc, cnt in enumerate(n) for _ in range(cnt)]
         total, err = 0j, 0.0
         for s in _level_maps(m_hat, N):
-            v, e = vandermonde_sum(self.moments, tuple(zip(word, s)))
+            v, e = vandermonde_sum(self.moments, tuple(zip(_word(n), s)))
             total, err = total + v, err + e
         return total, err
 

@@ -14,8 +14,9 @@ couplings.  The recursion structure of those series is exactly the loop
 equations, which is checked here with exact rational arithmetic.  One cap
 bounds the enumeration: trace moments stop at ``HALF_EDGE_CAP`` half-edges,
 and the edge-order cap of the series follows from it, since ``tutte_residual``
-runs its series one edge order past the requested one.  Each entry point reads
-the vertex weights once, through ``_weights``.
+runs its series one edge order past the requested one.  Every vertex weight is
+read through ``_weights``: once by ``map_series``, ``map_potential`` and
+``apply_functional``, and twice by ``tutte_residual``, which calls the last two.
 """
 
 from __future__ import annotations

@@ -531,15 +531,26 @@ def test_residuals_gamma_defaults_to_two_eigenvalues(pot, tmp_path, capsys):
     assert outs[None] == outs["2"] != outs["3"]
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_gen_without_variables_is_usage_error(pot, capsys, n):
-    # Q_mu of zero or a negative number of eigenvalues means nothing
-    path = pot("gauss.json", GAUSS)
-    code = main(["gen", "--potential", path, "--mu", "1", "--N", n])
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--mu", "1", "--N", "0"], "--N must be >= 1, got 0"),
+    (["gen", "--mu", "1", "--N", "-1"], "--N must be >= 1, got -1"),
+    (["solve", "--N", "0", "--basis", "missing.json", "--targets", "1"], "--N must be >= 1, got 0"),
+    (["residuals", "--gamma", "real", "--N", "-1"], "--N must be >= 1, got -1"),
+    (["residuals", "--gamma", "real", "--N", "0"], "--N must be >= 1, got 0"),
+    (["iso", "--N", "0"], "--N must be >= 1, got 0"),
+    (["discrim", "--r", "60", "--N", "0"], "--N must be >= 1, got 0"),
+    (["discrim", "--r", "0"], "--r must be >= 1, got 0"),
+], ids=["0", "-1", "solve-0", "residuals--1", "residuals-0", "iso-0", "discrim-0", "discrim-r-0"])
+def test_gen_without_variables_is_usage_error(pot, capsys, argv, message):
+    # zero or a negative number of eigenvalues means nothing, nor does r = 0;
+    # the error names the flag before any file is read (residuals on cubic
+    # used to report the real line inadmissible instead of the bad N)
+    path = pot("cubic.json", CUBIC)
+    code = main([argv[0], "--potential", path, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "--N" in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("weight", ["-1", "-3"])
@@ -706,6 +717,18 @@ def test_elbow_ray_from_the_join_radius_underflows(pot, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("quadrature error: e^{-V} underflows double precision"
                             " along ray angle 0.0000 from its base 7+0j\n")
+    assert not out.exists()
+
+
+def test_trapezoid_rule_unreachable_tolerance_fails_cleanly(pot, tmp_path, capsys):
+    # on Haar V' = 2/x the basis arc is the unit circle, integrated by the
+    # trapezoid rule, whose successive doublings stop moving at about 3e-16
+    path = pot("haar.json", HAAR2)
+    out = tmp_path / "iso.json"
+    assert main(["iso", "--potential", path, "--N", "1", "--tol", "1e-17", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "quadrature error: trapezoid rule did not converge to 1e-17; last delta 3.378e-16\n"
     assert not out.exists()
 
 
@@ -1020,13 +1043,20 @@ def test_discrim_range_guard_keeps_the_ray_integrands_finite(pot, capsys):
                             " lower r\n")
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_discrim_without_variables_is_usage_error(pot, capsys, n):
-    # N = 0 gave one vacuous ratio 1 and exit 0
+@pytest.mark.parametrize("n,message", [
+    ("0", "--N must be >= 1, got 0"),
+    ("-1", "--N must be >= 1, got -1"),
+    ("3", "N=3 beyond the discriminator cap 2"),
+], ids=["0", "-1", "3"])
+def test_discrim_without_variables_is_usage_error(pot, capsys, n, message):
+    # N = 0 gave one vacuous ratio 1 and exit 0; past MAX_BODIES = 2, which
+    # bounds the level maps and the range guard's factor, N = 3 is refused
     path = pot("cubic.json", CUBIC)
-    code, data = run(["discrim", "--potential", path, "--r", "60", "--N", n], capsys)
+    code = main(["discrim", "--potential", path, "--r", "60", "--N", n])
+    captured = capsys.readouterr()
     assert code == 2
-    assert data is None
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_usage_error_on_unknown_command(capsys):

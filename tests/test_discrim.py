@@ -128,11 +128,19 @@ def test_cubic_trend_improves(cubic):
             assert abs(e100.ratio(n, m)[0] - target) <= abs(e25.ratio(n, m)[0] - target) + 0.1
 
 
-@pytest.mark.parametrize("r", [60, 100])
-def test_degree_three_delta_matrix(r):
-    # V' = 1 + x^3: d = 3 = MAX_DEGREE, three non-anchor saddles
-    rep = discriminator_report(Potential.polynomial([1, 0, 0, 1]), r, 1)
-    assert len(rep.ratios) == 9
+@pytest.mark.parametrize(
+    "t,r",
+    [([1, 0, 0, 1], 60), ([1, 0, 0, 1], 100), ([1, 0, 0, 0, 1], 60), ([0, 1, 0, 0, 1], 60),
+     ([0, 1, 0, 0, 0, 1], 60), ([1, 0, 0, 0, 0, 0, 1], 60), ([0, 1, 0, 0, 0, 0, 0, 1], 60)],
+    ids=["60", "100", "1+x^4", "x+x^4", "x+x^5", "1+x^6", "x+x^7"],
+)
+def test_degree_three_delta_matrix(t, r):
+    # V' = 1 + x^3 (d = 3, three non-anchor saddles) and the degree sweep past
+    # it, d = 4..7: no degree cap, the verdict certifies each at N = 1
+    rep = discriminator_report(Potential.polynomial(t), r, 1)
+    d = len(t) - 1
+    assert len(rep.ratios) == d * d
+    assert rep.verified
     assert rep.max_deviation < 0.1
 
 
