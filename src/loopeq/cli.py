@@ -130,8 +130,8 @@ def _read_moment_cache(path: str) -> dict:
 
 
 class CachedMomentTable(MomentTable):
-    """Moment table backed by a JSON cache keyed by potential/arc/tol hashes, k
-    and the quadrature rule's ``RULE_TAG``."""
+    """Moment table backed by a JSON cache keyed by hashes of the potential, the
+    arc's segments and tol, by k and by the quadrature rule's ``RULE_TAG``."""
 
     def __init__(self, arcs, V, tol, cache_dir):
         import hashlib  # loads OpenSSL (about 3.4 MB), so only commands given --cache pay it
@@ -143,7 +143,7 @@ class CachedMomentTable(MomentTable):
         self._dirty = False
         pot = json.dumps(V.to_json(), sort_keys=True)
         self._arc_keys = [
-            hashlib.sha256(f"{pot}|{arc!r}|{tol!r}".encode()).hexdigest() for arc in arcs
+            hashlib.sha256(f"{pot}|{arc.segments!r}|{tol!r}".encode()).hexdigest() for arc in arcs
         ]
 
     def moment(self, arc_index, k):

@@ -117,19 +117,14 @@ class CircleSeg(_OnCircle):
 Segment = Union[RaySeg, ArcSeg, CircleSeg]
 
 
-# Every field stays, though only ``closed`` reads ``start`` and nothing reads
-# ``end``: together they make up ``repr(arc)``, which ``cli.CachedMomentTable``
-# hashes into every moment-cache key and ``test_bit_identity`` pins.
 @dataclass(frozen=True)
 class Contour:
     segments: tuple[Segment, ...]
-    start: tuple
-    end: tuple
     label: str = ""
 
     @property
     def closed(self) -> bool:
-        return self.start == ("closed",)
+        return isinstance(self.segments[0], CircleSeg)
 
 
 def elbow_arc(j: int, secs: list[Sector], radius: float = 0.0) -> Contour:
@@ -144,15 +139,14 @@ def elbow_arc(j: int, secs: list[Sector], radius: float = 0.0) -> Contour:
     th_out = secs[j % len(secs)].center_angle
     if th_out < th_in:
         th_out += 2 * math.pi
-    start, end, label = ("sector", j - 1), ("sector", j % len(secs)), f"gamma{j}"
     if radius == 0.0:
-        return _two_rays(th_in, th_out, start, end, label)
+        return _two_rays(th_in, th_out, f"gamma{j}")
     segments = (
         RaySeg(base=radius * cmath.exp(1j * th_in), angle=th_in, inward=True),
         ArcSeg(center=0j, radius=radius, a0=th_in, a1=th_out),
         RaySeg(base=radius * cmath.exp(1j * th_out), angle=th_out, inward=False),
     )
-    return Contour(segments=segments, start=start, end=end, label=label)
+    return Contour(segments=segments, label=f"gamma{j}")
 
 
 def join_radius(V: Potential) -> float:
@@ -172,37 +166,30 @@ def join_radius(V: Potential) -> float:
     return 2.0 * bound + 1.0
 
 
-def _two_rays(th_in: float, th_out: float, start: tuple, end: tuple, label: str) -> Contour:
+def _two_rays(th_in: float, th_out: float, label: str) -> Contour:
     """In from infinity along angle ``th_in`` to the origin, out along ``th_out``."""
     return Contour(
         segments=(
             RaySeg(base=0j, angle=th_in, inward=True),
             RaySeg(base=0j, angle=th_out, inward=False),
         ),
-        start=start,
-        end=end,
         label=label,
     )
 
 
 def real_axis_contour() -> Contour:
     """The real line, oriented from -infinity to +infinity."""
-    return _two_rays(math.pi, 0.0, ("ray", math.pi), ("ray", 0.0), "R")
+    return _two_rays(math.pi, 0.0, "R")
 
 
 def imaginary_axis_contour() -> Contour:
     """The imaginary axis, oriented from -i*infinity to +i*infinity."""
-    return _two_rays(-math.pi / 2, math.pi / 2, ("ray", -math.pi / 2), ("ray", math.pi / 2), "iR")
+    return _two_rays(-math.pi / 2, math.pi / 2, "iR")
 
 
 def circle_contour(center: complex = 0j, radius: float = 1.0, label: str = "circle") -> Contour:
     """The closed counterclockwise circle about ``center``."""
-    return Contour(
-        segments=(CircleSeg(center=center, radius=radius),),
-        start=("closed",),
-        end=("closed",),
-        label=label,
-    )
+    return Contour(segments=(CircleSeg(center=center, radius=radius),), label=label)
 
 
 def basis_arcs(V: Potential) -> list[Contour]:
@@ -299,22 +286,15 @@ def deform(c: Contour, *, shift: complex = 0j, radius_factor: float = 1.0, rotat
                     inward=seg.inward,
                 )
             )
-        elif isinstance(seg, ArcSeg):
-            segs.append(
-                ArcSeg(
-                    center=seg.center * rot + shift,
-                    radius=seg.radius * radius_factor,
-                    a0=seg.a0 + rotate,
-                    a1=seg.a1 + rotate,
-                )
-            )
-        elif isinstance(seg, CircleSeg):
-            new_center = seg.center * rot + shift
-            new_radius = seg.radius * radius_factor
-            if abs(new_center - seg.center) >= new_radius:
-                raise ValueError("deformation would push the circle off its pole")
-            segs.append(CircleSeg(center=new_center, radius=new_radius))
-    out = Contour(segments=tuple(segs), start=c.start, end=c.end, label=c.label + "~")
+            continue
+        center, radius = seg.center * rot + shift, seg.radius * radius_factor
+        if isinstance(seg, ArcSeg):
+            segs.append(ArcSeg(center=center, radius=radius, a0=seg.a0 + rotate, a1=seg.a1 + rotate))
+        elif abs(center - seg.center) >= radius:
+            raise ValueError("deformation would push the circle off its pole")
+        else:
+            segs.append(CircleSeg(center=center, radius=radius))
+    out = Contour(segments=tuple(segs), label=c.label + "~")
     if V is not None and (reason := admissibility_check(out, V)) is not None:
         raise ValueError(f"deformation leaves the admissible contours: {reason}")
     return out

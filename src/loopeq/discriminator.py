@@ -30,7 +30,8 @@ from math import factorial
 import numpy as np
 
 from .contours import RaySeg
-from .loopgen import Potential
+from .exact import CRational
+from .loopgen import Potential, poly_deriv, poly_gcd
 from .momsolve import gamma
 from .quadrature import MomentMap, _segment_moment, _word, vandermonde_sum
 from .symfunc import compositions
@@ -57,7 +58,11 @@ def saddle_points(V: Potential, r: int) -> SaddleSet:
         raise ValueError("the discriminator supports polynomial potentials")
     if r < 1:
         raise ValueError("r must be a positive integer")
-    # x V'(x) - r = x R(x) - r, since D = 1 for polynomial V
+    # x V'(x) - r = x R(x) - r, since D = 1 for polynomial V; a repeated root
+    # is decided exactly, since np.roots splits a triple one by about 1e-5
+    P = [CRational(-r), *V.R]
+    if len(poly_gcd(P, poly_deriv(P))) > 1:
+        raise ValueError(f"coincident saddle points at r={r}; increase r for distinct saddles")
     coeffs = [complex(-r), *V.complex_coeffs[0]]
     roots = np.roots(list(reversed(coeffs)))
 

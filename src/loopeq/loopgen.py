@@ -144,13 +144,15 @@ class Potential:
         if len(self.D) == 1:
             return [c.to_complex() for c in quot], ()
         dD = poly_deriv(list(self.D))
+        # decided exactly: np.roots splits a double pole, so the residue of
+        # its first root divides by D'(p) ~ 0
+        if len(poly_gcd(list(self.D), dD)) > 1:
+            raise ValueError("repeated poles of V' are not supported numerically")
         import numpy as np
 
         poles = []
         for p in np.roots(self.complex_coeffs[1][::-1]):
             p = complex(p)
-            if any(abs(p - q) < 1e-9 for q, _ in poles):
-                raise ValueError("repeated poles of V' are not supported numerically")
             num = _horner([c.to_complex() for c in rem], p)
             den = _horner([c.to_complex() for c in dD], p)
             r = num / den

@@ -178,24 +178,26 @@ CONTOUR_POTENTIALS = {
     "rational": Potential.rational([2, 0, 0, 1], [0, 1]),
 }
 
-# sha256 over the newline-joined lines below, recorded before RaySeg cached its
-# direction: repr of each arc, hash of each ray segment, and the cache key of
-# each arc (potential JSON, arc repr and tol)
+# sha256 over the newline-joined lines below: repr of each arc, hash of each ray
+# segment, and the cache key of each arc (potential JSON, the arc's segments and
+# tol).  The ray hashes were recorded before RaySeg cached its direction; the
+# arc reprs and cache keys were re-recorded when Contour dropped its endpoint
+# tags and the cache began keying an arc by its segments, which changed both
 RECORDED = {
     "cubic": (
-        "6ecfc2d34616a1f53e20c232300837177092e93a467a59f0a4fd8f5350fce5bc",
+        "1b0bfb1e99322ebaafc0c02e584410329ec228e73755e6c008ec5841bc5d8f31",
         "6e3522954793f2f2a2909ebfcd08d7b54dedbc9ff7e007500caadadfdd0ff4b9",
-        "e6898c764a3eb921d29c54debb052e733973af781773c34301cc2c099388c3e5",
+        "6d2e537946fd6f549f48b27598f09c432a683a567e7b778a35949696a6fd1843",
     ),
     "deg7": (
-        "2aaf2628bc56bc9646b1629c69694ecb2feab6003e247fdecab78c77230d78cb",
+        "11693be2c813a4f1222309c5e1d1b9d61853252ea8c0e060b83626d977537072",
         "d3d572bad4879d79c50b0bbdb27fc9123bc5fc38f79535e118e86d83d0fc0100",
-        "19540f9a22be78df67e5d68e54871a20c7fc15040e9438fb918c6a8a87df30a5",
+        "bd102cec8ff86f5695d594ab0ec3c5deb2477993788c0f1349fce475073c63a9",
     ),
     "rational": (
-        "baa44e71006256d1ab197df3a61fdc18a08344021d5789b2dfe9d9992f5f36dd",
+        "ca257cf774ecaf18e560b01d011d79c155815fe27ea3db26d1dd5d2b8f0bab3c",
         "5e9c6aca605ba6afcdf285e22d140aa34678e8f5f0736d58b43a8c79c57cb32d",
-        "675fdea3220e40a0451b5216f71526383f74879fb8340eae8d0e5d82df1a72e0",
+        "0011c6b7860f3b7203cb4756bc785ce6abbb01da2cdbc5d98c4dc435ee362534",
     ),
 }
 

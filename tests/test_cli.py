@@ -46,12 +46,29 @@ def test_gen_gaussian(pot, capsys):
     assert {"mu": [], "re": "-4", "im": "0"} in data["Q"]
 
 
-def test_gen_bad_potential_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": "polynomial"}))
-    code = main(["gen", "--potential", str(bad), "--mu", "0", "--N", "2"])
+ONE = ["1", "0"]
+ZERO = ["0", "0"]
+
+
+@pytest.mark.parametrize("potential,reason", [
+    ({"kind": "polynomial"}, "polynomial potential JSON needs field 't'"),
+    ({"kind": "polynomial", "t": [ONE]}, "polynomial potential needs degree >= 2 (at least t_1, t_2)"),
+    ({"kind": "polynomial", "t": [ONE, ZERO]}, "leading coefficient t_{d+1} must be nonzero"),
+    ({"kind": "rational", "R": [ONE, ZERO], "D": [ZERO, ONE]}, "R must have a nonzero leading coefficient"),
+    ({"kind": "rational", "R": [ONE], "D": [ZERO, ["2", "0"]]}, "D must be monic"),
+    ({"kind": "rational", "R": [ZERO, ONE], "D": [ZERO, ONE]}, "R and D must be coprime"),  # R = D = x
+    ({"kind": "weird"}, "unknown potential kind 'weird'"),
+    ({"kind": "rational", "R": [ONE]}, "rational potential JSON needs field 'D'"),
+    ({"t": []}, "potential JSON must be an object with a 'kind' field"),
+], ids=["no-t", "one-t", "zero-leading-t", "zero-leading-R", "non-monic-D", "not-coprime", "weird-kind",
+        "no-D", "no-kind"])
+def test_gen_bad_potential_is_usage_error(pot, capsys, potential, reason):
+    path = pot("bad.json", potential)
+    code = main(["gen", "--potential", path, "--mu", "0", "--N", "2"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "t" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == f"error: bad potential file {path}: {reason}\n"
 
 
 def test_input_files_are_read_as_utf8(tmp_path):
@@ -427,6 +444,7 @@ def test_iso_fails_when_error_bars_reach_the_smallest_singular_value(pot, capsys
     ("expect", "--tol", "inf"),
     ("residuals", "--tol", "0"),
     ("discrim", "--tol", "2"),
+    ("iso", "--tol", "abc"),
 ])
 def test_bad_tolerance_or_threshold_is_usage_error(pot, capsys, command, flag, value):
     # --tol inf reported a witness with error bars larger than its entries as
@@ -540,7 +558,9 @@ def test_residuals_gamma_defaults_to_two_eigenvalues(pot, tmp_path, capsys):
     (["iso", "--N", "0"], "--N must be >= 1, got 0"),
     (["discrim", "--r", "60", "--N", "0"], "--N must be >= 1, got 0"),
     (["discrim", "--r", "0"], "--r must be >= 1, got 0"),
-], ids=["0", "-1", "solve-0", "residuals--1", "residuals-0", "iso-0", "discrim-0", "discrim-r-0"])
+    (["residuals"], "provide --class FILE or --gamma real|circle"),
+], ids=["0", "-1", "solve-0", "residuals--1", "residuals-0", "iso-0", "discrim-0", "discrim-r-0",
+        "residuals-no-class"])
 def test_gen_without_variables_is_usage_error(pot, capsys, argv, message):
     # zero or a negative number of eigenvalues means nothing, nor does r = 0;
     # the error names the flag before any file is read (residuals on cubic
@@ -586,6 +606,8 @@ def test_class_file_bad_counts_are_usage_errors(pot, capsys, command, N, n):
     {"N": 1, "arcs": "real", "terms": [{"n": 1, "c": [1, 0]}]},
     {"N": 1, "arcs": "real", "terms": 5},
     7,
+    {"N": 1, "arcs": "real"},
+    {"N": 1, "arcs": "bogus", "terms": [{"n": [1], "c": [1, 0]}]},
 ])
 def test_class_file_bad_terms_are_usage_errors(pot, capsys, body):
     # a NaN coefficient printed NaN with exit 0, a repeated composition
@@ -659,6 +681,12 @@ def test_contour_through_a_pole_is_usage_error(pot, capsys, arcs):
 X_PLUS_POLE = {"kind": "rational", "R": [["2", "0"], ["-1", "0"], ["1", "0"]],
                "D": [["-1", "0"], ["1", "0"]]}  # V' = x + 2/(x - 1)
 DEEP_WELL = {"kind": "polynomial", "t": [["0", "0"], ["-2000", "0"], ["0", "0"], ["1", "0"]]}
+INVERSE_SQUARE = {"kind": "rational", "R": [["1", "0"]], "D": [["0", "0"], ["0", "0"], ["1", "0"]]}  # 1/x^2
+DOUBLE_POLE = {"kind": "rational", "R": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
+               "D": [["1", "0"], ["-2", "0"], ["1", "0"]]}  # V' = (x^3 + 1)/(x - 1)^2
+COMPLEX_RESIDUE = {"kind": "rational", "R": [["1", "2"], ["0", "0"], ["0", "0"], ["1", "0"]],
+                   "D": [["0", "0"], ["1", "0"]]}  # V' = (x^3 + 1 + 2i)/x
+REPEATED = "error: repeated poles of V' are not supported numerically\n"
 
 
 @pytest.mark.parametrize("potential,args,message", [
@@ -674,7 +702,16 @@ DEEP_WELL = {"kind": "polynomial", "t": [["0", "0"], ["-2000", "0"], ["0", "0"],
     # leaves the double range from |x| = 1 on (its peak is e^{10^6} at |x| = 44.7)
     (DEEP_WELL, ["expect", "--class", "{real}"],
      "quadrature error: e^{-V} overflows double precision along ray angle 3.1416 at arc length 1\n"),
-], ids=["expect-real-2/x", "residuals-real-2/x", "expect-circle-through-pole", "expect-overflow"])
+    # repeated poles are found exactly: 1/x^2 divided by D'(0) = 0, and np.roots
+    # split the double pole of (x^3 + 1)/(x - 1)^2 into two with huge residues
+    (INVERSE_SQUARE, ["contours"], REPEATED),
+    (INVERSE_SQUARE, ["iso", "--N", "1"], REPEATED),
+    (DOUBLE_POLE, ["contours"], REPEATED),
+    (DOUBLE_POLE, ["iso", "--N", "1"], REPEATED),
+    (COMPLEX_RESIDUE, ["iso", "--N", "1"],
+     "error: cut placement unsupported: pole 0+0j has non-integer residue 1+2j\n"),
+], ids=["expect-real-2/x", "residuals-real-2/x", "expect-circle-through-pole", "expect-overflow",
+        "contours-1/x^2", "iso-1/x^2", "contours-double-pole", "iso-double-pole", "iso-complex-residue"])
 def test_inadmissible_contours_and_overflow_name_their_cause(pot, capsys, potential, args, message):
     # each used to fail inside the integrand, with "0.0 to a negative or complex
     # power" or "integrand blows up ...; inadmissible contour"

@@ -70,12 +70,16 @@ def test_saddles_need_a_polynomial_potential(haar2):
             discriminator_report(W, 60, 1)
 
 
-def test_saddles_coincident_raises(gauss):
-    # x^2 = r with r tiny still has distinct roots; force coincidence with a
-    # crafted potential: V' = x^3 - 3x has xV' = x^4 - 3x^2, saddles collide
-    # for r = -9/4... not reachable with integer r >= 1, so use the cap check:
-    with pytest.raises(ValueError):
-        saddle_points(gauss, 0)
+@pytest.mark.parametrize("t,r,match", [
+    ([0, 1], 0, "r must be a positive integer"),
+    # x V' - r = (x - 1)^3: np.roots spreads the triple root over about 1e-5,
+    # which the 1e-6 proximity test let through
+    ([3, -3, 1], 1, "coincident saddle points at r=1"),
+    ([5, -4, 1], 2, "coincident saddle points at r=2"),  # x V' - r = (x - 1)^2 (x - 2)
+], ids=["r=0", "triple", "double"])
+def test_saddles_coincident_raises(t, r, match):
+    with pytest.raises(ValueError, match=match):
+        saddle_points(Potential.polynomial(t), r)
 
 
 def _evaluate(coeffs, x):

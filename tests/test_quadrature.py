@@ -502,7 +502,7 @@ def test_reversed_arc_is_the_negated_forward_arc(cubic):
     from loopeq.contours import ArcSeg, Contour
 
     def arc(a0, a1):
-        return Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=a0, a1=a1),), start=("point",), end=("point",))
+        return Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=a0, a1=a1),))
 
     for k in range(3):
         forward, forward_err = arc_moment(arc(0.0, 1.0), cubic, k, 1e-12)
@@ -517,7 +517,7 @@ def test_empty_interval_is_zero_with_zero_error(cubic):
     from loopeq.quadrature import _quad_complex
 
     assert _quad_complex(lambda x: 1.0, lambda x: 2.0 * x, 1.0, 1.0, 1e-12) == (0, 0)
-    point = Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=0.5, a1=0.5),), start=("point",), end=("point",))
+    point = Contour(segments=(ArcSeg(center=0j, radius=1.0, a0=0.5, a1=0.5),))
     for k in range(3):
         assert arc_moment(point, cubic, k, 1e-12) == (0, 0)
 
