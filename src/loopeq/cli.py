@@ -131,10 +131,23 @@ def _read_moment_cache(path: str) -> dict:
 
 class CachedMomentTable(MomentTable):
     """Moment table backed by a JSON cache keyed by hashes of the potential, the
-    arc's segments and tol, by k and by the quadrature rule's ``RULE_TAG``."""
+    arc's segments and tol, by k and by the quadrature rule's ``RULE_TAG``.
+
+    The hash is SHA-256 from CPython's built-in ``_sha2`` (``_sha256`` before
+    3.12), the code ``hashlib`` falls back to: the same digest, so every key and
+    every cache stays valid, without the OpenSSL ``libcrypto`` that ``hashlib``
+    always loads (about 3.5 MB and 4 ms)."""
 
     def __init__(self, arcs, V, tol, cache_dir):
-        import hashlib  # loads OpenSSL (about 3.4 MB), so only commands given --cache pay it
+        # imported here, so commands without --cache load no hash at all;
+        # hashlib only on builds that leave the built-in digests out
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
 
         super().__init__(arcs, V, tol)
         self.cache_dir = cache_dir
@@ -143,7 +156,7 @@ class CachedMomentTable(MomentTable):
         self._dirty = False
         pot = json.dumps(V.to_json(), sort_keys=True)
         self._arc_keys = [
-            hashlib.sha256(f"{pot}|{arc.segments!r}|{tol!r}".encode()).hexdigest() for arc in arcs
+            sha256(f"{pot}|{arc.segments!r}|{tol!r}".encode()).hexdigest() for arc in arcs
         ]
 
     def moment(self, arc_index, k):

@@ -5,12 +5,12 @@ of every N <= 2 moment and product shows in its output.  The fast paths of
 ``Potential.exp_neg_V`` and ``_permutation_sum`` must therefore give exactly
 the doubles of the plain per-term formulas kept here as references, the ray
 direction cached on ``RaySeg`` must leave its identity (and so the moment
-cache keys) as it was, the circle trapezoid over Python floats must sum what
-it summed over numpy nodes, and ``_quad_complex``, which calls QUADPACK's compiled
-QAGS directly on a real and an imaginary integrand, must give what
-``scipy.integrate.quad`` gives on the complex integrand they make up.  Every comparison
-is exact: ``==`` on the raw bytes (or ``float.hex``) of both parts, which also
-tells -0.0 from 0.0.
+cache keys, which must also equal ``hashlib.sha256``'s) as it was, the circle
+trapezoid over Python floats must sum what it summed over numpy nodes, and
+``_quad_complex``, which calls QUADPACK's compiled QAGS directly on a real and
+an imaginary integrand, must give what ``scipy.integrate.quad`` gives on the
+complex integrand they make up.  Every comparison is exact: ``==`` on the raw
+bytes (or ``float.hex``) of both parts, which also tells -0.0 from 0.0.
 """
 
 import cmath
@@ -225,6 +225,18 @@ def test_ray_segments_keep_identity_and_cache_keys(name, tmp_path):
             if isinstance(seg, RaySeg):
                 twin = RaySeg(base=seg.base, angle=seg.angle, inward=seg.inward)
                 assert seg == twin and hash(seg) == hash(twin) and repr(seg) == repr(twin)
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_POTENTIALS))
+def test_cache_keys_are_hashlib_sha256(name, tmp_path):
+    # the keys come from CPython's built-in SHA-256; a cache written with
+    # hashlib's keys must still be found
+    V = CONTOUR_POTENTIALS[name]
+    arcs = basis_arcs(V)
+    pot = json.dumps(V.to_json(), sort_keys=True)
+    table = CachedMomentTable(arcs, V, 1e-12, str(tmp_path))
+    assert table._arc_keys == [hashlib.sha256(f"{pot}|{arc.segments!r}|{1e-12!r}".encode()).hexdigest()
+                               for arc in arcs]
 
 
 def test_axis_rays_point_along_their_angle():

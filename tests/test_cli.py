@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import loopeq
 from loopeq import MapSeries, MPoly, Potential, cli, real_axis_contour, wick
 from loopeq.cli import CachedMomentTable, main
+from loopeq.quadrature import RULE_TAG
 
 GAUSS = {"kind": "polynomial", "t": [["0", "0"], ["1", "0"]]}
 CUBIC = {"kind": "polynomial", "t": [["1", "0"], ["0", "0"], ["1", "0"]]}
@@ -165,6 +167,8 @@ def test_parser_keeps_no_command_state(pot, tmp_path):
 
 OPENSSL_PROBE = """
 import json, sys
+if sys.argv[1] == "hashlib-only":  # a build without CPython's built-in SHA-256
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
 import loopeq.cli, loopeq.quadrature
 if sys.argv[1] == "no-quadrature":  # every moment must then come from the disk cache
     def refuse(*args):
@@ -175,22 +179,24 @@ print(json.dumps({"codes": codes, "_hashlib": "_hashlib" in sys.modules}))
 """
 
 
-def test_only_the_moment_cache_loads_openssl(pot, tmp_path):
-    # hashlib loads OpenSSL's libcrypto (about 3.4 MB of peak RSS) and only the
-    # --cache keys use it; each run is a fresh interpreter, so no import leaks in
-    cubic = pot("cubic.json", CUBIC)
-    basis = pot("basis.json", {"N": 1, "d": 2, "values": [
-        {"mu": [], "value": [1.0, 0.0]}, {"mu": [1], "value": [0.5, 0.0]}]})
+def probe(mode, *commands):
+    """The exit codes of ``commands`` run in one fresh interpreter, so no import
+    leaks in, and whether it loaded ``_hashlib`` (OpenSSL's libcrypto)."""
     src = str(Path(loopeq.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, mode, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
-    def probe(mode, *commands):
-        done = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, mode, json.dumps(commands)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout.splitlines()[-1])
 
+def test_no_command_loads_openssl(pot, tmp_path):
+    # OpenSSL's libcrypto costs about 3.5 MB of peak RSS; the --cache keys
+    # hash with CPython's built-in SHA-256 instead
+    cubic = pot("cubic.json", CUBIC)
+    basis = pot("basis.json", {"N": 1, "d": 2, "values": [
+        {"mu": [], "value": [1.0, 0.0]}, {"mu": [1], "value": [0.5, 0.0]}]})
     iso = ["iso", "--potential", cubic, "--N", "1", "--out", str(tmp_path / "iso.json")]
     cold = probe("quadrature",
                  ["solve", "--potential", cubic, "--N", "1", "--basis", basis, "--targets", "3;2,1",
@@ -199,9 +205,43 @@ def test_only_the_moment_cache_loads_openssl(pot, tmp_path):
                  iso)
     assert cold == {"codes": [0, 0, 0], "_hashlib": False}
     cache = ["--cache", str(tmp_path / "cache")]
-    assert probe("quadrature", iso + cache) == {"codes": [0], "_hashlib": True}
-    assert probe("no-quadrature", iso + cache) == {"codes": [0], "_hashlib": True}
+    assert probe("quadrature", iso + cache) == {"codes": [0], "_hashlib": False}
+    assert probe("no-quadrature", iso + cache) == {"codes": [0], "_hashlib": False}
     assert probe("no-quadrature", iso) == {"codes": [2], "_hashlib": False}  # the probe bites
+
+
+def test_moment_cache_keyed_by_hashlib_is_served(pot, tmp_path):
+    # a moments.json whose keys hashlib.sha256 made, as every cache before the
+    # built-in SHA-256 was, gives every moment of the command it was built for
+    cubic = pot("cubic.json", CUBIC)
+    iso = ["iso", "--potential", cubic, "--N", "1", "--tol", "1e-12"]
+    dump = tmp_path / "moments.csv"
+    assert main(iso + ["--dump-moments", str(dump), "--out", str(tmp_path / "plain.json")]) == 0
+    V = Potential.from_json(CUBIC)
+    pot_key = json.dumps(V.to_json(), sort_keys=True)
+    arcs = loopeq.basis_arcs(V)
+    store = {}
+    for line in dump.read_text().splitlines()[1:]:
+        arc, k, re_, im, err = line.split(",")
+        key = hashlib.sha256(f"{pot_key}|{arcs[int(arc)].segments!r}|{1e-12!r}".encode()).hexdigest()
+        store[f"{key}:{k}:{RULE_TAG}"] = [float(re_), float(im), float(err)]
+    assert store
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "moments.json").write_text(json.dumps(store, sort_keys=True))
+    cached = iso + ["--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "cached.json")]
+    assert probe("no-quadrature", cached) == {"codes": [0], "_hashlib": False}
+    assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_moment_cache_keys_fall_back_to_hashlib(pot, tmp_path):
+    # without _sha2 and _sha256 the keys come from hashlib, and are the same
+    cubic = pot("cubic.json", CUBIC)
+    iso = ["iso", "--potential", cubic, "--N", "1", "--out", str(tmp_path / "iso.json")]
+    for mode in ("hashlib-only", "quadrature"):
+        done = probe(mode, iso + ["--cache", str(tmp_path / mode)])
+        assert done == {"codes": [0], "_hashlib": mode == "hashlib-only"}
+    assert (tmp_path / "hashlib-only" / "moments.json").read_bytes() == \
+        (tmp_path / "quadrature" / "moments.json").read_bytes()
 
 
 def test_cache_is_named_by_the_flag_only(pot, tmp_path, monkeypatch):
