@@ -19,7 +19,6 @@ from .symfunc import (
 from .loopgen import Potential, q_polynomial, q_rational, q_twomatrix, symbolic_two_potential
 from .momsolve import (
     LoopReducer,
-    MomentFunctional,
     hn_dimension,
     loop_tuples,
     residuals,

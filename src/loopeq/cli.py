@@ -44,7 +44,7 @@ from .contours import (
 )
 from .exact import _printable_fraction
 from .loopgen import Potential, q_polynomial, q_rational
-from .momsolve import MomentFunctional, loop_tuples, residuals, solve_moments
+from .momsolve import loop_tuples, residuals, solve_moments
 from .quadrature import (
     RULE_TAG,
     MomentTable,
@@ -303,15 +303,15 @@ def cmd_solve(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     where = f"bad basis file {args.basis}"
     data = _read_json(args.basis, where, ("values",))
-    d = _json_int(data.get("d", V.d), f"{where}: 'd'", 1)
+    if _json_int(data.get("d", V.d), f"{where}: 'd'", 1) != V.d:
+        raise ValueError(f"{where}: 'd' must equal the potential's d = {V.d}, got {data['d']}")
     values = _json_table(data["values"], "mu", "value", 1, where)
-    F = MomentFunctional(N=args.N, d=d, basis_values=values)
     fields = args.targets.split(";")
     if not all(t.strip() for t in fields):
         raise ValueError(f"bad --targets {args.targets!r}; expected semicolon-separated index tuples,"
                          " no empty target")
     targets = [_parse_mu(t, "--targets") for t in fields]
-    out, red = solve_moments(F, V, targets)
+    out, red = solve_moments(V, args.N, values, targets)
     values = [{"mu": list(mu), "value": [v.real, v.imag]} for mu, v in sorted(out.items())]
     return {"values": values, "coefficient_growth": red.max_abs_coeff}, None
 

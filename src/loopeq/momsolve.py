@@ -42,31 +42,6 @@ def hn_dimension(N: int, d: int) -> int:
     return comb(N + d - 1, N)
 
 
-@dataclass
-class MomentFunctional:
-    """Values of a loop-equation solution on the free basis.
-
-    ``basis_values`` must be keyed by exactly the partitions with at most N
-    parts and parts <= d-1; the empty partition carries E(1) = Z.
-    """
-
-    N: int
-    d: int
-    basis_values: dict[Partition, object]
-
-    def __post_init__(self):
-        expected = set(partitions_in_box(self.N, self.d - 1))
-        got = set(Partition(tuple(mu)) for mu in self.basis_values)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValueError(
-                "basis keys must be exactly the box partitions;"
-                f" {len(missing)} missing (first {missing[:5]}), {len(extra)} extra (first {extra[:5]})"
-            )
-        self.basis_values = {Partition(tuple(mu)): v for mu, v in self.basis_values.items()}
-
-
 # (den, {b: (re, im)}) stands for sum_b (re + i im) / den * p_b, with den > 0
 Form = tuple[int, dict[Partition, tuple[int, int]]]
 
@@ -176,9 +151,13 @@ class LoopReducer:
         return form
 
 
-def solve_moments(F: MomentFunctional, V: Potential, targets: Sequence[Sequence[int]]):
-    """Evaluate E(p_mu) for each target from the basis values.
+def solve_moments(V: Potential, N: int, basis_values: Mapping[Sequence[int], object],
+                  targets: Sequence[Sequence[int]]):
+    """Evaluate E(p_mu) for each target from the values of a loop-equation
+    solution on the free basis.
 
+    ``basis_values`` must be keyed by exactly the partitions with at most N
+    parts and parts <= V.d - 1; the empty partition carries E(1) = Z.
     Returns (values, reducer); values map each target partition to a number of
     the same flavour as the basis values (exact if those are CRational,
     complex otherwise).  The reducer carries the coefficient-growth diagnostic.
@@ -191,19 +170,23 @@ def solve_moments(F: MomentFunctional, V: Potential, targets: Sequence[Sequence[
     rounded, so an entry not in lowest terms gives the bits of its reduced
     ``CRational``.
     """
-    if V.d != F.d:
-        raise ValueError(f"potential has d={V.d} but functional expects d={F.d}")
-    red = LoopReducer(V, F.N)
-    exact = all(isinstance(v, CRational) for v in F.basis_values.values())
+    basis_values = {Partition(tuple(mu)): v for mu, v in basis_values.items()}
+    box = set(partitions_in_box(N, V.d - 1))
+    if basis_values.keys() != box:
+        missing, extra = sorted(box - basis_values.keys()), sorted(basis_values.keys() - box)
+        raise ValueError(f"basis keys must be exactly the box partitions; {len(missing)} missing"
+                         f" (first {missing[:5]}), {len(extra)} extra (first {extra[:5]})")
+    red = LoopReducer(V, N)
+    exact = all(isinstance(v, CRational) for v in basis_values.values())
     if not exact:
-        values = {b: complex(v) for b, v in F.basis_values.items()}
+        values = {b: complex(v) for b, v in basis_values.items()}
     out = {}
     for target in targets:
         mu = Partition.of(target)
         if exact:
             total = CRational(0)
             for b, w in red.reduce(mu).items():
-                total = total + w * F.basis_values[b]
+                total = total + w * basis_values[b]
         else:
             den, coeffs = red._reduce(mu)
             total = 0j

@@ -415,16 +415,20 @@ GOOD_BASIS = {"N": 1, "d": 2, "values": [{"mu": [], "value": [1.0, 0.0]},
     {**GOOD_BASIS, "values": [{"mu": [], "value": ["nan", 0.0]}, {"mu": [1], "value": [0.0, 0.0]}]},
     {**GOOD_BASIS, "values": GOOD_BASIS["values"] + [{"mu": [], "value": [5.0, 0.0]}]},
     {**GOOD_BASIS, "d": 2.7},
+    {**GOOD_BASIS, "d": 3},
 ], ids=["value-scalar", "top-level-list", "value-null", "mu-not-integer", "value-nan", "mu-twice",
-        "d-float"])
+        "d-float", "d-mismatch"])
 def test_solve_malformed_basis_is_usage_error(pot, capsys, basis):
-    # a repeated mu silently replaced the earlier value, and "d": 2.7 read as 2
+    # a repeated mu silently replaced the earlier value, and "d": 2.7 read as 2;
+    # a "d" other than the potential's was refused without naming the file
     path = pot("cubic.json", CUBIC)
-    code = main(["solve", "--potential", path, "--N", "1", "--basis", pot("basis.json", basis),
-                 "--targets", "3"])
+    basis_path = pot("basis.json", basis)
+    code = main(["solve", "--potential", path, "--N", "1", "--basis", basis_path, "--targets", "3"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad basis file") and "Traceback" not in err
+    assert err.startswith(f"error: bad basis file {basis_path}: ") and "Traceback" not in err
+    if "d" in basis and basis["d"] != 2:
+        assert "'d'" in err
 
 
 @pytest.mark.parametrize("kind", ["potential", "class", "basis"])

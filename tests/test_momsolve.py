@@ -7,7 +7,6 @@ import pytest
 from loopeq import (
     CRational,
     LoopReducer,
-    MomentFunctional,
     Partition,
     Potential,
     hn_dimension,
@@ -30,15 +29,14 @@ def test_hn_dimension_examples():
         assert hn_dimension(N, 1) == 1
 
 
-def test_basis_key_validation():
-    with pytest.raises(ValueError):
-        MomentFunctional(N=2, d=2, basis_values={Partition(()): 1.0})
+def test_basis_key_validation(cubic):
+    with pytest.raises(ValueError, match="basis keys must be exactly the box partitions"):
+        solve_moments(cubic, 2, {Partition(()): 1.0}, [(2,)])
 
 
 def test_gaussian_solve_examples(gauss):
     Z = CRational(1)
-    F = MomentFunctional(N=2, d=1, basis_values={Partition(()): Z})
-    vals, _ = solve_moments(F, gauss, [(2,), (1,), (4,)])
+    vals, _ = solve_moments(gauss, 2, {Partition(()): Z}, [(2,), (1,), (4,)])
     assert vals[Partition((2,))] == CRational(4)  # N^2 Z
     assert vals[Partition((1,))] == CRational(0)
     assert vals[Partition((4,))] == CRational(18)  # (2N^3+N) Z at N=2
@@ -48,8 +46,7 @@ def test_gaussian_solve_matches_wick_at_other_N(gauss):
     from loopeq import gaussian_trace_moment
 
     for N in (1, 3):
-        F = MomentFunctional(N=N, d=1, basis_values={Partition(()): CRational(1)})
-        vals, _ = solve_moments(F, gauss, [(2,), (4,), (2, 2)])
+        vals, _ = solve_moments(gauss, N, {Partition(()): CRational(1)}, [(2,), (4,), (2, 2)])
         for mu in vals:
             wick = gaussian_trace_moment(tuple(mu)).eval({"N": N})
             assert vals[mu] == wick
@@ -66,7 +63,7 @@ def test_float_solve_is_the_sum_of_reduced_coefficients_bit_for_bit():
     values[box[1]] = complex(-0.0, -0.0)
     values[box[2]] = complex(-0.0, 0.5)
     targets = [mu for w in range(1, 9) for mu in partitions_of_weight(w)]
-    got, red = solve_moments(MomentFunctional(N=3, d=3, basis_values=values), V, targets)
+    got, red = solve_moments(V, 3, values, targets)
     # some memoized form has an entry whose numerators share a factor with den
     assert any(gcd(re, im, den) > 1 for den, form in red._memo.values() for re, im in form.values())
     ref = LoopReducer(V, 3)
@@ -143,24 +140,21 @@ def test_reducer_work_on_the_exact_workload(quartic, monkeypatch):
     counted("q_polynomial", "q")
     targets = [mu for w in range(1, 15) for mu in partitions_of_weight(w)]
     assert len(targets) == 507
-    F = MomentFunctional(3, 3, {mu: 1.0 for mu in partitions_in_box(3, 2)})
-    _, red = solve_moments(F, quartic, targets)
+    _, red = solve_moments(quartic, 3, {mu: 1.0 for mu in partitions_in_box(3, 2)}, targets)
     assert len(red._memo) == 508
     assert counts == {"combine": 498, "reduce_length": 361, "q": 137}
 
 
-def test_solve_requires_consistent_d(gauss):
-    F = MomentFunctional(N=2, d=2, basis_values={
-        mu: CRational(1) for mu in partitions_in_box(2, 1)
-    })
-    with pytest.raises(ValueError):
-        solve_moments(F, gauss, [(2,)])
+def test_solve_refuses_basis_keys_of_another_d(gauss):
+    # values on the d = 2 box (2, 1) do not fit the d = 1 potential: its box is {()}
+    values = {mu: CRational(1) for mu in partitions_in_box(2, 1)}
+    with pytest.raises(ValueError, match="basis keys must be exactly the box partitions"):
+        solve_moments(gauss, 2, values, [(2,)])
 
 
 def test_solve_rejects_non_reducing_rational(haar2):
-    F = MomentFunctional(N=2, d=1, basis_values={Partition(()): CRational(1)})
     with pytest.raises(ValueError):
-        solve_moments(F, haar2, [(1,)])
+        solve_moments(haar2, 2, {Partition(()): CRational(1)}, [(1,)])
 
 
 def test_reduction_linear_form_weights(cubic):
