@@ -2,8 +2,8 @@
 
 Each ``cmd_*`` handler computes and returns ``(payload, failure)``: its
 JSON-ready result, and ``None`` or a one-line reason why the check it runs
-failed.  ``main`` alone writes the payload (to ``--out`` or stdout) and picks
-the exit code: 0 success; 1 mathematical verification failure, after one
+failed.  ``main`` alone writes the payload (to ``--out`` or stdout, streamed
+as it is encoded) and picks the exit code: 0 success; 1 mathematical verification failure, after one
 ``not verified: <reason>`` line on stderr; 2 usage or configuration error: a
 bad file or flag raises ``ValueError``, printed as one ``error:`` line.  The
 verdicts of ``iso``, ``residuals`` and ``discrim`` come from the error bars
@@ -30,6 +30,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import islice
 
 from .contours import (
     admissibility_check,
@@ -104,14 +105,25 @@ def _parse_mu(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"bad {flag} {text!r}; expected comma-separated integers, no empty field")
 
 
+def _write_json(data, fh):
+    # the bytes of json.dumps(data, indent=2, sort_keys=True) and a newline,
+    # written 1024 encoder chunks at a time, so the whole text is never held;
+    # the encoder yields no empty chunk, so only its end joins to "".  Every
+    # payload holds only JSON types, so no encoding error can cut a file short
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    while batch := "".join(islice(chunks, 1024)):
+        fh.write(batch)
+    fh.write("\n")
+
+
 def _emit(data, path: str | None):
-    text = json.dumps(data, indent=2, sort_keys=True)
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
+            _write_json(data, fh)
+    elif sys.stdout is not None:  # None when fd 1 was closed at start: write nothing, as print
         try:
-            print(text, flush=True)
+            _write_json(data, sys.stdout)
+            sys.stdout.flush()
         except BrokenPipeError:
             # the reader left: point stdout at devnull, so the flush at exit is silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -312,8 +324,10 @@ def cmd_solve(args) -> tuple[dict, str | None]:
                          " no empty target")
     targets = [_parse_mu(t, "--targets") for t in fields]
     out, red = solve_moments(V, args.N, values, targets)
+    growth = red.max_abs_coeff
+    del red  # its memo of reduced forms is freed before the payload is built
     values = [{"mu": list(mu), "value": [v.real, v.imag]} for mu, v in sorted(out.items())]
-    return {"values": values, "coefficient_growth": red.max_abs_coeff}, None
+    return {"values": values, "coefficient_growth": growth}, None
 
 
 def cmd_residuals(args) -> tuple[dict, str | None]:
@@ -325,6 +339,7 @@ def cmd_residuals(args) -> tuple[dict, str | None]:
         needed.update(Q.terms)
     with _moment_table(G.arc_basis, V, args) as table:
         oracle = oracle_from_quadrature(G, sorted(needed), table)
+    del table  # freed before the payload is built
     report = residuals(oracle, V, G.N, args.weight_max)
     if not report.outside:
         return report.to_json(), None
@@ -382,6 +397,7 @@ def cmd_iso(args) -> tuple[dict, str | None]:
     V = _load_potential(args.potential)
     with _moment_table(basis_arcs(V), V, args) as table:
         M = moment_matrix(table, args.N)
+    del table  # freed before the payload is built
     if M.scaled_error_bound < M.min_scaled_singular:
         return M.to_json(), None
     # the error bars allow a singular matrix: no witness

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -179,14 +180,19 @@ print(json.dumps({"codes": codes, "_hashlib": "_hashlib" in sys.modules}))
 """
 
 
+def src_env() -> dict:
+    """The environment of a child interpreter that imports this loopeq, with
+    its stdout block-buffered on a pipe, as Python's default is."""
+    src = str(Path(loopeq.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def probe(mode, *commands):
     """The exit codes of ``commands`` run in one fresh interpreter, so no import
     leaks in, and whether it loaded ``_hashlib`` (OpenSSL's libcrypto)."""
-    src = str(Path(loopeq.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, mode, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -1087,27 +1093,94 @@ def test_discrim_quartic_verdict_follows_the_distance(pot, capsys, r, code, dist
         assert line.startswith(f"not verified: distance ||R - I||_2 = {distance} ")
 
 
-@pytest.mark.parametrize("argv,code", [(["iso", "--N", "1"], 0),
-                                       (["discrim", "--N", "2", "--r", "60"], 1)])
-def test_closed_stdout_keeps_the_verdict(tmp_path, argv, code):
+CLI_SCRIPT = "import sys, loopeq.cli; sys.exit(loopeq.cli.main(sys.argv[1:]))"
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Fill an argv's {cubic}, {quartic}, {basis} and {targets}: the exact
+    benchmark workload's solve (quartic at N = 3, every partition of weight
+    1..14, 507 targets, 83 KB of JSON) and cubic for the other commands."""
+    files = {"cubic": CUBIC, "quartic": QUARTIC, "basis": {"N": 3, "d": 3, "values": [
+        {"mu": list(mu), "value": [0.1 * k, 1 / (k + 3)]}
+        for k, mu in enumerate(loopeq.partitions_in_box(3, 2))]}}
+    fields = {"targets": ";".join(",".join(map(str, mu)) for w in range(1, 15)
+                                  for mu in loopeq.partitions_of_weight(w))}
+    for name, data in files.items():
+        fields[name] = str(tmp_path / f"{name}.json")
+        Path(fields[name]).write_text(json.dumps(data))
+    return lambda argv: [a.format(**fields) for a in argv]
+
+
+DISCRIM_VERDICT = (r"not verified: distance \|\|R - I\|\|_2 = 1\.886e\+00 of the ratio matrix"
+                   r" from its delta limit plus its error bound \S+ reaches 1\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["iso", "--potential", "{cubic}", "--N", "1"], 0),
+    (["discrim", "--potential", "{cubic}", "--N", "2", "--r", "60"], 1),
+    (["solve", "--potential", "{quartic}", "--N", "3", "--basis", "{basis}", "--targets", "{targets}"], 0),
+])
+def test_closed_stdout_keeps_the_verdict(cli_inputs, argv, code):
     # a reader that left before the JSON was written turned the verdict into
     # exit 2 with "error: [Errno 32] Broken pipe"
-    path = tmp_path / "cubic.json"
-    path.write_text(json.dumps(CUBIC))
-    src = str(Path(loopeq.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = "import sys, loopeq.cli; sys.exit(loopeq.cli.main(sys.argv[1:]))"
-    with subprocess.Popen([sys.executable, "-c", script, argv[0], "--potential", str(path), *argv[1:]],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
-        proc.stdout.close()  # before the child has imported numpy, let alone written
+    with subprocess.Popen([sys.executable, "-c", CLI_SCRIPT, *cli_inputs(argv)], env=src_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        if argv[0] == "solve":  # leave mid-stream: the JSON is many batches, past the pipe's buffer
+            assert len(proc.stdout.read(4096)) == 4096
+        proc.stdout.close()  # otherwise before the child has imported numpy, let alone written
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == code
     if code == 0:
         assert err == ""
     else:
-        assert re.fullmatch(r"not verified: distance \|\|R - I\|\|_2 = 1\.886e\+00 of the ratio matrix"
-                            r" from its delta limit plus its error bound \S+ reaches 1\n", err)
+        assert re.fullmatch(DISCRIM_VERDICT, err)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["iso", "--potential", "{cubic}", "--N", "1"], 0),
+    (["discrim", "--potential", "{cubic}", "--N", "2", "--r", "60"], 1),
+], ids=["iso", "discrim"])
+def test_stdout_closed_at_start_keeps_the_verdict(cli_inputs, argv, code):
+    # with fd 1 closed, sys.stdout is None: nothing is written, as print writes nothing
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-c", CLI_SCRIPT,
+                           *cli_inputs(argv)], env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    if code == 0:
+        assert done.stderr == ""
+    else:
+        assert re.fullmatch(DISCRIM_VERDICT, done.stderr)
+
+
+EMIT_PAYLOAD = {
+    "empty": [[], {}, {"a": []}, [{}]],
+    "text": "Φ(μ) ≠ ∫ e^{-V}",
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-310, 0.1],
+    "scalars": [0, -7, 2 ** 80, True, False, None],
+    "long": [[k, k / 7, str(k)] for k in range(1500)],  # about 6,000 encoder chunks
+}
+
+
+def test_emit_writes_the_json_dumps_bytes(tmp_path, capsys):
+    want = json.dumps(EMIT_PAYLOAD, indent=2, sort_keys=True) + "\n"
+    cli._emit(EMIT_PAYLOAD, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text() == want
+    cli._emit(EMIT_PAYLOAD, None)
+    assert capsys.readouterr().out == want
+
+
+def test_emit_memory_is_bounded(tmp_path):
+    # a solve-shaped payload of 500 targets: holding the whole text and its
+    # chunk list peaked at 0.54 MB, a batch of 1024 chunks at 0.08 MB
+    payload = {"values": [{"mu": [1 + k % 4] * (1 + k % 6), "value": [math.sin(k), math.cos(k)]}
+                          for k in range(500)], "coefficient_growth": 1.5e30}
+    tracemalloc.start()
+    try:
+        cli._emit(payload, str(tmp_path / "out.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250_000
 
 
 def test_discrim_range_guard_keeps_the_ray_integrands_finite(pot, capsys):
