@@ -52,5 +52,6 @@ from .discriminator import (
     saddle_points,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules their imports bind here (type(exact) is the module type)
+__all__ = [name for name in dir() if not name.startswith("_") and type(globals()[name]) is not type(exact)]
 __version__ = "0.1.0"

@@ -38,15 +38,29 @@ def _gauss(n: int, m: int, d: int) -> "CRational":
 
 
 def _operand(x):
-    """A ring operator's non-CRational operand lifted to CRational: an int goes
-    straight to ``_gauss``, a Fraction or bool through the constructor.  Any
-    other type gives None, and the operator returns NotImplemented, so Python
-    asks that type (an MPoly, say) or raises TypeError."""
+    """A scalar lifted to CRational, the one lift in this module: an int goes
+    straight to ``_gauss``, a Fraction or bool through the constructor, and a
+    CRational is returned as it is.  Any other type gives None, and a ring
+    operator returns NotImplemented, so Python asks that type (an MPoly, say)
+    or raises TypeError."""
     if type(x) is int:
         return _gauss(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return CRational(x)
-    return None
+    return x if isinstance(x, CRational) else None
+
+
+def _power(base, n: int, one):
+    """``base ** n`` for an int ``n >= 0`` by square and multiply, starting
+    from the ring's ``one``: the power of both CRational and MPoly."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 class CRational:
@@ -78,11 +92,9 @@ class CRational:
 
     @staticmethod
     def coerce(x: Scalarish) -> "CRational":
-        if isinstance(x, CRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CRational(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to CRational")
+        if (z := _operand(x)) is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to CRational")
+        return z
 
     # -- ring operations ---------------------------------------------------
 
@@ -97,12 +109,7 @@ class CRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not CRational and (other := _operand(other)) is None:
-            return NotImplemented
-        d, e = self.d, other.d
-        if d == e:
-            return _gauss(self.n - other.n, self.m - other.m, d)
-        return _gauss(self.n * e - other.n * d, self.m * e - other.m * d, d * e)
+        return self + -other
 
     def __rsub__(self, other):
         if type(other) is not CRational and (other := _operand(other)) is None:
@@ -139,26 +146,15 @@ class CRational:
         if not isinstance(n, int):
             raise TypeError("CRational powers must be integers")
         if n < 0:
-            return CRational(1) / self ** (-n)
-        out = CRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return ONE / _power(self, -n, ONE)
+        return _power(self, n, ONE)
 
     # -- comparisons and helpers -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, CRational):
-            return self.n == other.n and self.m == other.m and self.d == other.d
-        if isinstance(other, int):
-            return self.m == 0 and self.d == 1 and self.n == other
-        if isinstance(other, Fraction):
-            return self.m == 0 and self.n == other.numerator and self.d == other.denominator
-        return NotImplemented
+        if type(other) is not CRational and (other := _operand(other)) is None:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.d == other.d
 
     def __hash__(self):
         # a real value hashes like the int or Fraction it equals
@@ -247,10 +243,7 @@ class MPoly:
 
     @staticmethod
     def const(c: Scalarish, vars: tuple[str, ...]) -> "MPoly":
-        c = CRational.coerce(c)
-        if not c:
-            return MPoly(vars, {})
-        return MPoly(vars, {(0,) * len(vars): c})
+        return MPoly(vars, {(0,) * len(vars): CRational.coerce(c)})
 
     @staticmethod
     def gen(name: str, vars: tuple[str, ...], power: int = 1) -> "MPoly":
@@ -262,17 +255,18 @@ class MPoly:
         if self.vars != other.vars:
             raise ValueError(f"generator mismatch: {self.vars} vs {other.vars}")
 
+    def _lift(self, other):
+        """A scalar operand as a constant in this polynomial's generators; any
+        other operand as it is."""
+        c = _operand(other)
+        return other if c is None else MPoly.const(c, self.vars)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            other = MPoly.const(other, self.vars)
+        other = self._lift(other)
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, ZERO) + c
         return MPoly(self.vars, out)
 
     __radd__ = __add__
@@ -281,18 +275,13 @@ class MPoly:
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            other = MPoly.const(other, self.vars)
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
         return MPoly.const(other, self.vars) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            c = CRational.coerce(other)
-            if not c:
-                return MPoly.zero(self.vars)
+        if (c := _operand(other)) is not None:
             return MPoly(self.vars, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -301,11 +290,7 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, ZERO) + c1 * c2
         return MPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -313,18 +298,10 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative MPoly power; multiply by the inverse generator instead")
-        out = MPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, MPoly.const(1, self.vars))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            other = MPoly.const(other, self.vars)
+        other = self._lift(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -340,7 +317,7 @@ class MPoly:
         if missing:
             raise ValueError(f"no value for generator(s) {missing}")
         vals = [CRational.coerce(values[v]) for v in self.vars]
-        total = CRational(0)
+        total = ZERO
         for e, c in self.terms.items():
             term = c
             for base, exp in zip(vals, e):

@@ -81,6 +81,47 @@ def test_mpoly_var_mismatch():
         MPoly.gen("N", ("N",)) + MPoly.gen("t", ("t",))
 
 
+_VARS = ("N", "t")
+
+
+def _rand_mpoly(rng):
+    """A sum of a few monomials N^a t^b, b < 0 through the Laurent generator, with
+    small coefficients, so that sums and products of two of them often cancel."""
+    N, t, t_inv = MPoly.gen("N", _VARS), MPoly.gen("t", _VARS), MPoly.gen("t", _VARS, power=-1)
+    p = MPoly.zero(_VARS)
+    for _ in range(rng.randint(0, 4)):
+        c = rng.choice((1, -1, 2, Fraction(1, 2), CRational(0, 1), CRational(1, -1)))
+        b = rng.randint(-2, 2)
+        p = p + c * N ** rng.randint(0, 2) * (t if b > 0 else t_inv) ** abs(b)
+    return p
+
+
+def test_mpoly_never_stores_a_zero_coefficient():
+    rng = random.Random(11)
+    point = {"N": CRational(2, 1), "t": CRational(Fraction(-1, 3), 1)}
+    cancelled = 0
+    for _ in range(60):
+        p, r = _rand_mpoly(rng), _rand_mpoly(rng)
+        q = r - p if rng.random() < 0.5 else r  # p + q then cancels p's terms
+        results = (p + q, p - q, p * q, p * 0, p - p, MPoly.const(0, _VARS))
+        for out in results:
+            assert all(out.terms.values()), out
+        cancelled += len(p.terms) + len(q.terms) > len((p + q).terms)
+        assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+        assert (p - q).eval(point) == p.eval(point) - q.eval(point)
+    assert cancelled > 10
+
+
+def test_mpoly_powers_match_repeated_products():
+    rng = random.Random(12)
+    for _ in range(12):
+        p = _rand_mpoly(rng)
+        product = MPoly.const(1, _VARS)
+        for n in range(7):
+            assert p ** n == product
+            product = product * p
+
+
 def test_crational_defers_to_mpoly():
     # CRational + MPoly used to raise TypeError in CRational.coerce, so Q_mu
     # with a symbolic N failed on rational potentials
@@ -291,7 +332,7 @@ def test_crational_mixed_int_and_fraction_operands_match_reference():
 def test_crational_powers_match_reference():
     for pair in _sample_pairs(4, 15):
         a, ra = CRational(*pair), _PairCRational(*pair)
-        for n in (-3, -1, 0, 1, 2, 5):
+        for n in (-3, -1, 0, 1, 2, 5, 9):
             _check_op(operator.pow, a, n, ra, n)
 
 
