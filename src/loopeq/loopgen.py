@@ -20,6 +20,8 @@ from typing import Sequence
 from .exact import CRational, MPoly
 from .symfunc import PowerSumPoly
 
+_exp = cmath.exp
+
 # ---------------------------------------------------------------------------
 # exact polynomial helpers on ascending CRational coefficient lists
 # ---------------------------------------------------------------------------
@@ -189,15 +191,25 @@ class Potential:
             out += r * cmath.log(z - p)
         return out
 
+    @cached_property
+    def _pole_factors(self) -> tuple[tuple[complex, int], ...]:
+        """(p, -r_p) per pole: e^{-V} carries the factor (z - p)^(-r_p)."""
+        return tuple((p, -r) for p, r in self.partial_fractions[1])
+
     def exp_neg_V(self, z: complex) -> complex:
-        """e^{-V(z)}; single-valued for integer pole residues.  The quotient
-        terms are summed here, as in ``V``, one frame fewer per quadrature node."""
+        """e^{-V(z)}; single-valued for integer pole residues.  The quadrature
+        rules call it once per node, the node's one Python frame besides the
+        integrand's: the quotient terms are summed here, as in ``V``, the
+        factors (z - p)^(-r_p) come from one cached tuple, and a V without
+        poles returns right after the exponential."""
         out = 0j
         for c, k in self._quotient_terms:
             out += c * z ** k
-        val = cmath.exp(-out)
-        for p, r in self.partial_fractions[1]:
-            val *= (z - p) ** (-r)
+        if not self._pole_factors:
+            return _exp(-out)
+        val = _exp(-out)
+        for p, e in self._pole_factors:
+            val *= (z - p) ** e
         return val
 
     # -- JSON ----------------------------------------------------------------

@@ -246,7 +246,8 @@ def residuals(
     error budget ``sum |c| e_nu + gamma_{n+2} scale``: the oracle's bars
     carried through the n terms, plus the rounding of their complex sum.
     """
-    table = {Partition(tuple(k)): (complex(v), float(e)) for k, (v, e) in oracle.items()}
+    table = {(k if isinstance(k, Partition) else Partition(tuple(k))): (complex(v), float(e))
+             for k, (v, e) in oracle.items()}
     tuples = loop_tuples(weight_max)
     needed: set[Partition] = set()
     qs = {}

@@ -46,6 +46,7 @@ moments at about 1e-14 changes those outputs.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import importlib.machinery
 import importlib.util
@@ -177,8 +178,11 @@ RULE_TAG = "qags-trapezoid-2"
 def _segment_moment(seg, V: Potential, k: int, tol: float):
     """integral of x^k e^{-V(x)} dx along one segment, in its direction of travel,
     with an error estimate: z(t)^k e^{-V(z(t))} z'(t) on ``seg.bounds``, with a
-    ray's infinite upper bound cut where the tail falls below TAIL_CUTOFF.  QAGS
-    calls a ray's real and imaginary integrands directly, one frame each."""
+    ray's infinite upper bound cut where the tail falls below TAIL_CUTOFF.
+    A node costs one integrand frame and one ``exp_neg_V`` call: QAGS calls a
+    ray's or an arc's real and imaginary integrands directly, the trapezoid
+    rule a circle's complex one, and on arcs and circles one exp(i t) per node
+    gives both z = center + radius e^{it} and z' = (i radius) e^{it}."""
     weight = V.exp_neg_V
     a, b = seg.bounds
     if isinstance(seg, RaySeg):
@@ -193,17 +197,28 @@ def _segment_moment(seg, V: Potential, k: int, tol: float):
             return (z ** k * weight(z) * step).imag
 
         val, e = _quad_complex(re_f, im_f, a, _ray_truncation(seg, weight, k), tol)
-    else:
+        return (-val if seg.inward else val), e
+    exp, center, radius, turn = cmath.exp, seg.center, seg.radius, 1j * seg.radius
+    if isinstance(seg, CircleSeg):
 
         def f(t):
-            z = seg.point(t)
-            return z ** k * weight(z) * seg.tangent(t)
+            u = exp(1j * t)
+            z = center + radius * u
+            return z ** k * weight(z) * (turn * u)
 
-        if isinstance(seg, CircleSeg):
-            val, e = _trapezoid_circle(f, a, b, tol)
-        else:
-            val, e = _quad_complex(lambda t: f(t).real, lambda t: f(t).imag, a, b, tol)
-    return (-val if seg.inward else val), e
+        return _trapezoid_circle(f, a, b, tol)
+
+    def re_f(t):
+        u = exp(1j * t)
+        z = center + radius * u
+        return (z ** k * weight(z) * (turn * u)).real
+
+    def im_f(t):
+        u = exp(1j * t)
+        z = center + radius * u
+        return (z ** k * weight(z) * (turn * u)).imag
+
+    return _quad_complex(re_f, im_f, a, b, tol)
 
 
 def arc_moment(c: Contour, V: Potential, k: int, tol: float):
@@ -467,8 +482,10 @@ def _check_cap(N: int):
         raise ValueError(f"N={N} exceeds the assembly cap N <= {MAX_VARS}")
 
 
+@functools.cache
 def _word(comp) -> tuple[int, ...]:
-    """The arc word of a composition: arc i repeated comp[i] times."""
+    """The arc word of a composition: arc i repeated comp[i] times, built once
+    per composition."""
     return tuple(arc_idx for arc_idx, cnt in enumerate(comp) for _ in range(cnt))
 
 
@@ -515,11 +532,14 @@ def expectation(G: HomologyClass, p: PowerSumPoly, table: MomentTable):
 
 def oracle_from_quadrature(G: HomologyClass, partitions, table: MomentTable):
     """{Partition: (E(p_nu), error bound)} over ``partitions``, in their order,
-    each pair as ``expectation`` returns it (the empty partition gives Z)."""
-    return {
-        nu: expectation(G, PowerSumPoly({nu: CRational(1)}, G.N), table)
-        for nu in map(Partition, map(tuple, partitions))
-    }
+    each pair as ``expectation`` returns it (the empty partition gives Z).
+    Only entries that are not yet a ``Partition`` are checked and converted."""
+    one, oracle = CRational(1), {}
+    for nu in partitions:
+        if not isinstance(nu, Partition):
+            nu = Partition(tuple(nu))
+        oracle[nu] = expectation(G, PowerSumPoly({nu: one}, G.N), table)
+    return oracle
 
 
 @dataclass

@@ -18,6 +18,7 @@ from loopeq import (
     expectation,
     gaussian_trace_moment,
     hn_dimension,
+    oracle_from_quadrature,
     partitions_in_box,
     q_rational,
     real_axis_contour,
@@ -66,6 +67,9 @@ REFUSALS = [
                                      MomentTable([real_axis_contour()], _GAUSS)),
                  ValueError, "polynomial is for 3 variables, class has N=2",
                  id="expectation-nvars-mismatch"),
+    pytest.param(lambda: oracle_from_quadrature(real_power_class(2), [(1, 2)],
+                                                MomentTable([real_axis_contour()], _GAUSS)),
+                 ValueError, "parts not sorted non-increasing: (1, 2)", id="oracle-unsorted-tuple"),
 ]
 
 
@@ -74,3 +78,13 @@ def test_library_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+def test_oracle_takes_plain_tuples():
+    G, table = real_power_class(2), MomentTable([real_axis_contour()], _GAUSS)
+    parts = [(), (1,), (2,), (1, 1), (2, 1)]
+    plain = oracle_from_quadrature(G, parts, table)
+    checked = oracle_from_quadrature(G, [Partition(nu) for nu in parts], table)
+    assert list(plain) == list(checked) == parts
+    assert all(type(nu) is Partition for nu in plain)
+    assert plain == checked

@@ -3,7 +3,8 @@
 ``residuals`` reports equations whose terms cancel to rounding, so the last bit
 of every N <= 2 moment and product shows in its output.  The fast paths of
 ``Potential.exp_neg_V`` and ``_permutation_sum`` must therefore give exactly
-the doubles of the plain per-term formulas kept here as references, the ray
+the doubles of the plain per-term formulas kept here as references, arcs and
+circles must integrate what ``seg.point`` and ``seg.tangent`` gave, the ray
 direction cached on ``RaySeg`` must leave its identity (and so the moment
 cache keys, which must also equal ``hashlib.sha256``'s) as it was, the circle
 trapezoid over Python floats must sum what it summed over numpy nodes, and
@@ -40,7 +41,7 @@ from loopeq import (
     real_axis_contour,
 )
 from loopeq.cli import CachedMomentTable
-from loopeq.contours import ArcSeg, RaySeg
+from loopeq.contours import ArcSeg, CircleSeg, RaySeg
 from loopeq.quadrature import _permutation_sum, _quad_complex
 
 from conftest import MomentLookup
@@ -71,6 +72,8 @@ POTENTIALS = {
         [CRational(0), CRational(1, Fraction(1, 2)), CRational(0, Fraction(1, 3)), CRational(1)]
     ),  # V' = (1 + i/2) x + (i/3) x^2 + x^3
     "x^2 + 2/x": Potential.rational([2, 0, 0, 1], [0, 1]),
+    # V' = x^2 + 1/x + 2/(x - 1) = (x^4 - x^3 + 3x - 1) / (x^2 - x): two poles
+    "x^2 + 1/x + 2/(x - 1)": Potential.rational([-1, 3, 0, -1, 1], [0, -1, 1]),
 }
 
 
@@ -82,8 +85,7 @@ def test_exp_neg_v_is_the_per_term_formula(name):
     points += [complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)) for _ in range(400)]
     # along the rays arc_moment walks: base + t e^{i theta}
     points += [t * cmath.exp(1j * rng.uniform(0, 6.3)) for t in (1e-9, 0.3, 1.7, 2.2)]
-    if V.partial_fractions[1]:  # z = 0 is the pole of x^2 + 2/x
-        points = [z for z in points if z != 0]
+    points = [z for z in points if all(z != p for p, _ in V.partial_fractions[1])]
     for z in points:
         assert _bits(V.exp_neg_V(z)) == _bits(_reference_exp_neg_v(V, z)), z
 
@@ -284,6 +286,38 @@ def test_circle_trapezoid_over_floats_is_the_numpy_node_loop(k):
     want = _numpy_node_trapezoid(f, *seg.bounds, 1e-12)
     assert [z.hex() for z in (got[0].real, got[0].imag, got[1])] == \
         [z.hex() for z in (want[0].real, want[0].imag, want[1])]
+
+
+# -- arcs and circles: one exp(i t) per node -------------------------------------------
+
+
+def _reference_segment_moment(seg, V, k, tol):
+    """``_segment_moment`` on an arc or a circle as it ran on ``seg.point`` and
+    ``seg.tangent``, which compute exp(i t) once each."""
+    def f(t):
+        z = seg.point(t)
+        return z ** k * V.exp_neg_V(z) * seg.tangent(t)
+
+    if isinstance(seg, CircleSeg):
+        return quadrature._trapezoid_circle(f, *seg.bounds, tol)
+    return _quad_complex(lambda t: f(t).real, lambda t: f(t).imag, *seg.bounds, tol)
+
+
+def _round_segments():
+    V = CONTOUR_POTENTIALS["rational"]
+    segs = [seg for arc in basis_arcs(V) for seg in arc.segments if isinstance(seg, (ArcSeg, CircleSeg))]
+    return V, list(dict.fromkeys(segs))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_round_segment_moment_is_the_point_tangent_integrand(k):
+    V, segs = _round_segments()
+    assert {type(seg) for seg in segs} == {ArcSeg, CircleSeg}
+    for seg in segs:
+        got = quadrature._segment_moment(seg, V, k, 1e-12)
+        want = _reference_segment_moment(seg, V, k, 1e-12)
+        assert [z.hex() for z in (got[0].real, got[0].imag, got[1])] == \
+            [z.hex() for z in (want[0].real, want[0].imag, want[1])], seg
 
 
 # -- _quad_complex against scipy.integrate.quad ---------------------------------------
